@@ -1,0 +1,85 @@
+"""Golden outputs: seeded results that a refactor must reproduce bit for bit.
+
+The files under tests/golden/ hold the full `TestReport` repr of seeded
+sample pairs and the `simulate` CSV output, minus the `seconds` column, of
+`configs/demo.json` and of the `size_*`/`power_*` configs with R cut to 20.
+A float's repr round-trips, so equal text means equal bits. A change that
+means to alter these numbers re-records them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists every changed value in CHANGES.md.
+"""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from twosample import ESTIMATORS, KERNELS, NullDrawConfig, run_test
+from twosample.cli import main
+
+HERE = pathlib.Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+CONFIGS = HERE.parent / "configs"
+SIMULATE = ("demo", "size_p5", "size_p100", "power_p5", "power_p100")
+REDUCED_R = 20
+
+# (label, p, n1, n2, shift); the last has p > n1 + n2 - 2
+PAIRS = (
+    ("p5", 5, 40, 50, 0.4),
+    ("p100", 100, 40, 50, 0.1),
+    ("p40-n12-n15", 40, 12, 15, 0.5),
+)
+
+
+def _report_lines():
+    lines = []
+    for index, (label, p, n1, n2, shift) in enumerate(PAIRS):
+        rng = np.random.default_rng([20250819, index])
+        x = rng.standard_normal((n1, p))
+        y = rng.standard_t(3, size=(n2, p)) + shift
+        for kernel in KERNELS:
+            for estimator in ESTIMATORS:
+                config = NullDrawConfig(draws=2000, alpha=0.05, seed=97 + index)
+                report = run_test(x, y, kernel, estimator, config)
+                lines.append(f"{label} {kernel} {estimator} {report!r}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _simulate_text(name, workdir):
+    """CSV text of every scenario in configs/<name>.json, without `seconds`."""
+    scenarios = json.loads((CONFIGS / f"{name}.json").read_text())
+    scenarios = scenarios if isinstance(scenarios, list) else [scenarios]
+    if name != "demo":
+        scenarios = [dict(s, replications=REDUCED_R) for s in scenarios]
+    config_path = workdir / f"{name}.json"
+    config_path.write_text(json.dumps(scenarios))
+    out = workdir / f"{name}-out"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    text = ""
+    for scenario in scenarios:
+        csv_text = (out / f"{scenario['scenario_id']}.csv").read_text()
+        text += "".join(line.rsplit(",", 1)[0] + "\n" for line in csv_text.splitlines())
+    return text
+
+
+def test_reports_match_golden():
+    assert _report_lines() == (GOLDEN / "reports.txt").read_text()
+
+
+@pytest.mark.parametrize("name", SIMULATE)
+def test_simulate_matches_golden(name, tmp_path):
+    assert _simulate_text(name, tmp_path) == (GOLDEN / f"simulate_{name}.csv").read_text()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "reports.txt").write_text(_report_lines())
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in SIMULATE:
+            text = _simulate_text(name, pathlib.Path(tmp))
+            (GOLDEN / f"simulate_{name}.csv").write_text(text)
