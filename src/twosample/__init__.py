@@ -54,7 +54,6 @@ from .statistic import (
     compute_statistic,
     compute_statistic_centered,
     compute_statistic_oracle,
-    kernel_eval,
     pair_aggregates,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "f_cdf",
     "generate_scenario",
     "hotelling_t2",
-    "kernel_eval",
     "load_configs",
     "load_matrix_csv",
     "main",

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .covariance import TaperSpec, eigenvalues_sym, estimate_plain, estimate_tapered
-from .statistic import _check_pair, compute_statistic
+from . import statistic
+from .covariance import TaperSpec, _apply_taper, _plain_from_aggregates, eigenvalues_sym
+from .statistic import _check_pair, _statistic_from_aggregates
 
 DEFAULT_SEED = 12345
 PLAIN = "plain"
@@ -71,6 +72,8 @@ def empirical_quantile(values, level):
 def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
     """Full test: statistic, spectrum estimate, null draws, cutoff, decision.
 
+    The statistic and the covariance estimate come from one pair pass.
+
     The reported decision is the strict cutoff comparison T > c(alpha); the
     p-value (1 + #{V_j >= T}) / (M + 1) is reported alongside and may disagree
     with the flag at ties.
@@ -82,12 +85,13 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
     mx, my = _check_pair(x, y)
     if mx.shape[0] < 2 or my.shape[0] < 2:
         raise ValueError("run_test needs at least two rows in each sample")
-    stat = compute_statistic(mx, my, kernel)
-    if estimator == PLAIN:
-        est = estimate_plain(mx, my, kernel)
-    else:
-        taper = TaperSpec.derive(beta, mx.shape[0] + my.shape[0], mx.shape[1])
-        est = estimate_tapered(mx, my, kernel, taper)
+    # looked up on the module, so a wrapper installed on
+    # statistic.pair_aggregates (bench/tracing.py) sees this pass
+    g, sx, sy, sumsq = statistic.pair_aggregates(mx, my, kernel)
+    stat = _statistic_from_aggregates(g, sx, sy, sumsq)
+    est = _plain_from_aggregates(g, sx, sy)
+    if estimator == TAPER:
+        est = _apply_taper(est, TaperSpec.derive(beta, mx.shape[0] + my.shape[0], mx.shape[1]))
     lam = eigenvalues_sym(est)
     draws = simulate_null_draws(lam, config, np.random.default_rng(config.seed))
     cutoff = empirical_quantile(draws, 1.0 - config.alpha)

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import DEFAULT_SEED, NullDrawConfig, TestReport, run_test
+from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, TestReport, run_test
 from .config import config_from_dict
 from .experiments import run_power_curve, write_csv, write_manifest
 from .seeding import derive_seed
-from .statistic import _check_pair
+from .statistic import KERNELS, _check_pair
 
 
 def load_matrix_csv(path):
@@ -131,11 +131,18 @@ def _resolve_seed(args):
     return args.seed
 
 
+def _thread_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_test_flags(parser):
     parser.add_argument("--x", required=True, help="CSV of the first sample; rows are observations")
     parser.add_argument("--y", required=True, help="CSV of the second sample")
-    parser.add_argument("--kernel", choices=("identity", "sign"), default="sign")
-    parser.add_argument("--estimator", choices=("plain", "taper"), default="plain")
+    parser.add_argument("--kernel", choices=KERNELS, default="sign")
+    parser.add_argument("--estimator", choices=ESTIMATORS, default="plain")
     parser.add_argument("--beta", type=float, default=0.25, help="taper smoothness exponent")
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--draws", type=int, default=10000, help="Monte-Carlo reference draws M")
@@ -264,7 +271,7 @@ def _build_parser():
     p_sim = sub.add_parser("simulate", help="run simulation scenarios from a JSON config")
     p_sim.add_argument("--config", required=True, help="JSON file with one scenario or a list")
     p_sim.add_argument("--out", required=True, help="output directory for CSV and manifest files")
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=_thread_count, default=1)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_blocks = sub.add_parser("blocks", help="test consecutive column blocks of a CSV pair")

@@ -3,11 +3,11 @@
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .calibration import DEFAULT_SEED
+from .calibration import DEFAULT_SEED, ESTIMATORS
 from .datagen import COV_FORMS, parse_family
 from .statistic import KERNELS
 
-ESTIMATOR_CHOICES = ("plain", "taper", "hotelling")
+ESTIMATOR_CHOICES = ESTIMATORS + ("hotelling",)
 
 
 @dataclass(frozen=True)

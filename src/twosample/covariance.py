@@ -29,6 +29,11 @@ def estimate_plain(x, y, kernel):
     positive semidefinite.
     """
     g, sx, sy, _ = pair_aggregates(x, y, kernel)
+    return _plain_from_aggregates(g, sx, sy)
+
+
+def _plain_from_aggregates(g, sx, sy):
+    """The estimate_plain matrix from the sums of one pair pass."""
     n1, n2 = sx.shape[0], sy.shape[0]
     n = n1 + n2
     dh = g / (n1 * n2)
@@ -79,7 +84,11 @@ def _weight_matrix(p, k):
 
 def estimate_tapered(x, y, kernel, taper):
     """Elementwise taper of the plain estimator; entries at |i-j| >= k are 0."""
-    est = estimate_plain(x, y, kernel)
+    return _apply_taper(estimate_plain(x, y, kernel), taper)
+
+
+def _apply_taper(est, taper):
+    """Multiply a p x p estimate elementwise by the taper weights."""
     return _symmetrize(est * _weight_matrix(est.shape[0], taper.k))
 
 

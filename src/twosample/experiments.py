@@ -5,7 +5,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,8 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One CSV line; the fields are in CSV_COLUMNS order (draws is M, replications R)."""
+
     scenario_id: str
     family: str
     cov_form: str
@@ -118,26 +120,7 @@ def write_csv(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.scenario_id,
-                    row.family,
-                    row.cov_form,
-                    row.p,
-                    row.n1,
-                    row.n2,
-                    row.kernel,
-                    row.estimator,
-                    row.alpha,
-                    row.draws,
-                    row.replications,
-                    row.delta,
-                    row.reject_frac,
-                    row.mcse,
-                    row.seconds,
-                ]
-            )
+        writer.writerows(astuple(row) for row in rows)
 
 
 def write_manifest(config, path):

@@ -55,44 +55,19 @@ def _sign_rows(h):
     return out
 
 
-def kernel_eval(kernel, x, y):
-    """Evaluate the pair kernel h(x, y) for two length-p vectors.
-
-    identity -> x - y; sign -> (x - y) / ||x - y||, with the zero vector
-    returned when x equals y exactly.
-    """
-    _check_kernel(kernel)
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.ndim != 1 or yv.ndim != 1 or xv.shape != yv.shape:
-        raise ValueError("x and y must be 1-d vectors of equal length")
-    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise ValueError("kernel inputs must be finite")
-    d = xv - yv
-    if kernel == IDENTITY:
-        return d
-    return _unit(d)
-
-
-def pair_aggregates(x, y, kernel, shift=None):
+def pair_aggregates(x, y, kernel):
     """One streaming pass over all n1*n2 kernel evaluations.
 
     Returns (g, sx, sy, sumsq): the grand sum of h over all pairs, the
     per-row-of-x sums (n1 x p), the per-row-of-y sums (n2 x p), and the sum
-    of ||h||^2 over all pairs. When `shift` is given every h is replaced by
-    h - shift. Kernel blocks are formed one x-row at a time, so memory stays
-    O((n1 + n2) * p).
+    of ||h||^2 over all pairs. The statistic, the pair mean and the plain
+    covariance estimate are all functions of this tuple. Kernel blocks are
+    formed one x-row at a time, so memory stays O((n1 + n2) * p).
     """
     mx, my = _check_pair(x, y)
     _check_kernel(kernel)
     n1, p = mx.shape
     n2 = my.shape[0]
-    if shift is not None:
-        shift = np.asarray(shift, dtype=float)
-        if shift.shape != (p,):
-            raise ValueError(f"shift must have length {p}")
-        if not np.isfinite(shift).all():
-            raise ValueError("shift contains non-finite entries")
     sx = np.empty((n1, p))
     sy = np.zeros((n2, p))
     sumsq = 0.0
@@ -100,8 +75,6 @@ def pair_aggregates(x, y, kernel, shift=None):
         h = mx[i] - my
         if kernel == SIGN:
             h = _sign_rows(h)
-        if shift is not None:
-            h = h - shift
         sx[i] = h.sum(axis=0)
         sy += h
         sumsq += float(np.einsum("ij,ij->", h, h))
@@ -133,8 +106,20 @@ def compute_statistic(x, y, kernel):
 
 
 def compute_statistic_centered(x, y, kernel, delta):
-    """Statistic with every kernel value recentered by `delta` before summing."""
-    return _statistic_from_aggregates(*pair_aggregates(x, y, kernel, shift=delta))
+    """Statistic with every kernel value recentered by `delta` before summing.
+
+    Closed form in the pair sums: replacing h by h - delta gives
+    T(delta) = T + (n1-1)(n2-1)(n1 n2 ||delta||^2 - 2 delta.g) / (n n1 n2).
+    """
+    g, sx, sy, sumsq = pair_aggregates(x, y, kernel)
+    (n1, p), n2 = sx.shape, sy.shape[0]
+    d = np.asarray(delta, dtype=float)
+    if d.shape != (p,):
+        raise ValueError(f"delta must have length {p}")
+    if not np.isfinite(d).all():
+        raise ValueError("delta contains non-finite entries")
+    shift = (n1 - 1) * (n2 - 1) * (n1 * n2 * float(d @ d) - 2.0 * float(d @ g))
+    return _statistic_from_aggregates(g, sx, sy, sumsq) + shift / ((n1 + n2) * n1 * n2)
 
 
 def compute_statistic_oracle(x, y, kernel):
@@ -150,7 +135,8 @@ def compute_statistic_oracle(x, y, kernel):
     h = np.empty((n1, n2, p))
     for i in range(n1):
         for j in range(n2):
-            h[i, j] = kernel_eval(kernel, mx[i], my[j])
+            d = mx[i] - my[j]
+            h[i, j] = d if kernel == IDENTITY else _unit(d)
     total = 0.0
     for i1 in range(n1):
         for i2 in range(n1):

@@ -4,10 +4,16 @@ import pytest
 from twosample import (
     NullDrawConfig,
     ScenarioConfig,
+    TaperSpec,
+    compute_statistic,
+    eigenvalues_sym,
     empirical_quantile,
+    estimate_plain,
+    estimate_tapered,
     run_size_experiment,
     run_test,
     simulate_null_draws,
+    statistic,
 )
 
 
@@ -133,6 +139,32 @@ class TestRunTest:
         tapered = run_test(x, y, "identity", "taper", config, beta=0.25)
         assert plain.statistic == tapered.statistic
         assert plain.cutoff != tapered.cutoff
+
+    @pytest.mark.parametrize("estimator", ["plain", "taper"])
+    def test_one_pair_pass_per_test(self, monkeypatch, estimator):
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal((9, 6))
+        y = rng.standard_normal((11, 6)) + 0.2
+        calls = []
+        original = statistic.pair_aggregates
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(statistic, "pair_aggregates", counting)
+        report = run_test(x, y, "sign", estimator, NullDrawConfig(draws=300, seed=8))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # the one pass gives what the public helpers get from passes of their own
+        if estimator == "plain":
+            est = estimate_plain(x, y, "sign")
+        else:
+            est = estimate_tapered(x, y, "sign", TaperSpec.derive(0.25, 20, 6))
+        lam = eigenvalues_sym(est)
+        assert report.statistic == compute_statistic(x, y, "sign")
+        assert report.trace == float(lam.sum())
+        assert report.top_eigenvalue == float(lam[0])
 
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):

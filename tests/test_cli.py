@@ -226,6 +226,17 @@ class TestCliSimulate:
         header = csv_path.read_text().splitlines()[0]
         assert header.split(",")[0] == "scenario_id"
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, threads):
+        config_path = tmp_path / "config.json"
+        config_path.write_text("{}")
+        out_dir = tmp_path / "o"
+        argv = ["simulate", "--config", str(config_path), "--out", str(out_dir)]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--threads", threads])
+        assert err.value.code == 2
+        assert not out_dir.exists()
+
     def test_bad_config_exits_1(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"scenario_id": "x"}))

@@ -7,6 +7,7 @@ import pytest
 
 from twosample import (
     CSV_COLUMNS,
+    ResultRow,
     ScenarioConfig,
     config_from_dict,
     config_to_dict,
@@ -145,6 +146,12 @@ class TestOutputFiles:
         assert float(first["delta"]) == 0.0
         assert float(first["reject_frac"]) == rows[0].reject_frac
         assert float(first["seconds"]) >= 0.0
+
+    def test_result_row_fields_follow_the_csv_columns(self):
+        # write_csv emits the fields in declaration order
+        renamed = {"draws": "M", "replications": "R"}
+        names = [renamed.get(f.name, f.name) for f in dataclasses.fields(ResultRow)]
+        assert tuple(names) == CSV_COLUMNS
 
     def test_manifest_mirrors_config(self, tmp_path):
         config = _config(deltas=(0.0, 1.0))

@@ -7,7 +7,7 @@ from twosample import (
     compute_statistic,
     compute_statistic_centered,
     compute_statistic_oracle,
-    kernel_eval,
+    pair_aggregates,
 )
 
 # four-point instance used across modules; every kernel value is an exact float
@@ -15,17 +15,24 @@ X4 = np.array([[0.0], [2.0]])
 Y4 = np.array([[1.0], [3.0]])
 
 
+def _kernel(kernel, x, y):
+    # with one row per sample the grand sum g is the single value h(x, y)
+    return pair_aggregates([x], [y], kernel)[0]
+
+
 class TestKernelEval:
+    """Kernel values through the production pair pass, on one-row samples."""
+
     def test_identity_is_difference(self):
-        out = kernel_eval(IDENTITY, [1.0, 2.0], [0.0, 1.0])
+        out = _kernel(IDENTITY, [1.0, 2.0], [0.0, 1.0])
         assert np.array_equal(out, [1.0, 1.0])
 
     def test_sign_is_unit_vector(self):
-        out = kernel_eval(SIGN, [3.0, 0.0], [0.0, 0.0])
+        out = _kernel(SIGN, [3.0, 0.0], [0.0, 0.0])
         assert np.array_equal(out, [1.0, 0.0])
 
     def test_sign_at_coincident_points_is_zero(self):
-        out = kernel_eval(SIGN, [2.0, 2.0], [2.0, 2.0])
+        out = _kernel(SIGN, [2.0, 2.0], [2.0, 2.0])
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_sign_norm_is_one_or_zero(self):
@@ -33,28 +40,29 @@ class TestKernelEval:
         for _ in range(20):
             x = rng.standard_normal(4)
             y = rng.standard_normal(4)
-            assert abs(np.linalg.norm(kernel_eval(SIGN, x, y)) - 1.0) < 1e-12
-        assert np.linalg.norm(kernel_eval(SIGN, x, x)) == 0.0
+            assert abs(np.linalg.norm(_kernel(SIGN, x, y)) - 1.0) < 1e-12
+        assert np.linalg.norm(_kernel(SIGN, x, x)) == 0.0
 
     def test_sign_survives_tiny_and_huge_magnitudes(self):
         # squared norms of these underflow/overflow without prescaling
-        tiny = kernel_eval(SIGN, [1e-200, 0.0], [0.0, 1e-200])
-        huge = kernel_eval(SIGN, [1e160, 0.0], [0.0, 1e160])
-        for out in (tiny, huge):
-            assert np.isfinite(out).all()
-            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        for scale in (1e-200, 1e160):
+            g, sx, sy, sumsq = pair_aggregates([[scale, 0.0]], [[0.0, scale]], SIGN)
+            for out in (g, sx[0], sy[0]):
+                assert np.isfinite(out).all()
+                assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+            assert abs(sumsq - 1.0) < 1e-12
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            kernel_eval(IDENTITY, [1.0, 2.0], [1.0])
+            _kernel(IDENTITY, [1.0, 2.0], [1.0])
 
     def test_non_finite_raises(self):
         with pytest.raises(ValueError):
-            kernel_eval(IDENTITY, [np.inf], [0.0])
+            _kernel(IDENTITY, [np.inf], [0.0])
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(ValueError):
-            kernel_eval("rbf", [1.0], [0.0])
+            _kernel("rbf", [1.0], [0.0])
 
 
 class TestComputeStatistic:
@@ -136,7 +144,11 @@ def _centered_enumeration(x, y, kernel, delta):
     # independent route: enumerate (h - delta) pairs literally
     n1, n2 = x.shape[0], y.shape[0]
     n = n1 + n2
-    h = np.array([[kernel_eval(kernel, x[i], y[j]) - delta for j in range(n2)] for i in range(n1)])
+
+    def kern(d):
+        return d if kernel == IDENTITY else d / np.linalg.norm(d)
+
+    h = np.array([[kern(x[i] - y[j]) - delta for j in range(n2)] for i in range(n1)])
     total = 0.0
     for i1 in range(n1):
         for i2 in range(n1):
@@ -177,3 +189,7 @@ class TestComputeStatisticCentered:
     def test_wrong_delta_length_raises(self):
         with pytest.raises(ValueError):
             compute_statistic_centered(X4, Y4, IDENTITY, [1.0, 2.0])
+
+    def test_non_finite_delta_raises(self):
+        with pytest.raises(ValueError):
+            compute_statistic_centered(X4, Y4, IDENTITY, [np.nan])
