@@ -118,8 +118,8 @@ def compute_statistic_centered(x, y, kernel, delta):
         raise ValueError(f"delta must have length {p}")
     if not np.isfinite(d).all():
         raise ValueError("delta contains non-finite entries")
-    shift = (n1 - 1) * (n2 - 1) * (n1 * n2 * float(d @ d) - 2.0 * float(d @ g))
-    return _statistic_from_aggregates(g, sx, sy, sumsq) + shift / ((n1 + n2) * n1 * n2)
+    correction = (n1 - 1) * (n2 - 1) * (n1 * n2 * float(d @ d) - 2.0 * float(d @ g))
+    return _statistic_from_aggregates(g, sx, sy, sumsq) + correction / ((n1 + n2) * n1 * n2)
 
 
 def compute_statistic_oracle(x, y, kernel):
