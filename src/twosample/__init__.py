@@ -57,7 +57,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BaselineReport",

@@ -7,13 +7,20 @@ from fractions import Fraction
 import numpy as np
 
 from . import statistic
-from .covariance import TaperSpec, _apply_taper, _plain_from_aggregates, eigenvalues_sym
+from .covariance import (
+    TaperSpec,
+    _apply_taper,
+    _plain_from_aggregates,
+    _plain_gram,
+    eigenvalues_sym,
+)
 from .statistic import _check_pair, _statistic_from_aggregates
 
 DEFAULT_SEED = 12345
 PLAIN = "plain"
 TAPER = "taper"
 ESTIMATORS = (PLAIN, TAPER)
+_NEGATIVE_RTOL = 1e-10  # tau of TestReport.negative_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,13 @@ class NullDrawConfig:
 
 @dataclass(frozen=True)
 class TestReport:
+    """Outcome of `run_test`, with diagnostics of the spectrum it drew over.
+
+    `trace` and `top_eigenvalue` are the sum and the largest of the spectrum.
+    `negative_eigenvalues` counts eigenvalues below -tau * |top_eigenvalue|
+    with tau = 1e-10, so rounding noise around zero is not counted.
+    """
+
     statistic: float
     cutoff: float
     p_value: float
@@ -72,7 +86,10 @@ def empirical_quantile(values, level):
 def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
     """Full test: statistic, spectrum estimate, null draws, cutoff, decision.
 
-    The statistic and the covariance estimate come from one pair pass.
+    The statistic and the covariance estimate come from one pair pass. The
+    plain spectrum is taken from the min(p, n1+n2)-square Gram form of the
+    estimate (`_plain_gram`), so the null draws use that many weights; the
+    tapered estimate is not low rank and keeps its p x p spectrum.
 
     The reported decision is the strict cutoff comparison T > c(alpha); the
     p-value (1 + #{V_j >= T}) / (M + 1) is reported alongside and may disagree
@@ -85,13 +102,23 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
     mx, my = _check_pair(x, y)
     if mx.shape[0] < 2 or my.shape[0] < 2:
         raise ValueError("run_test needs at least two rows in each sample")
-    # looked up on the module, so a wrapper installed on
-    # statistic.pair_aggregates (bench/tracing.py) sees this pass
-    g, sx, sy, sumsq = statistic.pair_aggregates(mx, my, kernel)
-    stat = _statistic_from_aggregates(g, sx, sy, sumsq)
-    est = _plain_from_aggregates(g, sx, sy)
-    if estimator == TAPER:
-        est = _apply_taper(est, TaperSpec.derive(beta, mx.shape[0] + my.shape[0], mx.shape[1]))
+    # the identity kernel's sums can overflow for huge but finite data; that
+    # is reported below in terms of x and y, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        # looked up on the module, so a wrapper installed on
+        # statistic.pair_aggregates (bench/tracing.py) sees this pass
+        g, sx, sy, sumsq = statistic.pair_aggregates(mx, my, kernel)
+        stat = _statistic_from_aggregates(g, sx, sy, sumsq)
+        if estimator == TAPER:
+            taper = TaperSpec.derive(beta, mx.shape[0] + my.shape[0], mx.shape[1])
+            est = _apply_taper(_plain_from_aggregates(g, sx, sy), taper)
+        else:
+            est = _plain_gram(g, sx, sy)
+    if not (math.isfinite(stat) and np.isfinite(est).all()):
+        raise ValueError(
+            f"x and y are too large in magnitude for the {kernel} kernel: "
+            "its pair sums overflow; rescale the data"
+        )
     lam = eigenvalues_sym(est)
     draws = simulate_null_draws(lam, config, np.random.default_rng(config.seed))
     cutoff = empirical_quantile(draws, 1.0 - config.alpha)
@@ -103,5 +130,5 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
         reject=bool(stat > cutoff),
         trace=float(lam.sum()),
         top_eigenvalue=float(lam[0]),
-        negative_eigenvalues=int(np.count_nonzero(lam < 0.0)),
+        negative_eigenvalues=int(np.count_nonzero(lam < -_NEGATIVE_RTOL * abs(lam[0]))),
     )

@@ -118,6 +118,21 @@ def block_summary(reports):
     )
 
 
+def _report_fields(report, draws):
+    """JSON fields of one TestReport, with the p-value's Monte-Carlo error."""
+    p = report.p_value
+    return {
+        "statistic": report.statistic,
+        "cutoff": report.cutoff,
+        "p_value": report.p_value,
+        "p_value_mcse": math.sqrt(p * (1.0 - p) / draws),
+        "reject": report.reject,
+        "trace": report.trace,
+        "top_eigenvalue": report.top_eigenvalue,
+        "negative_eigenvalues": report.negative_eigenvalues,
+    }
+
+
 def _write_json(path, payload):
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True))
@@ -164,10 +179,7 @@ def _cmd_test(args):
         _write_json(
             args.json_path,
             {
-                "statistic": report.statistic,
-                "cutoff": report.cutoff,
-                "p_value": report.p_value,
-                "reject": report.reject,
+                **_report_fields(report, args.draws),
                 "p": int(x.shape[1]),
                 "n1": int(x.shape[0]),
                 "n2": int(y.shape[0]),
@@ -241,10 +253,7 @@ def _cmd_blocks(args):
                         "index": item.index,
                         "start": item.start,
                         "stop": item.stop,
-                        "statistic": item.report.statistic,
-                        "cutoff": item.report.cutoff,
-                        "p_value": item.report.p_value,
-                        "reject": item.report.reject,
+                        **_report_fields(item.report, args.draws),
                     }
                     for item in reports
                 ],

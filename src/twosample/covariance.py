@@ -25,8 +25,9 @@ def estimate_plain(x, y, kernel):
     """Pooled outer-product estimator of the kernel covariance.
 
     (1/(n n1 n2)) [sum_i sx_i sx_i^T + sum_j sy_j sy_j^T] - dh dh^T with
-    dh the pair mean, emitted exactly symmetric. The spectrum is not forced
-    positive semidefinite.
+    dh the pair mean, emitted exactly symmetric. In exact arithmetic it is
+    positive semidefinite with rank at most n1+n2-2 (see `_plain_gram`); the
+    computed eigenvalues beyond that rank are rounding noise of either sign.
     """
     g, sx, sy, _ = pair_aggregates(x, y, kernel)
     return _plain_from_aggregates(g, sx, sy)
@@ -39,6 +40,20 @@ def _plain_from_aggregates(g, sx, sy):
     dh = g / (n1 * n2)
     est = (sx.T @ sx + sy.T @ sy) / (n * n1 * n2) - np.outer(dh, dh)
     return _symmetrize(est)
+
+
+def _plain_gram(g, sx, sy):
+    """A min(p, n1+n2)-square matrix with the nonzero spectrum of the plain estimate.
+
+    With s = n n1 n2 the plain estimate is exactly C^T C for the row-centred
+    C = [sx - g/n1; sy - g/n2] / sqrt(s): the rows of sx and of sy each sum
+    to g, so the -dh dh^T term is what centring them subtracts. C^T C and
+    C C^T share their nonzero eigenvalues; the smaller product is returned.
+    """
+    n1, n2 = sx.shape[0], sy.shape[0]
+    n = n1 + n2
+    c = np.vstack([sx - g / n1, sy - g / n2]) / np.sqrt(n * n1 * n2)
+    return c.T @ c if c.shape[1] <= n else c @ c.T
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,8 @@ def _replicate(task):
 
 
 def _run_delta(config, delta, threads):
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     start = time.perf_counter()
     single = replace(config, deltas=(float(delta),))
     tasks = [(single, r) for r in range(config.replications)]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from twosample import (
     NullDrawConfig,
     ScenarioConfig,
     TaperSpec,
+    calibration,
     compute_statistic,
     eigenvalues_sym,
     empirical_quantile,
@@ -157,14 +160,59 @@ class TestRunTest:
         assert len(calls) == 1
         monkeypatch.undo()
         # the one pass gives what the public helpers get from passes of their own
-        if estimator == "plain":
-            est = estimate_plain(x, y, "sign")
-        else:
-            est = estimate_tapered(x, y, "sign", TaperSpec.derive(0.25, 20, 6))
-        lam = eigenvalues_sym(est)
         assert report.statistic == compute_statistic(x, y, "sign")
-        assert report.trace == float(lam.sum())
-        assert report.top_eigenvalue == float(lam[0])
+        if estimator == "plain":
+            # the plain spectrum comes from the Gram form, equal up to rounding
+            lam = eigenvalues_sym(estimate_plain(x, y, "sign"))
+            assert report.trace == pytest.approx(float(lam.sum()), rel=1e-12)
+            assert report.top_eigenvalue == pytest.approx(float(lam[0]), rel=1e-12)
+        else:
+            lam = eigenvalues_sym(estimate_tapered(x, y, "sign", TaperSpec.derive(0.25, 20, 6)))
+            assert report.trace == float(lam.sum())
+            assert report.top_eigenvalue == float(lam[0])
+
+    @pytest.mark.parametrize(
+        "estimator, p, length",
+        [("plain", 6, 6), ("plain", 20, 20), ("plain", 35, 20), ("taper", 35, 35)],
+    )
+    def test_null_draws_use_min_p_n_weights(self, monkeypatch, estimator, p, length):
+        # n1 + n2 = 20: the plain spectrum stops growing there, the tapered one does not
+        rng = np.random.default_rng(p)
+        x = rng.standard_normal((9, p))
+        y = rng.standard_normal((11, p))
+        sizes = []
+        original = calibration.simulate_null_draws
+
+        def recording(spectrum, config, rng):
+            sizes.append(len(spectrum))
+            return original(spectrum, config, rng)
+
+        monkeypatch.setattr(calibration, "simulate_null_draws", recording)
+        run_test(x, y, "sign", estimator, NullDrawConfig(draws=100, seed=2))
+        assert sizes == [length]
+
+    @pytest.mark.parametrize("n1, n2, p", [(40, 50, 1000), (12, 15, 40)])
+    @pytest.mark.parametrize("kernel", ["identity", "sign"])
+    def test_plain_spectrum_has_no_negative_eigenvalues(self, kernel, n1, n2, p):
+        # the plain estimate is positive semidefinite; rounding noise is not counted
+        rng = np.random.default_rng(p)
+        x = rng.standard_normal((n1, p))
+        y = rng.standard_t(3, size=(n2, p))
+        report = run_test(x, y, kernel, "plain", NullDrawConfig(draws=100, seed=3))
+        assert report.negative_eigenvalues == 0
+
+    def test_overflowing_identity_kernel_names_the_input(self):
+        rng = np.random.default_rng(55)
+        x = rng.standard_normal((8, 4)) * 1e160
+        y = rng.standard_normal((9, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x and y .* identity kernel"):
+                run_test(x, y, "identity", "plain", NullDrawConfig(draws=100))
+            with pytest.raises(ValueError, match="x and y .* identity kernel"):
+                run_test(x, y, "identity", "taper", NullDrawConfig(draws=100))
+            # the sign kernel is bounded, so the same data are fine there
+            assert run_test(x, y, "sign", "plain", NullDrawConfig(draws=100)).trace > 0.0
 
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):

@@ -132,6 +132,7 @@ class TestCliTest:
         assert set(payload) == {
             "statistic", "cutoff", "p_value", "reject", "p", "n1", "n2",
             "kernel", "estimator", "alpha", "M", "seed",
+            "trace", "top_eigenvalue", "negative_eigenvalues", "p_value_mcse",
         }
         assert payload["p"] == 7
         assert payload["n1"] == 12
@@ -158,6 +159,34 @@ class TestCliTest:
         code = main(["test", "--x", str(bad), "--y", str(good), "--seed", "1"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_json_diagnostics_match_the_report(self, sample_pair, tmp_path, capsys):
+        x, y, x_path, y_path = sample_pair
+        out = tmp_path / "report.json"
+        args = ["test", "--x", x_path, "--y", y_path, "--draws", "500", "--seed", "11"]
+        assert main(args) == 0
+        plain_stdout = capsys.readouterr().out
+        assert main(args + ["--json", str(out)]) == 0
+        assert capsys.readouterr().out == plain_stdout
+        payload = json.loads(out.read_text())
+        report = run_test(x, y, "sign", "plain", NullDrawConfig(draws=500, seed=11))
+        assert payload["trace"] == report.trace
+        assert payload["top_eigenvalue"] == report.top_eigenvalue
+        assert payload["negative_eigenvalues"] == report.negative_eigenvalues
+        p = report.p_value
+        assert payload["p_value_mcse"] == pytest.approx((p * (1 - p) / 500) ** 0.5, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_identity_kernel_exits_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+        _write_matrix(x_path, rng.standard_normal((6, 3)) * 1e160)
+        _write_matrix(y_path, rng.standard_normal((7, 3)))
+        args = ["test", "--x", str(x_path), "--y", str(y_path), "--seed", "1"]
+        code = main(args + ["--kernel", "identity", "--draws", "100"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "x and y" in err and "identity kernel" in err
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
@@ -188,6 +217,22 @@ class TestCliBlocks:
         assert sum(payload["summary"]["histogram"]) == 2
         pvals = [b["p_value"] for b in payload["blocks"]]
         assert abs(payload["summary"]["mean_p_value"] - np.mean(pvals)) < 1e-15
+
+    def test_json_blocks_carry_the_diagnostics(self, sample_pair, tmp_path):
+        x, y, x_path, y_path = sample_pair
+        out = tmp_path / "blocks.json"
+        args = ["blocks", "--x", x_path, "--y", y_path, "--width", "3", "--draws", "200"]
+        assert main(args + ["--seed", "9", "--json", str(out)]) == 0
+        blocks = json.loads(out.read_text())["blocks"]
+        reports = run_realdata_blocks(x, y, 3, draws=200, seed=9)
+        for block, item in zip(blocks, reports):
+            assert set(block) == {
+                "index", "start", "stop", "statistic", "cutoff", "p_value", "reject",
+                "trace", "top_eigenvalue", "negative_eigenvalues", "p_value_mcse",
+            }
+            assert block["trace"] == item.report.trace
+            assert block["top_eigenvalue"] == item.report.top_eigenvalue
+            assert block["negative_eigenvalues"] == item.report.negative_eigenvalues
 
     def test_width_error_exits_1(self, sample_pair, capsys):
         _, _, x_path, y_path = sample_pair

@@ -12,6 +12,7 @@ from twosample import (
     pair_aggregates,
     taper_weight,
 )
+from twosample.covariance import _plain_gram
 
 X4 = np.array([[0.0], [2.0]])
 Y4 = np.array([[1.0], [3.0]])
@@ -69,6 +70,26 @@ class TestEstimatePlain:
             est = estimate_plain(x, y, kernel)
             assert abs(np.trace(est) - want) <= 1e-10 * (1.0 + abs(want))
             assert np.trace(est) >= -1e-8 * 4
+
+
+class TestPlainGram:
+    @pytest.mark.parametrize("kernel", [IDENTITY, SIGN])
+    @pytest.mark.parametrize("p", [5, 88, 90, 92, 300])
+    def test_spectrum_matches_the_p_by_p_estimate(self, kernel, p):
+        # n1 + n2 = 90: the Gram form is p x p up to p = 90, then 90 x 90
+        rng = np.random.default_rng(p)
+        x = rng.standard_normal((40, p))
+        y = rng.standard_t(3, size=(50, p)) + 0.2
+        g, sx, sy, _ = pair_aggregates(x, y, kernel)
+        gram = _plain_gram(g, sx, sy)
+        assert gram.shape == (min(p, 90), min(p, 90))
+        lam = eigenvalues_sym(gram)
+        full = eigenvalues_sym(estimate_plain(x, y, kernel))
+        assert np.max(np.abs(lam - full[: lam.size])) <= 1e-12 * full[0]
+
+    def test_four_point_value(self):
+        g, sx, sy, _ = pair_aggregates(X4, Y4, IDENTITY)
+        assert np.array_equal(_plain_gram(g, sx, sy), [[1.0]])
 
 
 class TestTaper:

@@ -94,6 +94,13 @@ class TestRunSizeExperiment:
         parallel = run_size_experiment(_config(replications=24), threads=3)
         assert _strip_time(serial) == _strip_time(parallel)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_size_experiment(_config(), threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            run_power_curve(_config(deltas=(0.0, 1.0)), threads=threads)
+
     def test_multi_delta_config_rejected(self):
         with pytest.raises(ValueError):
             run_size_experiment(_config(deltas=(0.0, 1.0)))
