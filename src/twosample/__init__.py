@@ -42,7 +42,6 @@ from .experiments import (
     CSV_COLUMNS,
     ResultRow,
     run_power_curve,
-    run_size_experiment,
     write_csv,
     write_manifest,
 )
@@ -57,7 +56,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BaselineReport",
@@ -100,7 +99,6 @@ __all__ = [
     "parse_family",
     "run_power_curve",
     "run_realdata_blocks",
-    "run_size_experiment",
     "run_test",
     "sample_elliptical",
     "scenario_sigma",

@@ -146,11 +146,22 @@ def _resolve_seed(args):
     return args.seed
 
 
-def _thread_count(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(convert, ok, requirement):
+    """An argparse type: convert the text, then reject a value failing `ok` (exit 2)."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+_LEVEL = _checked(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
+_POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
 
 
 def _add_test_flags(parser):
@@ -158,9 +169,9 @@ def _add_test_flags(parser):
     parser.add_argument("--y", required=True, help="CSV of the second sample")
     parser.add_argument("--kernel", choices=KERNELS, default="sign")
     parser.add_argument("--estimator", choices=ESTIMATORS, default="plain")
-    parser.add_argument("--beta", type=float, default=0.25, help="taper smoothness exponent")
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--draws", type=int, default=10000, help="Monte-Carlo reference draws M")
+    parser.add_argument("--beta", type=_POSITIVE, default=0.25, help="taper smoothness exponent")
+    parser.add_argument("--alpha", type=_LEVEL, default=0.05)
+    parser.add_argument("--draws", type=_COUNT, default=10000, help="Monte-Carlo reference draws M")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--json", dest="json_path", default=None, help="write the report as JSON")
 
@@ -193,6 +204,17 @@ def _cmd_test(args):
     return 0
 
 
+def _check_scenario_ids(configs):
+    """Each scenario_id names its own output files: plain and unique."""
+    ids = [str(config.scenario_id) for config in configs]
+    for name in ids:
+        if name in (".", "..") or "/" in name or "\\" in name:
+            raise ValueError(f"scenario_id {name!r} is not a plain file name")
+    duplicates = sorted({name for name in ids if ids.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate scenario_id {', '.join(map(repr, duplicates))}")
+
+
 def _cmd_simulate(args):
     with open(args.config) as fh:
         payload = json.load(fh)
@@ -203,6 +225,7 @@ def _cmd_simulate(args):
             name = item.get("scenario_id", "<unnamed>")
             print(f"{name}: no seed in config; using fixed default {DEFAULT_SEED}")
         configs.append(config_from_dict(item))
+    _check_scenario_ids(configs)
     os.makedirs(args.out, exist_ok=True)
     for config in configs:
         rows = run_power_curve(config, threads=args.threads)
@@ -280,12 +303,12 @@ def _build_parser():
     p_sim = sub.add_parser("simulate", help="run simulation scenarios from a JSON config")
     p_sim.add_argument("--config", required=True, help="JSON file with one scenario or a list")
     p_sim.add_argument("--out", required=True, help="output directory for CSV and manifest files")
-    p_sim.add_argument("--threads", type=_thread_count, default=1)
+    p_sim.add_argument("--threads", type=_COUNT, default=1)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_blocks = sub.add_parser("blocks", help="test consecutive column blocks of a CSV pair")
     _add_test_flags(p_blocks)
-    p_blocks.add_argument("--width", type=int, required=True, help="columns per block")
+    p_blocks.add_argument("--width", type=_COUNT, required=True, help="columns per block")
     p_blocks.set_defaults(func=_cmd_blocks)
     return parser
 

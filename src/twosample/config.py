@@ -54,6 +54,11 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_CHOICES}"
             )
+        if self.estimator == "hotelling" and self.p > self.n1 + self.n2 - 2:
+            raise ValueError(
+                f"scenario {self.scenario_id!r}: hotelling needs p <= n1 + n2 - 2, "
+                f"got p={self.p}, n1={self.n1}, n2={self.n2}"
+            )
         if not self.beta > 0:
             raise ValueError("beta must be positive")
         if not 0.0 < self.alpha < 1.0:

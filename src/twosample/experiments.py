@@ -1,4 +1,4 @@
-"""Replication harness: size experiments, power curves, CSV/JSON emission."""
+"""Replication harness: power curves over a delta grid, CSV/JSON emission."""
 
 import csv
 import json
@@ -12,7 +12,7 @@ import numpy as np
 from .baselines import hotelling_t2
 from .calibration import NullDrawConfig, run_test
 from .config import config_to_dict
-from .datagen import generate_scenario
+from .datagen import generate_scenario, shift_vector
 from .seeding import derive_seed, substream
 
 CSV_COLUMNS = (
@@ -56,36 +56,28 @@ class ResultRow:
 
 
 def _replicate(task):
-    """One replication: sample, test, return the rejection flag.
+    """One replication: sample once, return the rejection flag at each delta.
 
     The data stream is keyed by (seed, r, 0) and the null-draw stream by
-    (seed, r, 1), so neither depends on the delta grid position or on which
-    worker runs the task.
+    (seed, r, 1). The sampler draws y as location + noise, so y0 + the shift
+    at d is bit for bit the y that a config with the single delta d draws.
     """
     config, r = task
-    x, y = generate_scenario(config, substream(config.seed, r, 0))
-    if config.estimator == "hotelling":
-        return hotelling_t2(x, y).p_value <= config.alpha
+    x, y0 = generate_scenario(replace(config, deltas=(0.0,)), substream(config.seed, r, 0))
     draw_config = NullDrawConfig(
         draws=config.draws, alpha=config.alpha, seed=derive_seed(config.seed, r, 1)
     )
-    report = run_test(x, y, config.kernel, config.estimator, draw_config, beta=config.beta)
-    return report.reject
+
+    def reject(y):
+        if config.estimator == "hotelling":
+            return hotelling_t2(x, y).p_value <= config.alpha
+        return run_test(x, y, config.kernel, config.estimator, draw_config, beta=config.beta).reject
+
+    return [reject(y0 + shift_vector(config.p, d)) for d in config.deltas]
 
 
-def _run_delta(config, delta, threads):
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    start = time.perf_counter()
-    single = replace(config, deltas=(float(delta),))
-    tasks = [(single, r) for r in range(config.replications)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, config.replications // (threads * 4))
-            flags = list(pool.map(_replicate, tasks, chunksize=chunk))
-    else:
-        flags = [_replicate(t) for t in tasks]
-    frac = int(np.count_nonzero(flags)) / config.replications
+def _row(config, delta, count, seconds):
+    frac = int(count) / config.replications
     return ResultRow(
         scenario_id=config.scenario_id,
         family=config.family,
@@ -98,23 +90,32 @@ def _run_delta(config, delta, threads):
         alpha=config.alpha,
         draws=config.draws,
         replications=config.replications,
-        delta=float(delta),
+        delta=delta,
         reject_frac=frac,
         mcse=math.sqrt(frac * (1.0 - frac) / config.replications),
-        seconds=time.perf_counter() - start,
+        seconds=seconds,
     )
 
 
-def run_size_experiment(config, threads=1):
-    """Rejection fraction at the config's single delta (normally 0)."""
-    if len(config.deltas) != 1:
-        raise ValueError("size experiment expects a single-delta config")
-    return _run_delta(config, config.deltas[0], threads)
-
-
 def run_power_curve(config, threads=1):
-    """One ResultRow per grid delta; the delta=0 row equals the size run."""
-    return [_run_delta(config, d, threads) for d in config.deltas]
+    """One ResultRow per grid delta; a one-point grid is a size experiment.
+
+    threads > 1 runs the replications in one process pool. Each row's
+    `seconds` is the curve's wall time divided by the number of deltas.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    start = time.perf_counter()
+    tasks = [(config, r) for r in range(config.replications)]
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            chunk = max(1, config.replications // (threads * 4))
+            flags = list(pool.map(_replicate, tasks, chunksize=chunk))
+    else:
+        flags = [_replicate(t) for t in tasks]
+    seconds = (time.perf_counter() - start) / len(config.deltas)
+    counts = np.count_nonzero(flags, axis=0)  # rejections per delta
+    return [_row(config, d, c, seconds) for d, c in zip(config.deltas, counts)]
 
 
 def write_csv(rows, path):

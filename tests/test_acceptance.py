@@ -21,7 +21,6 @@ from twosample import (
     compute_statistic_oracle,
     derive_seed,
     run_power_curve,
-    run_size_experiment,
     shift_vector,
     simulate_null_draws,
 )
@@ -56,7 +55,8 @@ def _cfg(**kw):
 
 @lru_cache(maxsize=None)
 def _size_row(config):
-    return run_size_experiment(config)
+    [row] = run_power_curve(config)
+    return row
 
 
 def _write_matrix(path, matrix):

@@ -13,7 +13,7 @@ from twosample import (
     empirical_quantile,
     estimate_plain,
     estimate_tapered,
-    run_size_experiment,
+    run_power_curve,
     run_test,
     simulate_null_draws,
     statistic,
@@ -241,5 +241,5 @@ def test_null_size_gaussian_identity_p5():
         replications=1000,
         seed=20250819,
     )
-    row = run_size_experiment(config)
+    [row] = run_power_curve(config)
     assert 0.03 <= row.reject_frac <= 0.07

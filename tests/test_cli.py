@@ -287,3 +287,74 @@ class TestCliSimulate:
         config_path.write_text(json.dumps({"scenario_id": "x"}))
         code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def _scenario(self, scenario_id, **overrides):
+        base = {
+            "scenario_id": scenario_id,
+            "family": "gaussian",
+            "cov_form": "identity",
+            "p": 3,
+            "n1": 10,
+            "n2": 12,
+            "deltas": [0.0],
+            "draws": 50,
+            "replications": 4,
+            "seed": 1,
+        }
+        return {**base, **overrides}
+
+    def _run_invalid(self, tmp_path, capsys, scenarios):
+        """Run simulate on a bad scenario list; no result file may appear."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(scenarios))
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--config", str(config_path), "--out", str(out_dir)])
+        assert code == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+        return capsys.readouterr()
+
+    def test_infeasible_hotelling_scenario_rejected_before_any_output(self, tmp_path, capsys):
+        scenarios = [
+            self._scenario("fine"),
+            self._scenario("too-wide", estimator="hotelling", p=21),
+        ]
+        err = self._run_invalid(tmp_path, capsys, scenarios).err
+        assert "'too-wide'" in err and "p=21, n1=10, n2=12" in err
+
+    @pytest.mark.parametrize("scenario_id", ["../escaped", "a/b", "a\\b", ".", ".."])
+    def test_path_unsafe_scenario_id_rejected(self, tmp_path, capsys, scenario_id):
+        err = self._run_invalid(tmp_path, capsys, [self._scenario(scenario_id)]).err
+        assert "not a plain file name" in err
+
+    def test_duplicate_scenario_id_rejected(self, tmp_path, capsys):
+        scenarios = [self._scenario("twice"), self._scenario("once"), self._scenario("twice", p=4)]
+        err = self._run_invalid(tmp_path, capsys, scenarios).err
+        assert "duplicate scenario_id 'twice'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--draws", "0"],
+        ["test", "--draws", "-2"],
+        ["test", "--alpha", "0"],
+        ["test", "--alpha", "1"],
+        ["test", "--alpha", "2"],
+        ["test", "--alpha", "nan"],
+        ["test", "--beta", "0"],
+        ["test", "--beta", "-1"],
+        ["blocks", "--width", "0"],
+        ["blocks", "--width", "3", "--draws", "0"],
+        ["blocks", "--width", "3", "--alpha", "-0.5"],
+        ["blocks", "--width", "3", "--beta", "-1"],
+    ],
+)
+def test_out_of_range_numeric_flag_is_a_usage_error(tmp_path, capsys, argv):
+    # the CSVs do not exist, so exit 2 shows the flag was checked before any read
+    missing = str(tmp_path / "missing.csv")
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], "--x", missing, "--y", missing, *argv[1:]])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    flag = argv[-2]
+    assert f"argument {flag}:" in message and "must be" in message

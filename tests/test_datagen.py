@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from twosample import (
+    COV_FORMS,
     CovarianceSpec,
     ModelSpec,
     ScenarioConfig,
@@ -176,3 +179,17 @@ class TestGenerateScenario:
     def test_multi_delta_grid_rejected(self):
         with pytest.raises(ValueError):
             generate_scenario(_scenario(deltas=(0.0, 1.0)), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.7, 3.0])
+    @pytest.mark.parametrize("cov_form", COV_FORMS)
+    @pytest.mark.parametrize("family", ["gaussian", "t5", "cauchy"])
+    def test_shift_adds_to_the_null_draw_bit_for_bit(self, family, cov_form, delta):
+        # run_power_curve draws (x, y0) once per replication and tests
+        # y0 + shift_vector(p, delta) at each delta; that holds only while the
+        # sampler forms y as location + noise
+        config = _scenario(family=family, cov_form=cov_form, p=7, deltas=(delta,))
+        x, y = generate_scenario(config, np.random.default_rng(23))
+        null = dataclasses.replace(config, deltas=(0.0,))
+        x0, y0 = generate_scenario(null, np.random.default_rng(23))
+        assert np.array_equal(x, x0)
+        assert np.array_equal(y, y0 + shift_vector(config.p, delta))

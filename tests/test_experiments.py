@@ -11,9 +11,10 @@ from twosample import (
     ScenarioConfig,
     config_from_dict,
     config_to_dict,
+    experiments,
+    generate_scenario,
     load_configs,
     run_power_curve,
-    run_size_experiment,
     write_csv,
     write_manifest,
 )
@@ -66,6 +67,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             _config(replications=0)
 
+    def test_hotelling_needs_p_at_most_n1_plus_n2_minus_2(self):
+        assert _config(estimator="hotelling", p=28).p == 28
+        with pytest.raises(ValueError, match=r"'tiny'.*p=29, n1=15, n2=15"):
+            _config(estimator="hotelling", p=29)
+        assert _config(estimator="plain", p=29).p == 29
+
     def test_dict_round_trip(self):
         config = _config(deltas=(0.0, 0.5))
         assert config_from_dict(config_to_dict(config)) == config
@@ -82,51 +89,59 @@ class TestScenarioConfig:
 
 
 class TestRunSizeExperiment:
+    """A size experiment is run_power_curve on a one-point grid."""
+
     def test_identical_configs_identical_rows(self):
-        a = run_size_experiment(_config())
-        b = run_size_experiment(_config())
+        [a] = run_power_curve(_config())
+        [b] = run_power_curve(_config())
         assert _strip_time(a) == _strip_time(b)
         assert 0.0 <= a.reject_frac <= 1.0
         assert a.seconds >= 0.0
 
-    def test_parallel_matches_serial(self):
-        serial = run_size_experiment(_config(replications=24), threads=1)
-        parallel = run_size_experiment(_config(replications=24), threads=3)
-        assert _strip_time(serial) == _strip_time(parallel)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"deltas": (0.0, 0.4, 1.5)},
+            {"estimator": "hotelling", "deltas": (0.0, 1.5)},
+        ],
+        ids=["size", "grid", "hotelling"],
+    )
+    def test_parallel_matches_serial(self, overrides):
+        config = _config(replications=24, **overrides)
+        serial = run_power_curve(config, threads=1)
+        parallel = run_power_curve(config, threads=2)
+        assert len(serial) == len(config.deltas)
+        assert [_strip_time(r) for r in serial] == [_strip_time(r) for r in parallel]
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
-            run_size_experiment(_config(), threads=threads)
-        with pytest.raises(ValueError, match="threads"):
             run_power_curve(_config(deltas=(0.0, 1.0)), threads=threads)
 
-    def test_multi_delta_config_rejected(self):
-        with pytest.raises(ValueError):
-            run_size_experiment(_config(deltas=(0.0, 1.0)))
-
     def test_mcse_formula(self):
-        row = run_size_experiment(_config())
+        [row] = run_power_curve(_config())
         f, r = row.reject_frac, row.replications
         assert row.mcse == np.sqrt(f * (1.0 - f) / r)
 
     def test_hotelling_estimator_row(self):
-        row = run_size_experiment(_config(estimator="hotelling", p=3, replications=30))
-        again = run_size_experiment(_config(estimator="hotelling", p=3, replications=30))
+        [row] = run_power_curve(_config(estimator="hotelling", p=3, replications=30))
+        [again] = run_power_curve(_config(estimator="hotelling", p=3, replications=30))
         assert _strip_time(row) == _strip_time(again)
         assert 0.0 <= row.reject_frac <= 1.0
 
 
 class TestRunPowerCurve:
     def test_singleton_grid_reduces_to_size_run(self):
-        rows = run_power_curve(_config())
-        size_row = run_size_experiment(_config())
-        assert len(rows) == 1
-        assert _strip_time(rows[0]) == _strip_time(size_row)
+        # every point of a grid equals the one-point curve at that delta
+        rows = run_power_curve(_config(deltas=(0.0, 0.8, 3.0)))
+        for row in rows:
+            [single] = run_power_curve(_config(deltas=(row.delta,)))
+            assert _strip_time(single) == _strip_time(row)
 
     def test_zero_delta_point_matches_size_run_exactly(self):
         rows = run_power_curve(_config(deltas=(0.0, 3.0)))
-        size_row = run_size_experiment(_config())
+        [size_row] = run_power_curve(_config())
         assert rows[0].reject_frac == size_row.reject_frac
         assert rows[0].mcse == size_row.mcse
 
@@ -134,6 +149,32 @@ class TestRunPowerCurve:
         rows = run_power_curve(_config(deltas=(0.0, 3.0)))
         assert rows[-1].reject_frac >= 0.9
         assert rows[-1].reject_frac >= rows[0].reject_frac - 2.0 * rows[0].mcse
+
+    def test_rows_share_the_curve_seconds(self):
+        # seconds is the curve's wall time split evenly over its deltas
+        rows = run_power_curve(_config(deltas=(0.0, 0.5, 1.0, 3.0)))
+        assert len({row.seconds for row in rows}) == 1
+        assert rows[0].seconds >= 0.0
+
+    def test_one_pool_and_one_draw_per_replication(self, monkeypatch):
+        pools, draws = [], []
+
+        class CountingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(1)
+                super().__init__(*args, **kwargs)
+
+        def counting_generate(config, rng):
+            draws.append(config.deltas)
+            return generate_scenario(config, rng)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(experiments, "generate_scenario", counting_generate)
+        config = _config(deltas=(0.0, 1.0, 3.0), replications=8)
+        run_power_curve(config, threads=1)
+        assert draws == [(0.0,)] * 8 and not pools
+        run_power_curve(config, threads=2)
+        assert len(pools) == 1
 
 
 class TestOutputFiles:
