@@ -29,12 +29,8 @@ from .covariance import (
 )
 from .datagen import (
     COV_FORMS,
-    CovarianceSpec,
-    ModelSpec,
-    build_sigma,
     generate_scenario,
     parse_family,
-    sample_elliptical,
     scenario_sigma,
     shift_vector,
 )
@@ -56,7 +52,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BaselineReport",
@@ -64,12 +60,10 @@ __all__ = [
     "BlockSummary",
     "COV_FORMS",
     "CSV_COLUMNS",
-    "CovarianceSpec",
     "DEFAULT_SEED",
     "ESTIMATORS",
     "IDENTITY",
     "KERNELS",
-    "ModelSpec",
     "NullDrawConfig",
     "ResultRow",
     "SIGN",
@@ -77,7 +71,6 @@ __all__ = [
     "TaperSpec",
     "TestReport",
     "block_summary",
-    "build_sigma",
     "compute_statistic",
     "compute_statistic_centered",
     "compute_statistic_oracle",
@@ -100,7 +93,6 @@ __all__ = [
     "run_power_curve",
     "run_realdata_blocks",
     "run_test",
-    "sample_elliptical",
     "scenario_sigma",
     "shift_vector",
     "simulate_null_draws",

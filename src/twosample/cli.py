@@ -12,7 +12,7 @@ import numpy as np
 
 from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, TestReport, run_test
 from .config import config_from_dict
-from .experiments import run_power_curve, write_csv, write_manifest
+from .experiments import _write_json, run_power_curve, write_csv, write_manifest
 from .seeding import derive_seed
 from .statistic import KERNELS, _check_pair
 
@@ -133,12 +133,6 @@ def _report_fields(report, draws):
     }
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
-        fh.write("\n")
-
-
 def _resolve_seed(args):
     if args.seed is None:
         print(f"--seed not given; using fixed default {DEFAULT_SEED}")
@@ -206,7 +200,7 @@ def _cmd_test(args):
 
 def _check_scenario_ids(configs):
     """Each scenario_id names its own output files: plain and unique."""
-    ids = [str(config.scenario_id) for config in configs]
+    ids = [config.scenario_id for config in configs]
     for name in ids:
         if name in (".", "..") or "/" in name or "\\" in name:
             raise ValueError(f"scenario_id {name!r} is not a plain file name")

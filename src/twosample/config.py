@@ -35,8 +35,8 @@ class ScenarioConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not self.scenario_id:
-            raise ValueError("scenario_id must be nonempty")
+        if not isinstance(self.scenario_id, str) or not self.scenario_id:
+            raise ValueError(f"scenario_id must be a nonempty string, got {self.scenario_id!r}")
         parse_family(self.family)
         if self.cov_form not in COV_FORMS:
             raise ValueError(f"unknown covariance form {self.cov_form!r}; expected one of {COV_FORMS}")

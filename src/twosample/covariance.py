@@ -103,8 +103,12 @@ def estimate_tapered(x, y, kernel, taper):
 
 
 def _apply_taper(est, taper):
-    """Multiply a p x p estimate elementwise by the taper weights."""
-    return _symmetrize(est * _weight_matrix(est.shape[0], taper.k))
+    """Multiply a p x p estimate elementwise by the taper weights.
+
+    est must be exactly symmetric, as `_plain_from_aggregates` emits it;
+    the weights are too, so the product needs no re-symmetrizing.
+    """
+    return est * _weight_matrix(est.shape[0], taper.k)
 
 
 def eigenvalues_sym(m):

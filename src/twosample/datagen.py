@@ -1,7 +1,5 @@
 """Covariance structures, shift vectors, and elliptical samplers for simulations."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 GAUSSIAN = "gaussian"
@@ -13,34 +11,20 @@ COV_FORMS = ("equicorr", "identity", "ar")
 _FORM_RHO = {"equicorr": 0.5, "identity": 0.0, "ar": 0.75}
 
 
-@dataclass(frozen=True)
-class CovarianceSpec:
-    """One of three matrix families: equicorrelated, identity, or AR decay."""
-
-    form: str
-    p: int
-    rho: float = 0.0
-
-    def __post_init__(self):
-        if self.form not in COV_FORMS:
-            raise ValueError(f"unknown covariance form {self.form!r}; expected one of {COV_FORMS}")
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
-        if not abs(self.rho) < 1:
-            raise ValueError("rho must satisfy |rho| < 1")
-
-
-def build_sigma(spec):
-    """Materialize the p x p covariance matrix for a CovarianceSpec."""
-    if spec.form == "equicorr":
-        sigma = np.full((spec.p, spec.p), spec.rho)
+def scenario_sigma(cov_form, p):
+    """Covariance matrix for a named scenario form at its fixed correlation."""
+    if cov_form not in _FORM_RHO:
+        raise ValueError(f"unknown covariance form {cov_form!r}; expected one of {COV_FORMS}")
+    rho = _FORM_RHO[cov_form]
+    if cov_form == "equicorr":
+        sigma = np.full((p, p), rho)
         np.fill_diagonal(sigma, 1.0)
         return sigma
-    if spec.form == "identity":
-        return np.eye(spec.p)
-    # ar: rho^|i-j|; the exponent stays integer so negative rho keeps its sign
-    d = np.abs(np.subtract.outer(np.arange(spec.p), np.arange(spec.p)))
-    return spec.rho**d
+    if cov_form == "identity":
+        return np.eye(p)
+    # ar: rho^|i-j|
+    d = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    return rho**d
 
 
 def shift_vector(p, delta):
@@ -53,51 +37,21 @@ def shift_vector(p, delta):
     return (delta / np.linalg.norm(v)) * v
 
 
-@dataclass(frozen=True, eq=False)
-class ModelSpec:
-    """Sampling model: Gaussian or multivariate t(nu) with location and scatter."""
-
-    family: str
-    location: np.ndarray
-    sigma: np.ndarray
-    nu: int | None = None
-
-    def __post_init__(self):
-        if self.family not in (GAUSSIAN, STUDENT_T):
-            raise ValueError(f"unknown family {self.family!r}")
-        loc = np.asarray(self.location, dtype=float)
-        sig = np.asarray(self.sigma, dtype=float)
-        if loc.ndim != 1 or not np.isfinite(loc).all():
-            raise ValueError("location must be a finite 1-d vector")
-        if sig.shape != (loc.size, loc.size) or not np.isfinite(sig).all():
-            raise ValueError("sigma must be a finite p x p matrix matching the location")
-        if self.family == STUDENT_T and (self.nu is None or int(self.nu) < 1):
-            raise ValueError("t family needs an integer nu >= 1")
-        object.__setattr__(self, "location", loc)
-        object.__setattr__(self, "sigma", sig)
-        object.__setattr__(self, "nu", None if self.family == GAUSSIAN else int(self.nu))
-
-
-def sample_elliptical(model, n, rng):
-    """Draw n rows from the model; one chi-square mixing variable per row.
+def _sample(loc, chol, nu, n, rng):
+    """Draw n rows at location loc with scatter chol chol^T; t(nu) unless nu is None.
 
     Draw order is fixed: the p normals of row r come before anything of row
     r+1, and for the t family the nu chi-square normals of row r follow its
-    p Gaussian normals. Sampling raises LinAlgError when sigma is not
-    positive definite.
+    p Gaussian normals.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    loc = model.location
     p = loc.size
-    chol = np.linalg.cholesky(model.sigma)
-    if model.family == GAUSSIAN:
+    if nu is None:
         z = rng.standard_normal((n, p))
         return loc + z @ chol.T
-    draw = rng.standard_normal((n, p + model.nu))
+    draw = rng.standard_normal((n, p + nu))
     z = draw[:, :p]
     w = np.einsum("ij,ij->i", draw[:, p:], draw[:, p:])  # chi-square(nu) per row
-    return loc + (z @ chol.T) / np.sqrt(w / model.nu)[:, None]
+    return loc + (z @ chol.T) / np.sqrt(w / nu)[:, None]
 
 
 def parse_family(family):
@@ -111,27 +65,17 @@ def parse_family(family):
     raise ValueError(f"unknown family {family!r}; expected gaussian, cauchy, or t<k>")
 
 
-def scenario_sigma(cov_form, p):
-    """Covariance matrix for a named scenario form at its fixed correlation."""
-    if cov_form not in _FORM_RHO:
-        raise ValueError(f"unknown covariance form {cov_form!r}; expected one of {COV_FORMS}")
-    return build_sigma(CovarianceSpec(form=cov_form, p=p, rho=_FORM_RHO[cov_form]))
-
-
 def generate_scenario(config, rng):
     """Draw (x, y) for a single-delta scenario.
 
     x is sampled at the origin and y at shift_vector(p, delta), sharing the
-    family and covariance form. x is drawn before y from the same generator.
+    family and one Cholesky factor of the covariance form. x is drawn before
+    y from the same generator.
     """
     if len(config.deltas) != 1:
         raise ValueError("generate_scenario needs a single-delta config; split the grid first")
-    family, nu = parse_family(config.family)
-    sigma = scenario_sigma(config.cov_form, config.p)
-    x = sample_elliptical(ModelSpec(family, np.zeros(config.p), sigma, nu), config.n1, rng)
-    y = sample_elliptical(
-        ModelSpec(family, shift_vector(config.p, config.deltas[0]), sigma, nu),
-        config.n2,
-        rng,
-    )
+    _, nu = parse_family(config.family)
+    chol = np.linalg.cholesky(scenario_sigma(config.cov_form, config.p))
+    x = _sample(np.zeros(config.p), chol, nu, config.n1, rng)
+    y = _sample(shift_vector(config.p, config.deltas[0]), chol, nu, config.n2, rng)
     return x, y

@@ -126,8 +126,13 @@ def write_csv(rows, path):
         writer.writerows(astuple(row) for row in rows)
 
 
+def _write_json(path, payload):
+    """Write payload as sorted, indented JSON ending in a newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True))
+        fh.write("\n")
+
+
 def write_manifest(config, path):
     """Echo the full scenario config as sorted, indented JSON."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
-        fh.write("\n")
+    _write_json(path, config_to_dict(config))

@@ -326,6 +326,12 @@ class TestCliSimulate:
         err = self._run_invalid(tmp_path, capsys, [self._scenario(scenario_id)]).err
         assert "not a plain file name" in err
 
+    @pytest.mark.parametrize("scenario_id", [["a"], {"k": 1}, 7])
+    def test_non_string_scenario_id_rejected(self, tmp_path, capsys, scenario_id):
+        scenarios = [self._scenario("fine"), self._scenario(scenario_id)]
+        err = self._run_invalid(tmp_path, capsys, scenarios).err
+        assert f"scenario_id must be a nonempty string, got {scenario_id!r}" in err
+
     def test_duplicate_scenario_id_rejected(self, tmp_path, capsys):
         scenarios = [self._scenario("twice"), self._scenario("once"), self._scenario("twice", p=4)]
         err = self._run_invalid(tmp_path, capsys, scenarios).err

@@ -54,6 +54,8 @@ class TestEstimatePlain:
         for kernel in (IDENTITY, SIGN):
             est = estimate_plain(x, y, kernel)
             assert np.array_equal(est, est.T)
+            tapered = estimate_tapered(x, y, kernel, TaperSpec(beta=1.0, k=2.5))
+            assert np.array_equal(tapered, tapered.T)
 
     def test_trace_identity_from_aggregates(self):
         rng = np.random.default_rng(13)

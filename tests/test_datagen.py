@@ -5,48 +5,35 @@ import pytest
 
 from twosample import (
     COV_FORMS,
-    CovarianceSpec,
-    ModelSpec,
     ScenarioConfig,
-    build_sigma,
     generate_scenario,
     parse_family,
-    sample_elliptical,
     scenario_sigma,
     shift_vector,
 )
+from twosample.datagen import _sample
 
 
-class TestBuildSigma:
+class TestScenarioSigma:
     def test_equicorrelated(self):
-        sigma = build_sigma(CovarianceSpec(form="equicorr", p=2, rho=0.5))
-        assert np.array_equal(sigma, [[1.0, 0.5], [0.5, 1.0]])
+        assert np.array_equal(scenario_sigma("equicorr", 2), [[1.0, 0.5], [0.5, 1.0]])
 
     def test_identity(self):
-        assert np.array_equal(build_sigma(CovarianceSpec(form="identity", p=3)), np.eye(3))
+        assert np.array_equal(scenario_sigma("identity", 3), np.eye(3))
 
     def test_ar_decay(self):
-        sigma = build_sigma(CovarianceSpec(form="ar", p=3, rho=0.75))
+        sigma = scenario_sigma("ar", 3)
         assert sigma[0, 1] == 0.75
         assert sigma[0, 2] == 0.5625
         assert np.array_equal(sigma, sigma.T)
 
-    def test_negative_rho_keeps_sign(self):
-        sigma = build_sigma(CovarianceSpec(form="ar", p=3, rho=-0.5))
-        assert sigma[0, 1] == -0.5
-        assert sigma[0, 2] == 0.25
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CovarianceSpec(form="toeplitz", p=3)
-        with pytest.raises(ValueError):
-            CovarianceSpec(form="ar", p=3, rho=1.0)
-        with pytest.raises(ValueError):
-            CovarianceSpec(form="identity", p=0)
+    def test_unknown_form(self):
+        with pytest.raises(ValueError, match="toeplitz"):
+            scenario_sigma("toeplitz", 3)
 
     def test_all_forms_factor_at_large_p(self):
         # every named design must admit a Cholesky factorization up to p=2000
-        for form in ("equicorr", "identity", "ar"):
+        for form in COV_FORMS:
             np.linalg.cholesky(scenario_sigma(form, 2000))
 
 
@@ -70,56 +57,16 @@ class TestShiftVector:
             shift_vector(3, -0.5)
 
 
-class TestSampleElliptical:
+class TestSample:
     def test_same_seed_same_sample(self):
-        model = ModelSpec("gaussian", np.zeros(3), np.eye(3))
-        a = sample_elliptical(model, 8, np.random.default_rng(42))
-        b = sample_elliptical(model, 8, np.random.default_rng(42))
+        a = _sample(np.zeros(3), np.eye(3), None, 8, np.random.default_rng(42))
+        b = _sample(np.zeros(3), np.eye(3), None, 8, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_gaussian_mean_concentrates(self):
         loc = np.array([0.5, -1.0])
-        model = ModelSpec("gaussian", loc, np.eye(2))
-        sample = sample_elliptical(model, 100_000, np.random.default_rng(7))
+        sample = _sample(loc, np.eye(2), None, 100_000, np.random.default_rng(7))
         assert np.abs(sample.mean(axis=0) - loc).max() < 0.02
-
-    def test_gaussian_covariance_concentrates(self):
-        sigma = build_sigma(CovarianceSpec(form="ar", p=4, rho=0.75))
-        model = ModelSpec("gaussian", np.zeros(4), sigma)
-        sample = sample_elliptical(model, 100_000, np.random.default_rng(11))
-        emp = np.cov(sample, rowvar=False)
-        tol = 5.0 * np.sqrt((np.outer(np.diag(sigma), np.diag(sigma)) + sigma**2) / 100_000)
-        assert (np.abs(emp - sigma) <= tol).all()
-
-    def test_cauchy_median_concentrates(self):
-        model = ModelSpec("t", np.zeros(1), np.eye(1), nu=1)
-        sample = sample_elliptical(model, 100_000, np.random.default_rng(13))
-        assert abs(np.median(sample)) < 0.02
-
-    def test_student_rows_mix_one_chi_square_each(self):
-        # regenerating the raw normals must reproduce the sample after
-        # factoring out the per-row chi-square weights
-        sigma = build_sigma(CovarianceSpec(form="equicorr", p=3, rho=0.5))
-        model = ModelSpec("t", np.array([1.0, 2.0, 3.0]), sigma, nu=4)
-        sample = sample_elliptical(model, 6, np.random.default_rng(17))
-        raw = np.random.default_rng(17).standard_normal((6, 3 + 4))
-        w = (raw[:, 3:] ** 2).sum(axis=1)
-        gaussian_part = raw[:, :3] @ np.linalg.cholesky(sigma).T
-        want = model.location + gaussian_part / np.sqrt(w / 4.0)[:, None]
-        assert np.allclose(sample, want, rtol=1e-12, atol=0)
-
-    def test_non_positive_definite_sigma_raises(self):
-        model = ModelSpec("gaussian", np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(np.linalg.LinAlgError):
-            sample_elliptical(model, 5, np.random.default_rng(0))
-
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            ModelSpec("uniform", np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError):
-            ModelSpec("t", np.zeros(2), np.eye(2))  # missing nu
-        with pytest.raises(ValueError):
-            ModelSpec("gaussian", np.zeros(2), np.eye(3))
 
 
 class TestParseFamily:
@@ -175,6 +122,41 @@ class TestGenerateScenario:
         _, y = generate_scenario(config, np.random.default_rng(19))
         band = 3.0 / np.sqrt(100_000.0)
         assert (np.abs(y.mean(axis=0) - shift_vector(5, 1.0)) <= band).all()
+
+    def test_gaussian_covariance_concentrates(self):
+        config = _scenario(cov_form="ar", p=4, n1=100_000, n2=1)
+        x, _ = generate_scenario(config, np.random.default_rng(11))
+        sigma = scenario_sigma("ar", 4)
+        emp = np.cov(x, rowvar=False)
+        tol = 5.0 * np.sqrt((np.outer(np.diag(sigma), np.diag(sigma)) + sigma**2) / 100_000)
+        assert (np.abs(emp - sigma) <= tol).all()
+
+    def test_cauchy_median_concentrates(self):
+        config = _scenario(family="cauchy", p=1, n1=100_000, n2=1)
+        x, _ = generate_scenario(config, np.random.default_rng(13))
+        assert abs(np.median(x)) < 0.02
+
+    def test_student_rows_mix_one_chi_square_each(self):
+        # x is drawn first, so regenerating the raw normals must reproduce it
+        # after factoring out the per-row chi-square weights
+        config = _scenario(family="t4", cov_form="equicorr", p=3, n1=6, n2=2)
+        x, _ = generate_scenario(config, np.random.default_rng(17))
+        raw = np.random.default_rng(17).standard_normal((6, 3 + 4))
+        w = (raw[:, 3:] ** 2).sum(axis=1)
+        gaussian_part = raw[:, :3] @ np.linalg.cholesky(scenario_sigma("equicorr", 3)).T
+        assert np.allclose(x, gaussian_part / np.sqrt(w / 4.0)[:, None], rtol=1e-12, atol=0)
+
+    def test_sigma_is_factored_once(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        generate_scenario(_scenario(family="t4", cov_form="ar"), np.random.default_rng(5))
+        assert calls == [(5, 5)]
 
     def test_multi_delta_grid_rejected(self):
         with pytest.raises(ValueError):

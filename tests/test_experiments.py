@@ -67,6 +67,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             _config(replications=0)
 
+    @pytest.mark.parametrize("scenario_id", [["a"], {"k": 1}, 7, ""])
+    def test_scenario_id_must_be_a_nonempty_string(self, scenario_id):
+        with pytest.raises(ValueError, match="scenario_id must be a nonempty string") as err:
+            _config(scenario_id=scenario_id)
+        assert repr(scenario_id) in str(err.value)
+
     def test_hotelling_needs_p_at_most_n1_plus_n2_minus_2(self):
         assert _config(estimator="hotelling", p=28).p == 28
         with pytest.raises(ValueError, match=r"'tiny'.*p=29, n1=15, n2=15"):
