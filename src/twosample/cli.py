@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, TestReport, run_test
-from .config import config_from_dict
+from .config import load_configs
 from .experiments import _write_json, run_power_curve, write_csv, write_manifest
 from .seeding import derive_seed
 from .statistic import KERNELS, _check_pair
@@ -210,15 +209,12 @@ def _check_scenario_ids(configs):
 
 
 def _cmd_simulate(args):
-    with open(args.config) as fh:
-        payload = json.load(fh)
-    items = payload if isinstance(payload, list) else [payload]
-    configs = []
-    for item in items:
-        if isinstance(item, dict) and "seed" not in item:
-            name = item.get("scenario_id", "<unnamed>")
-            print(f"{name}: no seed in config; using fixed default {DEFAULT_SEED}")
-        configs.append(config_from_dict(item))
+    configs = load_configs(
+        args.config,
+        on_default_seed=lambda name: print(
+            f"{name}: no seed in config; using fixed default {DEFAULT_SEED}"
+        ),
+    )
     _check_scenario_ids(configs)
     os.makedirs(args.out, exist_ok=True)
     for config in configs:

@@ -77,6 +77,8 @@ def config_to_dict(config):
 
 
 def config_from_dict(payload):
+    if not isinstance(payload, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {payload!r}")
     names = {f.name for f in fields(ScenarioConfig)}
     unknown = sorted(set(payload) - names)
     if unknown:
@@ -87,9 +89,19 @@ def config_from_dict(payload):
         raise ValueError(f"incomplete config: {err}") from err
 
 
-def load_configs(path):
-    """Read one scenario object or a list of them from a JSON file."""
+def load_configs(path, on_default_seed=None):
+    """Read one scenario object or a list of them from a JSON file.
+
+    Every scenario is validated before any is returned. `on_default_seed`,
+    if given, is then called with the scenario_id of each scenario that
+    names no seed and so runs with DEFAULT_SEED.
+    """
     with open(path) as fh:
         payload = json.load(fh)
     items = payload if isinstance(payload, list) else [payload]
-    return [config_from_dict(item) for item in items]
+    configs = [config_from_dict(item) for item in items]
+    if on_default_seed is not None:
+        for item, config in zip(items, configs):
+            if "seed" not in item:
+                on_default_seed(config.scenario_id)
+    return configs

@@ -1,8 +1,10 @@
 """Replication harness: power curves over a delta grid, CSV/JSON emission."""
 
+import contextlib
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, replace
@@ -118,9 +120,34 @@ def run_power_curve(config, threads=1):
     return [_row(config, d, c, seconds) for d, c in zip(config.deltas, counts)]
 
 
+@contextlib.contextmanager
+def _replacing(path, newline=None):
+    """A text file that replaces `path` only once the with block completes.
+
+    It is written beside `path` and moved over it with os.replace, so a
+    failed or interrupted write leaves any earlier file whole. A target
+    that is not a regular file, such as a pipe or /dev/stdout, cannot be
+    replaced and is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_csv(rows, path):
     """Write ResultRows under the fixed column schema, one line per row."""
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         writer.writerows(astuple(row) for row in rows)
@@ -128,7 +155,7 @@ def write_csv(rows, path):
 
 def _write_json(path, payload):
     """Write payload as sorted, indented JSON ending in a newline."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True))
         fh.write("\n")
 

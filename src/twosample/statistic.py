@@ -41,43 +41,88 @@ def _unit(d):
     return s / np.sqrt(s @ s)
 
 
-def _sign_rows(h):
-    """Normalize the rows of h to unit length; exactly-zero rows stay zero."""
-    nsq = np.einsum("ij,ij->i", h, h)
-    ok = np.isfinite(nsq) & (nsq > 0.0)
-    out = h / np.sqrt(np.where(ok, nsq, 1.0))[:, None]
-    if not ok.all():
-        zero = ~h.any(axis=1)
-        # rows whose squared norm over- or underflowed get the prescaled path
-        for r in np.flatnonzero(~ok & ~zero):
-            out[r] = _unit(h[r])
-        out[zero] = 0.0
-    return out
-
-
 def pair_aggregates(x, y, kernel):
-    """One streaming pass over all n1*n2 kernel evaluations.
+    """All sums over the n1*n2 kernel values h(x_i - y_j), with no loop over pairs.
 
     Returns (g, sx, sy, sumsq): the grand sum of h over all pairs, the
     per-row-of-x sums (n1 x p), the per-row-of-y sums (n2 x p), and the sum
     of ||h||^2 over all pairs. The statistic, the pair mean and the plain
-    covariance estimate are all functions of this tuple. Kernel blocks are
-    formed one x-row at a time, so memory stays O((n1 + n2) * p).
+    covariance estimate are all functions of this tuple.
+
+    Both kernels depend only on x_i - y_j, so the rows are first centred on
+    a row of x and scaled by a power of two. The identity kernel's sums then
+    have a closed form in the column sums X and Y. The sign kernel weights
+    each pair by w_ij = 1/||x_i - y_j||, from squared distances in Gram form,
+    and takes sx = (W 1) o x - W y and sy = W^T x - (W^T 1) o y from two
+    matrix products. Working memory is O((n1 + n2)^2 + (n1 + n2) p), plus
+    O(p) for each pair close enough to be summed directly (`_sign_sums`).
     """
     mx, my = _check_pair(x, y)
     _check_kernel(kernel)
-    n1, p = mx.shape
-    n2 = my.shape[0]
-    sx = np.empty((n1, p))
-    sy = np.zeros((n2, p))
-    sumsq = 0.0
-    for i in range(n1):
-        h = mx[i] - my
-        if kernel == SIGN:
-            h = _sign_rows(h)
-        sx[i] = h.sum(axis=0)
-        sy += h
-        sumsq += float(np.einsum("ij,ij->", h, h))
+    # a data row subtracts exactly from the entries near its own, where a
+    # mean would round them. The x row nearest the mean of x keeps a far-out
+    # x[0] from making many pairs near; it is found from differences to x[0],
+    # so integer translates of the data choose the same row and equal bits.
+    dev = mx - mx[0]
+    dev -= dev.mean(axis=0)
+    centre = mx[np.argmin(np.einsum("ij,ij->i", dev, dev))]
+    z = np.vstack([mx, my]) - centre
+    e = int(np.frexp(np.max(np.abs(z)))[1])  # exact power-of-two scale
+    z = np.ldexp(z, -e)
+    if kernel == IDENTITY:
+        return _identity_sums(z[: mx.shape[0]], z[mx.shape[0] :], e)
+    return _sign_sums(mx, my, z)
+
+
+def _identity_sums(zx, zy, e):
+    """g = n2 X - n1 Y, sx_i = n2 x_i - Y, sy_j = X - n1 y_j, for z = 2^-e data."""
+    n1, n2 = zx.shape[0], zy.shape[0]
+    sum_x, sum_y = zx.sum(axis=0), zy.sum(axis=0)
+    sumsq = (
+        n2 * float(np.einsum("ij,ij->", zx, zx))
+        + n1 * float(np.einsum("ij,ij->", zy, zy))
+        - 2.0 * float(np.einsum("i,i->", sum_x, sum_y))
+    )
+    return (
+        np.ldexp(n2 * sum_x - n1 * sum_y, e),
+        np.ldexp(n2 * zx - sum_y, e),
+        np.ldexp(sum_x - n1 * zy, e),
+        float(np.ldexp(sumsq, 2 * e)),
+    )
+
+
+# tau: a sign-kernel pair with d^2 <= tau (|x|^2 + |y|^2), in centred
+# coordinates, has lost the digits of d^2 to cancellation in the Gram form
+_NEAR = 1e-4
+
+
+def _sign_sums(mx, my, z):
+    """Unit-vector sums of the sign kernel; z holds the centred, scaled rows."""
+    n1 = mx.shape[0]
+    zx, zy = z[:n1], z[n1:]
+    # all norms and cross products from one symmetric product: its bits do
+    # not depend on the BLAS thread count, while those of zx @ zy.T do
+    gram = z @ z.T
+    nsq = np.diag(gram)
+    scale = nsq[:n1, None] + nsq[None, n1:]
+    d2 = scale - 2.0 * gram[:n1, n1:]
+    # a near pair gets weight 0, because w x_i - w y_j would cancel too
+    near = d2 <= _NEAR * scale
+    w = 1.0 / np.sqrt(np.where(near, 1.0, d2))
+    w[near] = 0.0
+    sx = w.sum(axis=1)[:, None] * zx - w @ zy
+    sy = w.T @ zx - w.sum(axis=0)[:, None] * zy
+    # its unit vector is added from the raw rows instead, which centring
+    # would round, prescaled so that its squared norm cannot overflow
+    i, j = np.nonzero(near)
+    h = mx[i] - my[j]
+    top = np.max(np.abs(h), axis=1)
+    keep = top > 0.0  # a tie x_i == y_j has kernel value 0
+    i, j, h = i[keep], j[keep], h[keep] / top[keep, None]
+    h /= np.sqrt(np.einsum("ij,ij->i", h, h))[:, None]
+    np.add.at(sx, i, h)
+    np.add.at(sy, j, h)
+    sumsq = float(near.size - np.count_nonzero(near) + i.size)
     return sx.sum(axis=0), sx, sy, sumsq
 
 

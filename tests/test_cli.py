@@ -332,6 +332,11 @@ class TestCliSimulate:
         err = self._run_invalid(tmp_path, capsys, scenarios).err
         assert f"scenario_id must be a nonempty string, got {scenario_id!r}" in err
 
+    @pytest.mark.parametrize("scenario", [5, "abc", [1]])
+    def test_non_object_scenario_rejected(self, tmp_path, capsys, scenario):
+        err = self._run_invalid(tmp_path, capsys, [self._scenario("fine"), scenario]).err
+        assert f"a scenario must be a JSON object, got {scenario!r}" in err
+
     def test_duplicate_scenario_id_rejected(self, tmp_path, capsys):
         scenarios = [self._scenario("twice"), self._scenario("once"), self._scenario("twice", p=4)]
         err = self._run_invalid(tmp_path, capsys, scenarios).err

@@ -1,12 +1,15 @@
 import csv
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from twosample import (
     CSV_COLUMNS,
+    DEFAULT_SEED,
     ResultRow,
     ScenarioConfig,
     config_from_dict,
@@ -215,6 +218,31 @@ class TestOutputFiles:
             payload = json.load(fh)
         assert payload == config_to_dict(config)
 
+    @pytest.mark.parametrize("write", ["csv", "json"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, write):
+        path = tmp_path / "out"
+        path.write_text("old contents\n")
+        with pytest.raises(TypeError):
+            if write == "csv":
+                # the header and the first row are written before the second fails
+                write_csv([ResultRow(*CSV_COLUMNS), object()], path)
+            else:
+                experiments._write_json(path, {"a": 1, "b": object()})
+        assert path.read_text() == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+        reader.start()
+        experiments._write_json(pipe, {"a": 1})
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == ['{\n  "a": 1\n}\n']
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
     def test_load_configs_accepts_object_and_list(self, tmp_path):
         config = _config()
         single = tmp_path / "one.json"
@@ -223,3 +251,14 @@ class TestOutputFiles:
         many.write_text(json.dumps([config_to_dict(config), config_to_dict(config)]))
         assert load_configs(single) == [config]
         assert load_configs(many) == [config, config]
+
+    def test_load_configs_names_the_scenarios_without_a_seed(self, tmp_path):
+        seeded = config_to_dict(_config(scenario_id="seeded"))
+        unseeded = config_to_dict(_config(scenario_id="unseeded"))
+        del unseeded["seed"]
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps([seeded, unseeded]))
+        named = []
+        configs = load_configs(path, on_default_seed=named.append)
+        assert named == ["unseeded"]
+        assert [c.seed for c in configs] == [20250819, DEFAULT_SEED]

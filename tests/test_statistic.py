@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import twosample
 from twosample import (
     IDENTITY,
     SIGN,
@@ -9,6 +15,7 @@ from twosample import (
     compute_statistic_oracle,
     pair_aggregates,
 )
+from twosample.statistic import _unit
 
 # four-point instance used across modules; every kernel value is an exact float
 X4 = np.array([[0.0], [2.0]])
@@ -63,6 +70,111 @@ class TestKernelEval:
     def test_unknown_kernel_raises(self):
         with pytest.raises(ValueError):
             _kernel("rbf", [1.0], [0.0])
+
+
+def _sign_rows(h):
+    """Normalize the rows of h to unit length; exactly-zero rows stay zero."""
+    nsq = np.einsum("ij,ij->i", h, h)
+    ok = np.isfinite(nsq) & (nsq > 0.0)
+    out = h / np.sqrt(np.where(ok, nsq, 1.0))[:, None]
+    if not ok.all():
+        zero = ~h.any(axis=1)
+        # rows whose squared norm over- or underflowed get the prescaled path
+        for r in np.flatnonzero(~ok & ~zero):
+            out[r] = _unit(h[r])
+        out[zero] = 0.0
+    return out
+
+
+def _loop_aggregates(x, y, kernel):
+    """Reference pair sums: the kernel block of one x-row at a time."""
+    n1, p = x.shape
+    sx = np.empty((n1, p))
+    sy = np.zeros((y.shape[0], p))
+    sumsq = 0.0
+    for i in range(n1):
+        h = x[i] - y
+        if kernel == SIGN:
+            h = _sign_rows(h)
+        sx[i] = h.sum(axis=0)
+        sy += h
+        sumsq += float(np.einsum("ij,ij->", h, h))
+    return sx.sum(axis=0), sx, sy, sumsq
+
+
+ACCURACY_CASES = ("plain", "near", "ties", "offset", "tiny", "huge")
+
+
+def _accuracy_sample(case, p):
+    rng = np.random.default_rng([p, ACCURACY_CASES.index(case)])
+    x = rng.standard_normal((20, p))
+    y = rng.standard_normal((25, p)) + 0.3
+    if case == "near":
+        # y_k sits at distance 1e-(k+2) from an x row, for 1e-2 down to 1e-14
+        for k in range(13):
+            u = rng.standard_normal(p)
+            y[k] = x[k] + 10.0 ** -(k + 2) * u / np.linalg.norm(u)
+    elif case == "ties":
+        y[3] = x[7]
+        y[9] = x[7]
+        y[11] = x[2]
+    elif case == "offset":
+        x, y = x + 1e6, y + 1e6
+    elif case == "tiny":
+        x, y = x * 1e-200, y * 1e-200
+    elif case == "huge":
+        x, y = x * 1e150, y * 1e150
+    return x, y
+
+
+class TestPairAggregatesAccuracy:
+    """The matrix-product pair pass against the row loop it replaced."""
+
+    @pytest.mark.parametrize("kernel", [IDENTITY, SIGN])
+    @pytest.mark.parametrize("case", ACCURACY_CASES)
+    @pytest.mark.parametrize("p", [1, 5, 100, 1000])
+    def test_matches_row_loop(self, p, case, kernel):
+        x, y = _accuracy_sample(case, p)
+        got = pair_aggregates(x, y, kernel)
+        want = _loop_aggregates(x, y, kernel)
+        for name, a, b in zip(("g", "sx", "sy", "sumsq"), got, want):
+            err = np.max(np.abs(np.subtract(a, b)))
+            assert np.isfinite(a).all()
+            assert err <= 1e-12 * np.max(np.abs(b)), name
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from twosample import NullDrawConfig, pair_aggregates, run_test
+for p in (100, 1000):
+    rng = np.random.default_rng(p)
+    x = rng.standard_normal((40, p))
+    y = rng.standard_normal((50, p)) + 0.05
+    for kernel in ("identity", "sign"):
+        g, sx, sy, sumsq = pair_aggregates(x, y, kernel)
+        digest = hashlib.sha256(g.tobytes() + sx.tobytes() + sy.tobytes()).hexdigest()
+        print(p, kernel, digest, repr(sumsq))
+        print(repr(run_test(x, y, kernel, config=NullDrawConfig(draws=2000, seed=5))))
+"""
+
+
+def test_results_do_not_depend_on_blas_thread_count():
+    src = pathlib.Path(twosample.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("TestReport") == 4
+    assert outputs[0] == outputs[1]
 
 
 class TestComputeStatistic:
