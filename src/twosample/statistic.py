@@ -70,7 +70,8 @@ def pair_aggregates(x, y, kernel):
     e = int(np.frexp(np.max(np.abs(z)))[1])  # exact power-of-two scale
     z = np.ldexp(z, -e)
     if kernel == IDENTITY:
-        return _identity_sums(z[: mx.shape[0]], z[mx.shape[0] :], e)
+        n1 = mx.shape[0]
+        return _identity_sums(z[:n1], z[n1:], e)
     return _sign_sums(mx, my, z)
 
 
