@@ -52,7 +52,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "BaselineReport",

@@ -14,7 +14,7 @@ from .covariance import (
     _plain_gram,
     eigenvalues_sym,
 )
-from .statistic import _check_pair, _statistic_from_aggregates
+from .statistic import IDENTITY, _check_pair, _recentred_statistic, _statistic_from_aggregates
 
 DEFAULT_SEED = 12345
 PLAIN = "plain"
@@ -65,8 +65,17 @@ def simulate_null_draws(spectrum, config, rng):
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise ValueError("spectrum must be a nonempty 1-d sequence")
-    z = rng.standard_normal((config.draws, lam.size))
-    return (z * z - 1.0) @ lam
+    return _squared_normals(config.draws, lam.size, rng) @ lam
+
+
+def _squared_normals(draws, k, rng):
+    """Z * Z - 1 for a draws x k matrix Z of standard normals, drawn row by row.
+
+    Times a spectrum of length k it gives that spectrum's null draws, so one
+    matrix serves every spectrum of that length drawn with the same seed.
+    """
+    z = rng.standard_normal((draws, k))
+    return z * z - 1.0
 
 
 def empirical_quantile(values, level):
@@ -83,25 +92,27 @@ def empirical_quantile(values, level):
     return float(np.sort(v)[k - 1])
 
 
-def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
-    """Full test: statistic, spectrum estimate, null draws, cutoff, decision.
-
-    The statistic and the covariance estimate come from one pair pass. The
-    plain spectrum is taken from the min(p, n1+n2)-square Gram form of the
-    estimate (`_plain_gram`), so the null draws use that many weights; the
-    tapered estimate is not low rank and keeps its p x p spectrum.
-
-    The reported decision is the strict cutoff comparison T > c(alpha); the
-    p-value (1 + #{V_j >= T}) / (M + 1) is reported alongside and may disagree
-    with the flag at ties.
-    """
+def _checked_pair(x, y, estimator):
+    """The input checks of a test: a known estimator and two finite samples
+    of equal width with at least two rows each."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    if config is None:
-        config = NullDrawConfig()
     mx, my = _check_pair(x, y)
     if mx.shape[0] < 2 or my.shape[0] < 2:
         raise ValueError("run_test needs at least two rows in each sample")
+    return mx, my
+
+
+def _overflow(kernel):
+    return ValueError(
+        f"x and y are too large in magnitude for the {kernel} kernel: "
+        "its pair sums overflow; rescale the data"
+    )
+
+
+def _estimate(mx, my, kernel, estimator, beta):
+    """One pair pass: the grand sum g, the statistic and the spectrum of the
+    estimate (plain from its Gram form, or tapered), as `run_test` takes them."""
     # the identity kernel's sums can overflow for huge but finite data; that
     # is reported below in terms of x and y, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,11 +126,26 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
         else:
             est = _plain_gram(g, sx, sy)
     if not (math.isfinite(stat) and np.isfinite(est).all()):
-        raise ValueError(
-            f"x and y are too large in magnitude for the {kernel} kernel: "
-            "its pair sums overflow; rescale the data"
-        )
-    lam = eigenvalues_sym(est)
+        raise _overflow(kernel)
+    return g, stat, eigenvalues_sym(est)
+
+
+def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
+    """Full test: statistic, spectrum estimate, null draws, cutoff, decision.
+
+    The statistic and the covariance estimate come from one pair pass. The
+    plain spectrum is taken from the min(p, n1+n2)-square Gram form of the
+    estimate (`_plain_gram`), so the null draws use that many weights; the
+    tapered estimate is not low rank and keeps its p x p spectrum.
+
+    The reported decision is the strict cutoff comparison T > c(alpha); the
+    p-value (1 + #{V_j >= T}) / (M + 1) is reported alongside and may disagree
+    with the flag at ties.
+    """
+    mx, my = _checked_pair(x, y, estimator)
+    if config is None:
+        config = NullDrawConfig()
+    _, stat, lam = _estimate(mx, my, kernel, estimator, beta)
     draws = simulate_null_draws(lam, config, np.random.default_rng(config.seed))
     cutoff = empirical_quantile(draws, 1.0 - config.alpha)
     exceed = int(np.count_nonzero(draws >= stat))
@@ -132,3 +158,37 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
         top_eigenvalue=float(lam[0]),
         negative_eigenvalues=int(np.count_nonzero(lam < -_NEGATIVE_RTOL * abs(lam[0]))),
     )
+
+
+def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
+    """(statistic, cutoff) of `run_test(x, y0 + s, ...)` for each shift s.
+
+    The null normals depend only on config.seed and the spectrum length,
+    which does not change with the shift, so they are drawn once. The sign
+    kernel then makes one pair pass and one spectrum per shift, and its
+    values equal run_test's bit for bit. For the identity kernel h = x - y,
+    so shifting y by s recentres h by s: the centred sums, and with them
+    the estimate, the spectrum and the cutoff, do not change, and T comes
+    from `_recentred_statistic`. It makes one pair pass and one calibration
+    in all; its values equal run_test's up to rounding, and exactly at s = 0.
+    """
+    mx, my0 = _checked_pair(x, y0, estimator)
+    rng = np.random.default_rng(config.seed)
+    level = 1.0 - config.alpha
+    if kernel == IDENTITY:
+        g, stat, lam = _estimate(mx, my0, kernel, estimator, beta)
+        cutoff = empirical_quantile(simulate_null_draws(lam, config, rng), level)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = [_recentred_statistic(stat, g, mx.shape[0], my0.shape[0], s) for s in shifts]
+        if not np.isfinite(stats).all():
+            raise _overflow(kernel)
+        return [(t, cutoff) for t in stats]
+    out = []
+    squares = None
+    for s in shifts:
+        mx, my = _checked_pair(mx, my0 + s, estimator)
+        _, stat, lam = _estimate(mx, my, kernel, estimator, beta)
+        if squares is None:
+            squares = _squared_normals(config.draws, lam.size, rng)
+        out.append((stat, empirical_quantile(squares @ lam, level)))
+    return out

@@ -12,7 +12,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .baselines import hotelling_t2
-from .calibration import NullDrawConfig, run_test
+from .calibration import NullDrawConfig, _shift_tests
 from .config import config_to_dict
 from .datagen import generate_scenario, shift_vector
 from .seeding import derive_seed, substream
@@ -63,19 +63,21 @@ def _replicate(task):
     The data stream is keyed by (seed, r, 0) and the null-draw stream by
     (seed, r, 1). The sampler draws y as location + noise, so y0 + the shift
     at d is bit for bit the y that a config with the single delta d draws.
+    The kernel tests at all deltas share one calibration where they can
+    (`_shift_tests`) and reject when T > c(alpha), as `run_test` does.
     """
     config, r = task
     x, y0 = generate_scenario(replace(config, deltas=(0.0,)), substream(config.seed, r, 0))
+    shifts = [shift_vector(config.p, d) for d in config.deltas]
+    if config.estimator == "hotelling":
+        return [hotelling_t2(x, y0 + s).p_value <= config.alpha for s in shifts]
     draw_config = NullDrawConfig(
         draws=config.draws, alpha=config.alpha, seed=derive_seed(config.seed, r, 1)
     )
-
-    def reject(y):
-        if config.estimator == "hotelling":
-            return hotelling_t2(x, y).p_value <= config.alpha
-        return run_test(x, y, config.kernel, config.estimator, draw_config, beta=config.beta).reject
-
-    return [reject(y0 + shift_vector(config.p, d)) for d in config.deltas]
+    tests = _shift_tests(
+        x, y0, shifts, config.kernel, config.estimator, draw_config, config.beta
+    )
+    return [stat > cutoff for stat, cutoff in tests]
 
 
 def _row(config, delta, count, seconds):
@@ -102,16 +104,19 @@ def _row(config, delta, count, seconds):
 def run_power_curve(config, threads=1):
     """One ResultRow per grid delta; a one-point grid is a size experiment.
 
-    threads > 1 runs the replications in one process pool. Each row's
-    `seconds` is the curve's wall time divided by the number of deltas.
+    threads > 1 runs the replications in one process pool of
+    min(threads, replications) workers; when that is 1 they run serially.
+    Each row's `seconds` is the curve's wall time divided by the number of
+    deltas.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     start = time.perf_counter()
     tasks = [(config, r) for r in range(config.replications)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, config.replications // (threads * 4))
+    workers = min(threads, config.replications)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, config.replications // (workers * 4))
             flags = list(pool.map(_replicate, tasks, chunksize=chunk))
     else:
         flags = [_replicate(t) for t in tasks]

@@ -13,8 +13,10 @@ from twosample import (
     empirical_quantile,
     estimate_plain,
     estimate_tapered,
+    generate_scenario,
     run_power_curve,
     run_test,
+    shift_vector,
     simulate_null_draws,
     statistic,
 )
@@ -221,6 +223,91 @@ class TestRunTest:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             run_test(np.zeros((3, 2)), np.zeros((3, 2)), "identity", "shrinkage")
+
+
+POWER_GRID = (0.0, 1.0, 2.0, 3.0, 4.0)  # the grid of configs/power_p100.json
+
+
+def _replication(family, p, seed):
+    """x, y0 and the shifts of one power-curve replication, n 40 + 50."""
+    config = ScenarioConfig(
+        scenario_id="shift",
+        family=family,
+        cov_form="equicorr",
+        p=p,
+        n1=40,
+        n2=50,
+        deltas=(0.0,),
+        alpha=0.05,
+        draws=500,
+        replications=1,
+        seed=seed,
+    )
+    x, y0 = generate_scenario(config, np.random.default_rng(seed))
+    return x, y0, [shift_vector(p, d) for d in POWER_GRID]
+
+
+class TestShiftTests:
+    """The replication path against run_test at y0 + s, shift by shift."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("p", [5, 100])
+    @pytest.mark.parametrize("estimator", ["plain", "taper"])
+    def test_sign_kernel_equals_run_test_bit_for_bit(self, estimator, p, seed):
+        x, y0, shifts = _replication("t3", p, seed)
+        config = NullDrawConfig(draws=500, seed=seed + 10)
+        got = calibration._shift_tests(x, y0, shifts, "sign", estimator, config, 0.25)
+        for s, (stat, cutoff) in zip(shifts, got):
+            report = run_test(x, y0 + s, "sign", estimator, config)
+            assert (stat, cutoff) == (report.statistic, report.cutoff)
+
+    @pytest.mark.parametrize("family", ["gaussian", "t3", "cauchy"])
+    @pytest.mark.parametrize("p", [5, 100])
+    @pytest.mark.parametrize("estimator", ["plain", "taper"])
+    def test_identity_kernel_matches_run_test(self, estimator, p, family):
+        x, y0, shifts = _replication(family, p, 4)
+        config = NullDrawConfig(draws=500, seed=14)
+        got = calibration._shift_tests(x, y0, shifts, "identity", estimator, config, 0.25)
+        for s, (stat, cutoff) in zip(shifts, got):
+            report = run_test(x, y0 + s, "identity", estimator, config)
+            assert stat == pytest.approx(report.statistic, rel=1e-12, abs=0.0)
+            assert cutoff == pytest.approx(report.cutoff, rel=1e-12, abs=0.0)
+        # at delta 0 the closed form adds exactly nothing
+        assert got[0][0] == run_test(x, y0, "identity", estimator, config).statistic
+
+    @pytest.mark.parametrize("kernel, passes", [("identity", 1), ("sign", len(POWER_GRID))])
+    def test_one_calibration_per_replication(self, monkeypatch, kernel, passes):
+        x, y0, shifts = _replication("gaussian", 20, 5)
+        calls = {"pair_aggregates": 0, "eigenvalues_sym": 0, "_squared_normals": 0}
+        for module, name in (
+            (statistic, "pair_aggregates"),
+            (calibration, "eigenvalues_sym"),
+            (calibration, "_squared_normals"),
+        ):
+
+            def counting(*args, _name=name, _original=getattr(module, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        config = NullDrawConfig(draws=200, seed=3)
+        calibration._shift_tests(x, y0, shifts, kernel, "taper", config, 0.25)
+        assert calls == {
+            "pair_aggregates": passes,
+            "eigenvalues_sym": passes,
+            "_squared_normals": 1,
+        }
+
+    def test_overflowing_identity_shift_names_the_input(self):
+        # the pair sums at delta 0 are finite; T at the far shift is not
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        y0 = np.array([[1.0, 1.0], [0.0, 0.5], [0.5, 0.0]])
+        shifts = [np.zeros(2), np.full(2, 1e300)]
+        config = NullDrawConfig(draws=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x and y .* identity kernel"):
+                calibration._shift_tests(x, y0, shifts, "identity", "plain", config, 0.25)
 
 
 def test_null_size_gaussian_identity_p5():

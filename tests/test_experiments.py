@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import threading
 
@@ -184,6 +185,28 @@ class TestRunPowerCurve:
         assert draws == [(0.0,)] * 8 and not pools
         run_power_curve(config, threads=2)
         assert len(pools) == 1
+
+    @pytest.mark.parametrize(
+        "threads, replications, workers",
+        [(6, 3, [3]), (2, 8, [2]), (4, 1, [])],
+        ids=["fewer-replications", "fewer-threads", "serial"],
+    )
+    def test_pool_is_sized_to_the_work(self, monkeypatch, threads, replications, workers):
+        sizes = []
+
+        class SizedPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SizedPool)
+        config = _config(deltas=(0.0, 1.0), replications=replications)
+        rows = run_power_curve(config, threads=threads)
+        assert sizes == workers
+        # the pool's workers are joined before the call returns
+        assert multiprocessing.active_children() == []
+        serial = run_power_curve(config, threads=1)
+        assert [_strip_time(r) for r in rows] == [_strip_time(r) for r in serial]
 
 
 class TestOutputFiles:

@@ -102,7 +102,7 @@ def _loop_aggregates(x, y, kernel):
     return sx.sum(axis=0), sx, sy, sumsq
 
 
-ACCURACY_CASES = ("plain", "near", "ties", "offset", "tiny", "huge")
+ACCURACY_CASES = ("plain", "near", "ties", "offset", "tiny", "huge", "clusters")
 
 
 def _accuracy_sample(case, p):
@@ -124,6 +124,11 @@ def _accuracy_sample(case, p):
         x, y = x * 1e-200, y * 1e-200
     elif case == "huge":
         x, y = x * 1e150, y * 1e150
+    elif case == "clusters":
+        # rows around 0 or 100 * (1, ..., 1), spread 1e-3: the centre sits in
+        # one cluster, so every pair inside the other is summed directly
+        x = 1e-3 * x + 100.0 * rng.integers(0, 2, (20, 1))
+        y = 1e-3 * y + 100.0 * rng.integers(0, 2, (25, 1))
     return x, y
 
 
