@@ -10,23 +10,8 @@ from .calibration import (
     run_test,
     simulate_null_draws,
 )
-from .cli import (
-    BlockReport,
-    BlockSummary,
-    block_summary,
-    load_matrix_csv,
-    main,
-    run_realdata_blocks,
-)
 from .config import ScenarioConfig, config_from_dict, config_to_dict, load_configs
-from .covariance import (
-    TaperSpec,
-    delta_hat,
-    eigenvalues_sym,
-    estimate_plain,
-    estimate_tapered,
-    taper_weight,
-)
+from .covariance import eigenvalues_sym, estimate_plain, taper_weight
 from .datagen import (
     COV_FORMS,
     generate_scenario,
@@ -41,18 +26,24 @@ from .experiments import (
     write_csv,
     write_manifest,
 )
+from .realdata import (
+    BlockReport,
+    BlockSummary,
+    block_summary,
+    load_matrix_csv,
+    run_realdata_blocks,
+)
 from .seeding import derive_seed, substream
 from .statistic import (
     IDENTITY,
     KERNELS,
     SIGN,
     compute_statistic,
-    compute_statistic_centered,
     compute_statistic_oracle,
     pair_aggregates,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "BaselineReport",
@@ -68,26 +59,21 @@ __all__ = [
     "ResultRow",
     "SIGN",
     "ScenarioConfig",
-    "TaperSpec",
     "TestReport",
     "block_summary",
     "compute_statistic",
-    "compute_statistic_centered",
     "compute_statistic_oracle",
     "config_from_dict",
     "config_to_dict",
-    "delta_hat",
     "derive_seed",
     "eigenvalues_sym",
     "empirical_quantile",
     "estimate_plain",
-    "estimate_tapered",
     "f_cdf",
     "generate_scenario",
     "hotelling_t2",
     "load_configs",
     "load_matrix_csv",
-    "main",
     "pair_aggregates",
     "parse_family",
     "run_power_curve",

@@ -8,10 +8,10 @@ import numpy as np
 
 from . import statistic
 from .covariance import (
-    TaperSpec,
     _apply_taper,
     _plain_from_aggregates,
     _plain_gram,
+    _taper_bandwidth,
     eigenvalues_sym,
 )
 from .statistic import IDENTITY, _check_pair, _recentred_statistic, _statistic_from_aggregates
@@ -23,6 +23,12 @@ ESTIMATORS = (PLAIN, TAPER)
 _NEGATIVE_RTOL = 1e-10  # tau of TestReport.negative_eigenvalues
 
 
+def _check_int(name, value):
+    """Reject a count that is not an int, a bool included, naming the field."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NullDrawConfig:
     """Number of reference draws, nominal level, and the generator seed."""
@@ -32,6 +38,7 @@ class NullDrawConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        _check_int("draws", self.draws)
         if self.draws < 1:
             raise ValueError("draws must be at least 1")
         if not 0.0 < self.alpha < 1.0:
@@ -121,8 +128,8 @@ def _estimate(mx, my, kernel, estimator, beta):
         g, sx, sy, sumsq = statistic.pair_aggregates(mx, my, kernel)
         stat = _statistic_from_aggregates(g, sx, sy, sumsq)
         if estimator == TAPER:
-            taper = TaperSpec.derive(beta, mx.shape[0] + my.shape[0], mx.shape[1])
-            est = _apply_taper(_plain_from_aggregates(g, sx, sy), taper)
+            k = _taper_bandwidth(beta, mx.shape[0] + my.shape[0], mx.shape[1])
+            est = _apply_taper(_plain_from_aggregates(g, sx, sy), k)
         else:
             est = _plain_gram(g, sx, sy)
     if not (math.isfinite(stat) and np.isfinite(est).all()):

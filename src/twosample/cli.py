@@ -1,120 +1,17 @@
 """Command-line front end: single tests on CSVs, simulation runs, block scans."""
 
 import argparse
-import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, TestReport, run_test
+from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, run_test
 from .config import load_configs
 from .experiments import _write_json, run_power_curve, write_csv, write_manifest
-from .seeding import derive_seed
-from .statistic import KERNELS, _check_pair
-
-
-def load_matrix_csv(path):
-    """Read a numeric CSV as an observations-by-variables matrix.
-
-    A single leading header row is skipped when its cells fail to parse as
-    numbers. Ragged rows, non-numeric cells, and non-finite values raise
-    ValueError naming the offending line; fully blank lines are ignored.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            rows.append((lineno, [cell.strip() for cell in record]))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    start = 0
-    try:
-        [float(cell) for cell in rows[0][1]]
-    except ValueError:
-        start = 1  # header row
-        if len(rows) == 1:
-            raise ValueError(f"{path}: header row but no data rows") from None
-    data = []
-    width = None
-    for lineno, cells in rows[start:]:
-        try:
-            values = [float(cell) for cell in cells]
-        except ValueError as err:
-            raise ValueError(f"{path}: line {lineno}: non-numeric cell") from err
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {width} columns, found {len(values)}"
-            )
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"{path}: line {lineno}: non-finite value")
-        data.append(values)
-    return np.asarray(data, dtype=float)
-
-
-@dataclass(frozen=True)
-class BlockReport:
-    """Test outcome for one block of consecutive columns [start, stop)."""
-
-    index: int
-    start: int
-    stop: int
-    report: TestReport
-
-
-@dataclass(frozen=True)
-class BlockSummary:
-    mean_p_value: float
-    histogram: tuple  # 20 equal-width p-value bins over [0, 1]
-
-
-def run_realdata_blocks(
-    x,
-    y,
-    width,
-    *,
-    kernel="sign",
-    estimator="plain",
-    beta=0.25,
-    alpha=0.05,
-    draws=10000,
-    seed=DEFAULT_SEED,
-):
-    """Column-block scan: one test per block of `width` consecutive columns.
-
-    Trailing columns short of a full block are dropped. Block b uses the
-    seed derived from (seed, b), so its report does not depend on how many
-    other blocks run or in what order.
-    """
-    mx, my = _check_pair(x, y)
-    if width < 1:
-        raise ValueError("width must be at least 1")
-    cols = mx.shape[1]
-    blocks = cols // width
-    if blocks == 0:
-        raise ValueError(f"width {width} exceeds the {cols} available columns")
-    reports = []
-    for b in range(blocks):
-        lo, hi = b * width, (b + 1) * width
-        config = NullDrawConfig(draws=draws, alpha=alpha, seed=derive_seed(seed, b))
-        result = run_test(mx[:, lo:hi], my[:, lo:hi], kernel, estimator, config, beta=beta)
-        reports.append(BlockReport(index=b, start=lo, stop=hi, report=result))
-    return reports
-
-
-def block_summary(reports):
-    """Mean p-value and 20-bin histogram over [0, 1] across blocks."""
-    pvals = np.array([item.report.p_value for item in reports])
-    counts, _ = np.histogram(pvals, bins=20, range=(0.0, 1.0))
-    return BlockSummary(
-        mean_p_value=float(pvals.mean()),
-        histogram=tuple(int(c) for c in counts),
-    )
+from .realdata import block_summary, load_matrix_csv, run_realdata_blocks
+from .statistic import KERNELS
 
 
 def _report_fields(report, draws):
@@ -197,17 +94,6 @@ def _cmd_test(args):
     return 0
 
 
-def _check_scenario_ids(configs):
-    """Each scenario_id names its own output files: plain and unique."""
-    ids = [config.scenario_id for config in configs]
-    for name in ids:
-        if name in (".", "..") or "/" in name or "\\" in name:
-            raise ValueError(f"scenario_id {name!r} is not a plain file name")
-    duplicates = sorted({name for name in ids if ids.count(name) > 1})
-    if duplicates:
-        raise ValueError(f"duplicate scenario_id {', '.join(map(repr, duplicates))}")
-
-
 def _cmd_simulate(args):
     configs = load_configs(
         args.config,
@@ -215,7 +101,6 @@ def _cmd_simulate(args):
             f"{name}: no seed in config; using fixed default {DEFAULT_SEED}"
         ),
     )
-    _check_scenario_ids(configs)
     os.makedirs(args.out, exist_ok=True)
     for config in configs:
         rows = run_power_curve(config, threads=args.threads)

@@ -1,13 +1,19 @@
 """Scenario configuration shared by the experiment harness and the CLI."""
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
-from .calibration import DEFAULT_SEED, ESTIMATORS
+from .calibration import DEFAULT_SEED, ESTIMATORS, _check_int
 from .datagen import COV_FORMS, parse_family
 from .statistic import KERNELS
 
-ESTIMATOR_CHOICES = ESTIMATORS + ("hotelling",)
+HOTELLING = "hotelling"
+ESTIMATOR_CHOICES = ESTIMATORS + (HOTELLING,)
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -37,16 +43,27 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.scenario_id, str) or not self.scenario_id:
             raise ValueError(f"scenario_id must be a nonempty string, got {self.scenario_id!r}")
+        # it names the scenario's output files
+        if self.scenario_id in (".", "..") or "/" in self.scenario_id or "\\" in self.scenario_id:
+            raise ValueError(f"scenario_id {self.scenario_id!r} is not a plain file name")
         parse_family(self.family)
         if self.cov_form not in COV_FORMS:
             raise ValueError(f"unknown covariance form {self.cov_form!r}; expected one of {COV_FORMS}")
+        for name in ("p", "n1", "n2", "draws", "replications", "seed"):
+            _check_int(name, getattr(self, name))
+        for name in ("beta", "alpha"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if min(self.p, self.n1, self.n2) < 1:
             raise ValueError("p, n1, and n2 must be at least 1")
+        if not isinstance(self.deltas, (list, tuple)) or not all(map(_is_real, self.deltas)):
+            raise ValueError(f"deltas must be a list of numbers, got {self.deltas!r}")
         grid = tuple(float(d) for d in self.deltas)
         if not grid:
             raise ValueError("deltas must be a nonempty grid")
-        if any(d < 0 for d in grid):
-            raise ValueError("deltas must be nonnegative")
+        if not all(math.isfinite(d) and d >= 0 for d in grid):
+            raise ValueError("deltas must be finite and nonnegative")
         object.__setattr__(self, "deltas", grid)
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {KERNELS}")
@@ -54,7 +71,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_CHOICES}"
             )
-        if self.estimator == "hotelling" and self.p > self.n1 + self.n2 - 2:
+        if self.estimator == HOTELLING and self.p > self.n1 + self.n2 - 2:
             raise ValueError(
                 f"scenario {self.scenario_id!r}: hotelling needs p <= n1 + n2 - 2, "
                 f"got p={self.p}, n1={self.n1}, n2={self.n2}"
@@ -67,7 +84,6 @@ class ScenarioConfig:
             raise ValueError("draws must be at least 1")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def config_to_dict(config):
@@ -92,14 +108,19 @@ def config_from_dict(payload):
 def load_configs(path, on_default_seed=None):
     """Read one scenario object or a list of them from a JSON file.
 
-    Every scenario is validated before any is returned. `on_default_seed`,
-    if given, is then called with the scenario_id of each scenario that
-    names no seed and so runs with DEFAULT_SEED.
+    Every scenario is validated, and the scenario_ids checked to be unique,
+    before any is returned. `on_default_seed`, if given, is then called with
+    the scenario_id of each scenario that names no seed and so runs with
+    DEFAULT_SEED.
     """
     with open(path) as fh:
         payload = json.load(fh)
     items = payload if isinstance(payload, list) else [payload]
     configs = [config_from_dict(item) for item in items]
+    ids = [config.scenario_id for config in configs]
+    duplicates = sorted({name for name in ids if ids.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate scenario_id {', '.join(map(repr, duplicates))}")
     if on_default_seed is not None:
         for item, config in zip(items, configs):
             if "seed" not in item:

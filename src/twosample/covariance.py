@@ -1,7 +1,5 @@
 """Plain and tapered covariance estimators for the pair kernel, plus spectra."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .statistic import pair_aggregates
@@ -9,16 +7,6 @@ from .statistic import pair_aggregates
 
 def _symmetrize(a):
     return (a + a.T) / 2.0
-
-
-def delta_hat(x, y, kernel):
-    """Mean of the kernel over all n1*n2 pairs.
-
-    For the identity kernel this equals mean(x) - mean(y) exactly up to
-    summation order.
-    """
-    g, sx, sy, _ = pair_aggregates(x, y, kernel)
-    return g / (sx.shape[0] * sy.shape[0])
 
 
 def estimate_plain(x, y, kernel):
@@ -56,28 +44,11 @@ def _plain_gram(g, sx, sy):
     return c.T @ c if c.shape[1] <= n else c @ c.T
 
 
-@dataclass(frozen=True)
-class TaperSpec:
-    """Taper bandwidth: weights ramp from 1 inside k/2 down to 0 at k."""
-
-    beta: float
-    k: float
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not self.k > 0:
-            raise ValueError("bandwidth k must be positive")
-
-    @classmethod
-    def derive(cls, beta, n, p):
-        """Bandwidth k = min(n^(1/(2 beta + 2)), p), kept real-valued."""
-        if not beta > 0:
-            raise ValueError("beta must be positive")
-        if n < 1 or p < 1:
-            raise ValueError("n and p must be at least 1")
-        k = min(float(n) ** (1.0 / (2.0 * float(beta) + 2.0)), float(p))
-        return cls(beta=float(beta), k=k)
+def _taper_bandwidth(beta, n, p):
+    """Taper bandwidth k = min(n^(1/(2 beta + 2)), p), kept real-valued."""
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    return min(float(n) ** (1.0 / (2.0 * float(beta) + 2.0)), float(p))
 
 
 def taper_weight(i, j, k):
@@ -92,23 +63,16 @@ def taper_weight(i, j, k):
     return 0.0
 
 
-def _weight_matrix(p, k):
-    d = np.abs(np.subtract.outer(np.arange(p, dtype=float), np.arange(p, dtype=float)))
-    return np.where(d <= k / 2.0, 1.0, np.where(d < k, 1.0 - d / k, 0.0))
+def _apply_taper(est, k):
+    """Multiply a p x p estimate elementwise by the `taper_weight`s at bandwidth k.
 
-
-def estimate_tapered(x, y, kernel, taper):
-    """Elementwise taper of the plain estimator; entries at |i-j| >= k are 0."""
-    return _apply_taper(estimate_plain(x, y, kernel), taper)
-
-
-def _apply_taper(est, taper):
-    """Multiply a p x p estimate elementwise by the taper weights.
-
-    est must be exactly symmetric, as `_plain_from_aggregates` emits it;
-    the weights are too, so the product needs no re-symmetrizing.
+    Entries at |i-j| >= k become 0. est must be exactly symmetric, as
+    `_plain_from_aggregates` emits it; the weights are too, so the product
+    needs no re-symmetrizing.
     """
-    return est * _weight_matrix(est.shape[0], taper.k)
+    p = est.shape[0]
+    d = np.abs(np.subtract.outer(np.arange(p, dtype=float), np.arange(p, dtype=float)))
+    return est * np.where(d <= k / 2.0, 1.0, np.where(d < k, 1.0 - d / k, 0.0))
 
 
 def eigenvalues_sym(m):

@@ -60,8 +60,9 @@ def parse_family(family):
         return GAUSSIAN, None
     if family == "cauchy":
         return STUDENT_T, 1
-    if family.startswith(STUDENT_T) and family[1:].isdigit() and int(family[1:]) >= 1:
-        return STUDENT_T, int(family[1:])
+    nu = family[1:] if isinstance(family, str) and family.startswith(STUDENT_T) else ""
+    if nu.isdigit() and int(nu) >= 1:
+        return STUDENT_T, int(nu)
     raise ValueError(f"unknown family {family!r}; expected gaussian, cauchy, or t<k>")
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .baselines import hotelling_t2
 from .calibration import NullDrawConfig, _shift_tests
-from .config import config_to_dict
+from .config import HOTELLING, config_to_dict
 from .datagen import generate_scenario, shift_vector
 from .seeding import derive_seed, substream
 
@@ -69,7 +69,7 @@ def _replicate(task):
     config, r = task
     x, y0 = generate_scenario(replace(config, deltas=(0.0,)), substream(config.seed, r, 0))
     shifts = [shift_vector(config.p, d) for d in config.deltas]
-    if config.estimator == "hotelling":
+    if config.estimator == HOTELLING:
         return [hotelling_t2(x, y0 + s).p_value <= config.alpha for s in shifts]
     draw_config = NullDrawConfig(
         draws=config.draws, alpha=config.alpha, seed=derive_seed(config.seed, r, 1)

@@ -178,25 +178,6 @@ def _recentred_statistic(stat, g, n1, n2, delta):
     return stat + correction / ((n1 + n2) * n1 * n2)
 
 
-def compute_statistic_centered(x, y, kernel, delta):
-    """Statistic with every kernel value recentered by `delta` before summing.
-
-    Evaluated in closed form from one pair pass (`_recentred_statistic`).
-    For the identity kernel h = x - y, so recentring by delta is testing x
-    against y + delta: the replication path of `run_power_curve` takes each
-    grid point's identity-kernel statistic from this form, with one pair
-    pass at delta 0.
-    """
-    g, sx, sy, sumsq = pair_aggregates(x, y, kernel)
-    (n1, p), n2 = sx.shape, sy.shape[0]
-    d = np.asarray(delta, dtype=float)
-    if d.shape != (p,):
-        raise ValueError(f"delta must have length {p}")
-    if not np.isfinite(d).all():
-        raise ValueError("delta contains non-finite entries")
-    return _recentred_statistic(_statistic_from_aggregates(g, sx, sy, sumsq), g, n1, n2, d)
-
-
 def compute_statistic_oracle(x, y, kernel):
     """Literal quadruple-sum evaluation, for cross-checking on small inputs.
 

@@ -6,13 +6,11 @@ import pytest
 from twosample import (
     NullDrawConfig,
     ScenarioConfig,
-    TaperSpec,
     calibration,
     compute_statistic,
     eigenvalues_sym,
     empirical_quantile,
     estimate_plain,
-    estimate_tapered,
     generate_scenario,
     run_power_curve,
     run_test,
@@ -20,6 +18,7 @@ from twosample import (
     simulate_null_draws,
     statistic,
 )
+from twosample.covariance import _apply_taper, _taper_bandwidth
 
 
 class TestNullDrawConfig:
@@ -35,6 +34,11 @@ class TestNullDrawConfig:
             NullDrawConfig(alpha=0.0)
         with pytest.raises(ValueError):
             NullDrawConfig(alpha=1.0)
+
+    @pytest.mark.parametrize("draws", [10.5, True, "100"])
+    def test_draws_must_be_an_integer(self, draws):
+        with pytest.raises(ValueError, match=f"^draws must be an integer, got {draws!r}$"):
+            NullDrawConfig(draws=draws)
 
 
 class TestSimulateNullDraws:
@@ -169,7 +173,8 @@ class TestRunTest:
             assert report.trace == pytest.approx(float(lam.sum()), rel=1e-12)
             assert report.top_eigenvalue == pytest.approx(float(lam[0]), rel=1e-12)
         else:
-            lam = eigenvalues_sym(estimate_tapered(x, y, "sign", TaperSpec.derive(0.25, 20, 6)))
+            k = _taper_bandwidth(0.25, 20, 6)
+            lam = eigenvalues_sym(_apply_taper(estimate_plain(x, y, "sign"), k))
             assert report.trace == float(lam.sum())
             assert report.top_eigenvalue == float(lam[0])
 

@@ -337,6 +337,24 @@ class TestCliSimulate:
         err = self._run_invalid(tmp_path, capsys, [self._scenario("fine"), scenario]).err
         assert f"a scenario must be a JSON object, got {scenario!r}" in err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"p": 3.5}, "p must be an integer, got 3.5"),
+            ({"p": "5"}, "p must be an integer, got '5'"),
+            ({"n1": True}, "n1 must be an integer, got True"),
+            ({"draws": 10.5}, "draws must be an integer, got 10.5"),
+            ({"replications": 2.5}, "replications must be an integer, got 2.5"),
+            ({"seed": 1.7}, "seed must be an integer, got 1.7"),
+            ({"deltas": 0.5}, "deltas must be a list of numbers, got 0.5"),
+            ({"family": 5}, "unknown family 5; expected gaussian, cauchy, or t<k>"),
+        ],
+    )
+    def test_mistyped_field_rejected_before_any_output(self, tmp_path, capsys, overrides, message):
+        scenarios = [self._scenario("good"), self._scenario("bad", **overrides)]
+        err = self._run_invalid(tmp_path, capsys, scenarios).err
+        assert err == f"error: {message}\n"
+
     def test_duplicate_scenario_id_rejected(self, tmp_path, capsys):
         scenarios = [self._scenario("twice"), self._scenario("once"), self._scenario("twice", p=4)]
         err = self._run_invalid(tmp_path, capsys, scenarios).err

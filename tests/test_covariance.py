@@ -4,33 +4,36 @@ import pytest
 from twosample import (
     IDENTITY,
     SIGN,
-    TaperSpec,
-    delta_hat,
     eigenvalues_sym,
     estimate_plain,
-    estimate_tapered,
     pair_aggregates,
     taper_weight,
 )
-from twosample.covariance import _plain_gram
+from twosample.covariance import _apply_taper, _plain_gram, _taper_bandwidth
 
 X4 = np.array([[0.0], [2.0]])
 Y4 = np.array([[1.0], [3.0]])
 
 
-class TestDeltaHat:
+def _pair_mean(x, y, kernel):
+    """The kernel's mean over all n1*n2 pairs: g / (n1 n2)."""
+    g, sx, sy, _ = pair_aggregates(x, y, kernel)
+    return g / (sx.shape[0] * sy.shape[0])
+
+
+class TestPairMean:
     def test_identity_is_mean_difference(self):
-        assert np.array_equal(delta_hat(X4, Y4, IDENTITY), [-1.0])
+        assert np.array_equal(_pair_mean(X4, Y4, IDENTITY), [-1.0])
 
     def test_sign_is_mean_of_signs(self):
         # the four pair signs are (-1, -1, +1, -1)
-        assert np.array_equal(delta_hat(X4, Y4, SIGN), [-0.5])
+        assert np.array_equal(_pair_mean(X4, Y4, SIGN), [-0.5])
 
     def test_constant_samples_give_the_single_kernel_value(self):
         x = np.tile([1.0, 3.0], (3, 1))
         y = np.tile([4.0, 7.0], (4, 1))
-        assert np.allclose(delta_hat(x, y, IDENTITY), [-3.0, -4.0], rtol=0, atol=1e-15)
-        assert np.allclose(delta_hat(x, y, SIGN), [-0.6, -0.8], rtol=0, atol=1e-15)
+        assert np.allclose(_pair_mean(x, y, IDENTITY), [-3.0, -4.0], rtol=0, atol=1e-15)
+        assert np.allclose(_pair_mean(x, y, SIGN), [-0.6, -0.8], rtol=0, atol=1e-15)
 
 
 class TestEstimatePlain:
@@ -54,7 +57,7 @@ class TestEstimatePlain:
         for kernel in (IDENTITY, SIGN):
             est = estimate_plain(x, y, kernel)
             assert np.array_equal(est, est.T)
-            tapered = estimate_tapered(x, y, kernel, TaperSpec(beta=1.0, k=2.5))
+            tapered = _apply_taper(est, 2.5)
             assert np.array_equal(tapered, tapered.T)
 
     def test_trace_identity_from_aggregates(self):
@@ -96,15 +99,12 @@ class TestPlainGram:
 
 class TestTaper:
     def test_derived_bandwidth(self):
-        spec = TaperSpec.derive(0.25, 90, 10)
-        assert spec.k == 90.0 ** (1.0 / 2.5)
-        assert TaperSpec.derive(0.25, 90, 2).k == 2.0
+        assert _taper_bandwidth(0.25, 90, 10) == 90.0 ** (1.0 / 2.5)
+        assert _taper_bandwidth(0.25, 90, 2) == 2.0
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            TaperSpec.derive(0.0, 90, 10)
-        with pytest.raises(ValueError):
-            TaperSpec(beta=0.25, k=0.0)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            _taper_bandwidth(0.0, 90, 10)
         with pytest.raises(ValueError):
             taper_weight(0, 1, 0.0)
 
@@ -119,28 +119,26 @@ class TestTaper:
         rng = np.random.default_rng(19)
         x = rng.standard_normal((40, 2))
         y = rng.standard_normal((50, 2))
-        spec = TaperSpec.derive(0.25, 90, 2)  # k = 2, so d = 1 sits at the inner boundary
-        assert np.array_equal(
-            estimate_tapered(x, y, SIGN, spec), estimate_plain(x, y, SIGN)
-        )
+        k = _taper_bandwidth(0.25, 90, 2)  # k = 2, so d = 1 sits at the inner boundary
+        plain = estimate_plain(x, y, SIGN)
+        assert np.array_equal(_apply_taper(plain, k), plain)
 
     def test_cellwise_weights_match_scalar_op(self):
         rng = np.random.default_rng(23)
         x = rng.standard_normal((40, 10))
         y = rng.standard_normal((50, 10))
-        spec = TaperSpec.derive(0.25, 90, 10)
+        k = _taper_bandwidth(0.25, 90, 10)
         plain = estimate_plain(x, y, IDENTITY)
-        tapered = estimate_tapered(x, y, IDENTITY, spec)
+        tapered = _apply_taper(plain, k)
         for i in range(10):
             for j in range(10):
-                assert tapered[i, j] == taper_weight(i, j, spec.k) * plain[i, j]
+                assert tapered[i, j] == taper_weight(i, j, k) * plain[i, j]
 
     def test_entries_beyond_bandwidth_are_zero(self):
         rng = np.random.default_rng(29)
         x = rng.standard_normal((10, 12))
         y = rng.standard_normal((11, 12))
-        spec = TaperSpec(beta=1.0, k=3.0)
-        tapered = estimate_tapered(x, y, IDENTITY, spec)
+        tapered = _apply_taper(estimate_plain(x, y, IDENTITY), 3.0)
         d = np.abs(np.subtract.outer(np.arange(12), np.arange(12)))
         assert (tapered[d >= 3] == 0.0).all()
 
@@ -148,10 +146,8 @@ class TestTaper:
         rng = np.random.default_rng(31)
         x = rng.standard_normal((8, 6))
         y = rng.standard_normal((9, 6))
-        spec = TaperSpec(beta=1.0, k=2.0 * (6 - 1))
-        assert np.array_equal(
-            estimate_tapered(x, y, IDENTITY, spec), estimate_plain(x, y, IDENTITY)
-        )
+        plain = estimate_plain(x, y, IDENTITY)
+        assert np.array_equal(_apply_taper(plain, 2.0 * (6 - 1)), plain)
 
 
 class TestEigenvaluesSym:

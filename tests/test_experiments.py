@@ -56,6 +56,8 @@ class TestScenarioConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             _config(family="laplace")
+        with pytest.raises(ValueError, match="unknown family 5"):
+            _config(family=5)
         with pytest.raises(ValueError):
             _config(cov_form="wishart")
         with pytest.raises(ValueError):
@@ -76,6 +78,49 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="scenario_id must be a nonempty string") as err:
             _config(scenario_id=scenario_id)
         assert repr(scenario_id) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p", 3.5),
+            ("p", "5"),
+            ("n1", True),
+            ("n2", None),
+            ("draws", 10.5),
+            ("replications", 2.5),
+            ("seed", 1.7),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            _config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("alpha", "0.05"), ("beta", True)])
+    def test_levels_must_be_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a number"):
+            _config(**{field: value})
+
+    @pytest.mark.parametrize("deltas", [0.5, "1", ["1"], [0.0, True], None])
+    def test_deltas_must_be_a_list_of_numbers(self, deltas):
+        with pytest.raises(ValueError, match="^deltas must be a list of numbers"):
+            _config(deltas=deltas)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_deltas_must_be_finite(self, delta):
+        with pytest.raises(ValueError, match="deltas must be finite"):
+            _config(deltas=[0.0, delta])
+
+    @pytest.mark.parametrize("scenario_id", ["../escaped", "a/b", "a\\b", ".", ".."])
+    def test_scenario_id_must_be_a_plain_file_name(self, scenario_id):
+        with pytest.raises(ValueError, match="is not a plain file name"):
+            _config(scenario_id=scenario_id)
+
+    def test_load_configs_rejects_duplicate_ids(self, tmp_path):
+        path = tmp_path / "config.json"
+        items = [config_to_dict(_config(scenario_id=name)) for name in ("twice", "once", "twice")]
+        path.write_text(json.dumps(items))
+        with pytest.raises(ValueError, match="^duplicate scenario_id 'twice'$"):
+            load_configs(path)
 
     def test_hotelling_needs_p_at_most_n1_plus_n2_minus_2(self):
         assert _config(estimator="hotelling", p=28).p == 28
@@ -270,10 +315,11 @@ class TestOutputFiles:
         config = _config()
         single = tmp_path / "one.json"
         single.write_text(json.dumps(config_to_dict(config)))
+        other = _config(scenario_id="other")
         many = tmp_path / "two.json"
-        many.write_text(json.dumps([config_to_dict(config), config_to_dict(config)]))
+        many.write_text(json.dumps([config_to_dict(config), config_to_dict(other)]))
         assert load_configs(single) == [config]
-        assert load_configs(many) == [config, config]
+        assert load_configs(many) == [config, other]
 
     def test_load_configs_names_the_scenarios_without_a_seed(self, tmp_path):
         seeded = config_to_dict(_config(scenario_id="seeded"))

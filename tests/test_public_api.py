@@ -1,6 +1,9 @@
 """The README's list of public names and `twosample.__all__` must agree."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import twosample
@@ -31,3 +34,25 @@ def test_every_exported_name_resolves():
 
 def test_readme_lists_exactly_the_exported_names():
     assert _readme_public_names() == set(twosample.__all__)
+
+
+def _run(*args):
+    """Run a fresh interpreter on this checkout's package."""
+    src = Path(twosample.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_import_leaves_the_command_line_out():
+    probe = "import sys, twosample; print('argparse' in sys.modules, 'twosample.cli' in sys.modules)"
+    result = _run("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False"]
+
+
+def test_module_entry_point_runs():
+    result = _run("-m", "twosample", "--help")
+    assert result.returncode == 0, result.stderr
+    assert "simulate" in result.stdout
