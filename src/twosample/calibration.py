@@ -9,6 +9,7 @@ import numpy as np
 from . import statistic
 from .covariance import (
     _apply_taper,
+    _is_real,
     _plain_from_aggregates,
     _plain_gram,
     _taper_bandwidth,
@@ -31,7 +32,7 @@ def _check_int(name, value):
 
 @dataclass(frozen=True)
 class NullDrawConfig:
-    """Number of reference draws, nominal level, and the generator seed."""
+    """Reference draws (an int >= 1), level alpha in (0, 1), and generator seed (an int >= 0)."""
 
     draws: int = 10000
     alpha: float = 0.05
@@ -41,8 +42,13 @@ class NullDrawConfig:
         _check_int("draws", self.draws)
         if self.draws < 1:
             raise ValueError("draws must be at least 1")
+        if not _is_real(self.alpha):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
+        _check_int("seed", self.seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,9 @@ def _checked_pair(x, y, estimator):
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     mx, my = _check_pair(x, y)
     if mx.shape[0] < 2 or my.shape[0] < 2:
-        raise ValueError("run_test needs at least two rows in each sample")
+        raise ValueError(
+            f"x and y need at least two rows each: x has {mx.shape[0]}, y has {my.shape[0]}"
+        )
     return mx, my
 
 
@@ -193,8 +201,8 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     out = []
     squares = None
     for s in shifts:
-        mx, my = _checked_pair(mx, my0 + s, estimator)
-        _, stat, lam = _estimate(mx, my, kernel, estimator, beta)
+        # a shift keeps the row counts, and pair_aggregates checks that y is finite
+        _, stat, lam = _estimate(mx, my0 + s, kernel, estimator, beta)
         if squares is None:
             squares = _squared_normals(config.draws, lam.size, rng)
         out.append((stat, empirical_quantile(squares @ lam, level)))

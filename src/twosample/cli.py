@@ -29,13 +29,6 @@ def _report_fields(report, draws):
     }
 
 
-def _resolve_seed(args):
-    if args.seed is None:
-        print(f"--seed not given; using fixed default {DEFAULT_SEED}")
-        return DEFAULT_SEED
-    return args.seed
-
-
 def _checked(convert, ok, requirement):
     """An argparse type: convert the text, then reject a value failing `ok` (exit 2)."""
 
@@ -50,6 +43,7 @@ def _checked(convert, ok, requirement):
 
 
 _COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+_SEED = _checked(int, lambda v: v >= 0, "at least 0")
 _LEVEL = _checked(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 _POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
 
@@ -62,33 +56,48 @@ def _add_test_flags(parser):
     parser.add_argument("--beta", type=_POSITIVE, default=0.25, help="taper smoothness exponent")
     parser.add_argument("--alpha", type=_LEVEL, default=0.05)
     parser.add_argument("--draws", type=_COUNT, default=10000, help="Monte-Carlo reference draws M")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=_SEED, default=None)
     parser.add_argument("--json", dest="json_path", default=None, help="write the report as JSON")
 
 
-def _cmd_test(args):
+def _read_inputs(args):
+    """The two samples of `test` and `blocks`, and their NullDrawConfig."""
     x = load_matrix_csv(args.x)
     y = load_matrix_csv(args.y)
-    seed = _resolve_seed(args)
-    config = NullDrawConfig(draws=args.draws, alpha=args.alpha, seed=seed)
+    seed = args.seed
+    if seed is None:
+        print(f"--seed not given; using fixed default {DEFAULT_SEED}")
+        seed = DEFAULT_SEED
+    return x, y, NullDrawConfig(draws=args.draws, alpha=args.alpha, seed=seed)
+
+
+def _settings(args, config):
+    """The JSON keys that record how a test was run."""
+    return {
+        "kernel": args.kernel,
+        "estimator": args.estimator,
+        "alpha": config.alpha,
+        "M": config.draws,
+        "seed": config.seed,
+    }
+
+
+def _cmd_test(args):
+    x, y, config = _read_inputs(args)
     report = run_test(x, y, args.kernel, args.estimator, config, beta=args.beta)
     print(f"statistic  {report.statistic:.10g}")
-    print(f"cutoff     {report.cutoff:.10g} (alpha={args.alpha})")
+    print(f"cutoff     {report.cutoff:.10g} (alpha={config.alpha})")
     print(f"p_value    {report.p_value:.10g}")
     print(f"reject     {report.reject}")
     if args.json_path:
         _write_json(
             args.json_path,
             {
-                **_report_fields(report, args.draws),
+                **_report_fields(report, config.draws),
                 "p": int(x.shape[1]),
                 "n1": int(x.shape[0]),
                 "n2": int(y.shape[0]),
-                "kernel": args.kernel,
-                "estimator": args.estimator,
-                "alpha": args.alpha,
-                "M": args.draws,
-                "seed": seed,
+                **_settings(args, config),
             },
         )
     return 0
@@ -113,19 +122,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_blocks(args):
-    x = load_matrix_csv(args.x)
-    y = load_matrix_csv(args.y)
-    seed = _resolve_seed(args)
+    x, y, config = _read_inputs(args)
     reports = run_realdata_blocks(
-        x,
-        y,
-        args.width,
-        kernel=args.kernel,
-        estimator=args.estimator,
-        beta=args.beta,
-        alpha=args.alpha,
-        draws=args.draws,
-        seed=seed,
+        x, y, args.width, args.kernel, args.estimator, config, beta=args.beta
     )
     summary = block_summary(reports)
     for item in reports:
@@ -141,17 +140,13 @@ def _cmd_blocks(args):
             args.json_path,
             {
                 "width": args.width,
-                "kernel": args.kernel,
-                "estimator": args.estimator,
-                "alpha": args.alpha,
-                "M": args.draws,
-                "seed": seed,
+                **_settings(args, config),
                 "blocks": [
                     {
                         "index": item.index,
                         "start": item.start,
                         "stop": item.stop,
-                        **_report_fields(item.report, args.draws),
+                        **_report_fields(item.report, config.draws),
                     }
                     for item in reports
                 ],

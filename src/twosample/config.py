@@ -4,16 +4,14 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .calibration import DEFAULT_SEED, ESTIMATORS, _check_int
+from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, _check_int
+from .covariance import _is_real, _taper_bandwidth
 from .datagen import COV_FORMS, parse_family
+from .seeding import derive_seed
 from .statistic import KERNELS
 
 HOTELLING = "hotelling"
 ESTIMATOR_CHOICES = ESTIMATORS + (HOTELLING,)
-
-
-def _is_real(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -22,7 +20,8 @@ class ScenarioConfig:
 
     `deltas` is the location-shift grid; a singleton (0.0,) describes a size
     experiment. `draws` is the Monte-Carlo reference size M per test and
-    `replications` the number R of independent data replications.
+    `replications` the number R of independent data replications. `seed`
+    is any integer: the replications draw from seeds derived from it.
     """
 
     scenario_id: str
@@ -49,12 +48,8 @@ class ScenarioConfig:
         parse_family(self.family)
         if self.cov_form not in COV_FORMS:
             raise ValueError(f"unknown covariance form {self.cov_form!r}; expected one of {COV_FORMS}")
-        for name in ("p", "n1", "n2", "draws", "replications", "seed"):
+        for name in ("p", "n1", "n2", "replications", "seed"):
             _check_int(name, getattr(self, name))
-        for name in ("beta", "alpha"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
         if min(self.p, self.n1, self.n2) < 1:
             raise ValueError("p, n1, and n2 must be at least 1")
         if not isinstance(self.deltas, (list, tuple)) or not all(map(_is_real, self.deltas)):
@@ -76,14 +71,15 @@ class ScenarioConfig:
                 f"scenario {self.scenario_id!r}: hotelling needs p <= n1 + n2 - 2, "
                 f"got p={self.p}, n1={self.n1}, n2={self.n2}"
             )
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.draws < 1:
-            raise ValueError("draws must be at least 1")
+        # beta, draws and alpha follow the rules of the tests that use them
+        _taper_bandwidth(self.beta, self.n1 + self.n2, self.p)
+        self._draw_config(0)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+
+    def _draw_config(self, r):
+        """The reference-draw settings of replication r, seeded by (seed, r, 1)."""
+        return NullDrawConfig(self.draws, self.alpha, derive_seed(self.seed, r, 1))
 
 
 def config_to_dict(config):

@@ -44,8 +44,14 @@ def _plain_gram(g, sx, sy):
     return c.T @ c if c.shape[1] <= n else c @ c.T
 
 
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _taper_bandwidth(beta, n, p):
-    """Taper bandwidth k = min(n^(1/(2 beta + 2)), p), kept real-valued."""
+    """Taper bandwidth k = min(n^(1/(2 beta + 2)), p) for a number beta > 0, kept real."""
+    if not _is_real(beta):
+        raise ValueError(f"beta must be a number, got {beta!r}")
     if not beta > 0:
         raise ValueError("beta must be positive")
     return min(float(n) ** (1.0 / (2.0 * float(beta) + 2.0)), float(p))

@@ -7,38 +7,20 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .baselines import hotelling_t2
-from .calibration import NullDrawConfig, _shift_tests
+from .calibration import _shift_tests
 from .config import HOTELLING, config_to_dict
 from .datagen import generate_scenario, shift_vector
-from .seeding import derive_seed, substream
-
-CSV_COLUMNS = (
-    "scenario_id",
-    "family",
-    "cov_form",
-    "p",
-    "n1",
-    "n2",
-    "kernel",
-    "estimator",
-    "alpha",
-    "M",
-    "R",
-    "delta",
-    "reject_frac",
-    "mcse",
-    "seconds",
-)
+from .seeding import substream
 
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One CSV line; the fields are in CSV_COLUMNS order (draws is M, replications R)."""
+    """One CSV line; CSV_COLUMNS names its fields, draws as M and replications as R."""
 
     scenario_id: str
     family: str
@@ -57,6 +39,10 @@ class ResultRow:
     seconds: float
 
 
+_CSV_NAMES = {"draws": "M", "replications": "R"}
+CSV_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(ResultRow))
+
+
 def _replicate(task):
     """One replication: sample once, return the rejection flag at each delta.
 
@@ -71,11 +57,8 @@ def _replicate(task):
     shifts = [shift_vector(config.p, d) for d in config.deltas]
     if config.estimator == HOTELLING:
         return [hotelling_t2(x, y0 + s).p_value <= config.alpha for s in shifts]
-    draw_config = NullDrawConfig(
-        draws=config.draws, alpha=config.alpha, seed=derive_seed(config.seed, r, 1)
-    )
     tests = _shift_tests(
-        x, y0, shifts, config.kernel, config.estimator, draw_config, config.beta
+        x, y0, shifts, config.kernel, config.estimator, config._draw_config(r), config.beta
     )
     return [stat > cutoff for stat, cutoff in tests]
 

@@ -2,11 +2,11 @@
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import DEFAULT_SEED, NullDrawConfig, TestReport, run_test
+from .calibration import PLAIN, NullDrawConfig, TestReport, _check_int, run_test
 from .seeding import derive_seed
 from .statistic import _check_pair
 
@@ -68,27 +68,20 @@ class BlockSummary:
     histogram: tuple  # 20 equal-width p-value bins over [0, 1]
 
 
-def run_realdata_blocks(
-    x,
-    y,
-    width,
-    *,
-    kernel="sign",
-    estimator="plain",
-    beta=0.25,
-    alpha=0.05,
-    draws=10000,
-    seed=DEFAULT_SEED,
-):
-    """Column-block scan: one test per block of `width` consecutive columns.
+def run_realdata_blocks(x, y, width, kernel="sign", estimator=PLAIN, config=None, *, beta=0.25):
+    """Column-block scan: one `run_test` per block of `width` consecutive columns.
 
-    Trailing columns short of a full block are dropped. Block b uses the
-    seed derived from (seed, b), so its report does not depend on how many
-    other blocks run or in what order.
+    Trailing columns short of a full block are dropped. Block b runs with
+    `config` (default `NullDrawConfig()`) at the seed derived from
+    (config.seed, b), so its report does not depend on how many other
+    blocks run or in what order.
     """
     mx, my = _check_pair(x, y)
+    _check_int("width", width)
     if width < 1:
         raise ValueError("width must be at least 1")
+    if config is None:
+        config = NullDrawConfig()
     cols = mx.shape[1]
     blocks = cols // width
     if blocks == 0:
@@ -96,8 +89,8 @@ def run_realdata_blocks(
     reports = []
     for b in range(blocks):
         lo, hi = b * width, (b + 1) * width
-        config = NullDrawConfig(draws=draws, alpha=alpha, seed=derive_seed(seed, b))
-        result = run_test(mx[:, lo:hi], my[:, lo:hi], kernel, estimator, config, beta=beta)
+        block_config = replace(config, seed=derive_seed(config.seed, b))
+        result = run_test(mx[:, lo:hi], my[:, lo:hi], kernel, estimator, block_config, beta=beta)
         reports.append(BlockReport(index=b, start=lo, stop=hi, report=result))
     return reports
 

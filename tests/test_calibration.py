@@ -40,6 +40,21 @@ class TestNullDrawConfig:
         with pytest.raises(ValueError, match=f"^draws must be an integer, got {draws!r}$"):
             NullDrawConfig(draws=draws)
 
+    @pytest.mark.parametrize("seed", [1.7, True, "7"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            NullDrawConfig(seed=seed)
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+            NullDrawConfig(seed=-1)
+        assert NullDrawConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("alpha", ["0.5", True])
+    def test_alpha_must_be_a_number(self, alpha):
+        with pytest.raises(ValueError, match=f"^alpha must be a number, got {alpha!r}$"):
+            NullDrawConfig(alpha=alpha)
+
 
 class TestSimulateNullDraws:
     def test_zero_spectrum_gives_zero_draws(self):
@@ -148,6 +163,14 @@ class TestRunTest:
         tapered = run_test(x, y, "identity", "taper", config, beta=0.25)
         assert plain.statistic == tapered.statistic
         assert plain.cutoff != tapered.cutoff
+
+    @pytest.mark.parametrize("beta", ["x", True])
+    def test_taper_beta_must_be_a_number(self, beta):
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal((8, 4))
+        y = rng.standard_normal((9, 4))
+        with pytest.raises(ValueError, match=f"^beta must be a number, got {beta!r}$"):
+            run_test(x, y, "sign", "taper", NullDrawConfig(draws=50), beta=beta)
 
     @pytest.mark.parametrize("estimator", ["plain", "taper"])
     def test_one_pair_pass_per_test(self, monkeypatch, estimator):

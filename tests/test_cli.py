@@ -83,7 +83,7 @@ class TestLoadMatrixCsv:
 class TestRunRealdataBlocks:
     def test_blocks_partition_and_drop_remainder(self, sample_pair):
         x, y, _, _ = sample_pair
-        reports = run_realdata_blocks(x, y, 3, draws=200, seed=5)
+        reports = run_realdata_blocks(x, y, 3, config=NullDrawConfig(draws=200, seed=5))
         assert [(b.start, b.stop) for b in reports] == [(0, 3), (3, 6)]
         summary = block_summary(reports)
         assert sum(summary.histogram) == 2
@@ -91,18 +91,24 @@ class TestRunRealdataBlocks:
 
     def test_single_block_when_width_is_column_count(self, sample_pair):
         x, y, _, _ = sample_pair
-        reports = run_realdata_blocks(x, y, 7, draws=200, seed=5)
+        reports = run_realdata_blocks(x, y, 7, config=NullDrawConfig(draws=200, seed=5))
         assert len(reports) == 1
 
     def test_width_beyond_columns_raises(self, sample_pair):
         x, y, _, _ = sample_pair
         with pytest.raises(ValueError, match="width"):
-            run_realdata_blocks(x, y, 8, draws=200, seed=5)
+            run_realdata_blocks(x, y, 8, config=NullDrawConfig(draws=200, seed=5))
+
+    @pytest.mark.parametrize("width", [2.5, True])
+    def test_width_must_be_an_integer(self, sample_pair, width):
+        x, y, _, _ = sample_pair
+        with pytest.raises(ValueError, match=f"^width must be an integer, got {width!r}$"):
+            run_realdata_blocks(x, y, width, config=NullDrawConfig(draws=200, seed=5))
 
     def test_block_reports_do_not_depend_on_other_blocks(self, sample_pair):
         # block b is keyed by (seed, b), so a standalone run reproduces it
         x, y, _, _ = sample_pair
-        reports = run_realdata_blocks(x, y, 3, draws=200, seed=5)
+        reports = run_realdata_blocks(x, y, 3, config=NullDrawConfig(draws=200, seed=5))
         config = NullDrawConfig(draws=200, alpha=0.05, seed=derive_seed(5, 1))
         standalone = run_test(x[:, 3:6], y[:, 3:6], "sign", "plain", config)
         assert reports[1].report == standalone
@@ -188,6 +194,17 @@ class TestCliTest:
         err = capsys.readouterr().err
         assert "x and y" in err and "identity kernel" in err
 
+    @pytest.mark.parametrize("command", [["test"], ["blocks", "--width", "1"]])
+    def test_one_row_sample_names_the_input(self, tmp_path, capsys, command):
+        one = tmp_path / "one.csv"
+        one.write_text("1,2\n")
+        good = tmp_path / "good.csv"
+        good.write_text("1,2\n3,4\n5,6\n")
+        code = main([*command, "--x", str(one), "--y", str(good), "--seed", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: x and y need at least two rows each: x has 1, y has 3\n"
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
         good.write_text("1,2\n3,4\n")
@@ -224,7 +241,7 @@ class TestCliBlocks:
         args = ["blocks", "--x", x_path, "--y", y_path, "--width", "3", "--draws", "200"]
         assert main(args + ["--seed", "9", "--json", str(out)]) == 0
         blocks = json.loads(out.read_text())["blocks"]
-        reports = run_realdata_blocks(x, y, 3, draws=200, seed=9)
+        reports = run_realdata_blocks(x, y, 3, config=NullDrawConfig(draws=200, seed=9))
         for block, item in zip(blocks, reports):
             assert set(block) == {
                 "index", "start", "stop", "statistic", "cutoff", "p_value", "reject",
@@ -376,6 +393,8 @@ class TestCliSimulate:
         ["blocks", "--width", "3", "--draws", "0"],
         ["blocks", "--width", "3", "--alpha", "-0.5"],
         ["blocks", "--width", "3", "--beta", "-1"],
+        ["test", "--seed", "-1"],
+        ["blocks", "--width", "3", "--seed", "-1"],
     ],
 )
 def test_out_of_range_numeric_flag_is_a_usage_error(tmp_path, capsys, argv):
