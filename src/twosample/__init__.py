@@ -1,6 +1,6 @@
 """Two-sample location testing with kernel U-statistics and Monte-Carlo cutoffs."""
 
-from .baselines import BaselineReport, f_cdf, hotelling_t2
+from .baselines import BaselineReport, hotelling_t2
 from .calibration import (
     DEFAULT_SEED,
     ESTIMATORS,
@@ -43,7 +43,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "BaselineReport",
@@ -69,7 +69,6 @@ __all__ = [
     "eigenvalues_sym",
     "empirical_quantile",
     "estimate_plain",
-    "f_cdf",
     "generate_scenario",
     "hotelling_t2",
     "load_configs",

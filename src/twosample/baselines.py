@@ -48,20 +48,6 @@ def hotelling_t2(x, y):
     return BaselineReport(t2=t2, f_stat=f_stat, df1=df1, df2=df2, p_value=p_value)
 
 
-def f_cdf(x, d1, d2):
-    """CDF of the F(d1, d2) distribution, accurate to about 1e-10 absolute."""
-    if not (d1 > 0 and d2 > 0):
-        raise ValueError("degrees of freedom must be positive")
-    if math.isnan(x) or x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    t = d1 * x / (d1 * x + d2)
-    return _betainc(d1 / 2.0, d2 / 2.0, t)
-
-
 def _betainc(a, b, x):
     """Regularized incomplete beta I_x(a, b) by continued fraction."""
     if x <= 0.0:

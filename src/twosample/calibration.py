@@ -88,7 +88,9 @@ def _squared_normals(draws, k, rng):
     matrix serves every spectrum of that length drawn with the same seed.
     """
     z = rng.standard_normal((draws, k))
-    return z * z - 1.0
+    z *= z  # in place: no draws x k temporaries
+    z -= 1.0
+    return z
 
 
 def empirical_quantile(values, level):

@@ -2,8 +2,10 @@
 
 import contextlib
 import csv
+import ctypes
 import json
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -41,6 +43,60 @@ class ResultRow:
 
 _CSV_NAMES = {"draws": "M", "replications": "R"}
 CSV_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(ResultRow))
+
+# workers must inherit the parent's one-thread BLAS, which a forkserver or
+# spawned worker would not; None (no fork here) keeps the default method
+_FORK = (
+    multiprocessing.get_context("fork")
+    if "fork" in multiprocessing.get_all_start_methods()
+    else None
+)
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_threads():
+    """(setter, getter) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    dlsym on numpy's linalg extension also searches the libraries it links,
+    so this finds the BLAS numpy actually calls, bundled or system-wide.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for set_name, get_name in _OPENBLAS_THREAD_CALLS:
+        try:
+            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+        except AttributeError:
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS at one thread and restore its count after.
+
+    Entered before a fork pool starts, so each worker inherits one BLAS
+    thread: workers that each start a multi-threaded BLAS oversubscribe the
+    cores. Without an OpenBLAS thread setter it changes nothing.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    setter, getter = calls
+    before = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def _replicate(task):
@@ -87,8 +143,9 @@ def _row(config, delta, count, seconds):
 def run_power_curve(config, threads=1):
     """One ResultRow per grid delta; a one-point grid is a size experiment.
 
-    threads > 1 runs the replications in one process pool of
-    min(threads, replications) workers; when that is 1 they run serially.
+    threads > 1 runs the replications in one fork pool of
+    min(threads, replications) workers, each with one BLAS thread (the
+    parent's count is restored after); when that is 1 they run serially.
     Each row's `seconds` is the curve's wall time divided by the number of
     deltas.
     """
@@ -98,9 +155,10 @@ def run_power_curve(config, threads=1):
     tasks = [(config, r) for r in range(config.replications)]
     workers = min(threads, config.replications)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, config.replications // (workers * 4))
-            flags = list(pool.map(_replicate, tasks, chunksize=chunk))
+        with _one_blas_thread():
+            with ProcessPoolExecutor(max_workers=workers, mp_context=_FORK) as pool:
+                chunk = max(1, config.replications // (workers * 4))
+                flags = list(pool.map(_replicate, tasks, chunksize=chunk))
     else:
         flags = [_replicate(t) for t in tasks]
     seconds = (time.perf_counter() - start) / len(config.deltas)

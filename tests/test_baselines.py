@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twosample import BaselineReport, f_cdf, hotelling_t2
+from twosample import BaselineReport, hotelling_t2
+from twosample.baselines import _betainc
 
 
 class TestHotelling:
@@ -73,26 +74,34 @@ def _f_density(x, d1, d2):
     return np.exp(ln)
 
 
-class TestFCdf:
+def _f_cdf(x, d1, d2):
+    """The F(d1, d2) cdf as the incomplete beta I_t(d1/2, d2/2), t = d1 x / (d1 x + d2)."""
+    return _betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2))
+
+
+class TestBetainc:
+    """The incomplete beta behind hotelling_t2's p-value, checked as an F cdf."""
+
     def test_zero_and_huge(self):
-        assert f_cdf(0.0, 3.0, 5.0) == 0.0
-        assert f_cdf(1e6, 3.0, 5.0) > 0.999
-        assert f_cdf(math.inf, 3.0, 5.0) == 1.0
+        assert _f_cdf(0.0, 3.0, 5.0) == 0.0
+        assert _f_cdf(1e6, 3.0, 5.0) > 0.999
+        assert _betainc(1.5, 2.5, -0.1) == 0.0
+        assert _betainc(1.5, 2.5, 1.0) == 1.0
 
     def test_equal_dfs_median_at_one(self):
         for d in (1.0, 2.0, 5.0, 17.5):
-            assert abs(f_cdf(1.0, d, d) - 0.5) <= 1e-10
+            assert abs(_f_cdf(1.0, d, d) - 0.5) <= 1e-10
 
     def test_monotone_in_x(self):
         grid = np.linspace(0.0, 8.0, 200)
-        values = [f_cdf(g, 4.0, 9.0) for g in grid]
+        values = [_f_cdf(g, 4.0, 9.0) for g in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_closed_form_for_two_numerator_dfs(self):
         # F(x; 2, d2) has cdf 1 - (1 + 2 x / d2)^(-d2 / 2)
         for x in (0.05, 0.7, 1.3, 4.0):
             want = 1.0 - (1.0 + 2.0 * x / 7.0) ** (-3.5)
-            assert abs(f_cdf(x, 2.0, 7.0) - want) <= 1e-12
+            assert abs(_f_cdf(x, 2.0, 7.0) - want) <= 1e-12
 
     def test_quadrature_oracle(self):
         # independent route: integrate the density on a dense grid
@@ -102,10 +111,12 @@ class TestFCdf:
             density[0] = 0.0 if d1 > 2 else _f_density(1e-300, d1, d2)
             density[1:] = _f_density(grid[1:], d1, d2)
             integral = np.trapezoid(density, grid)
-            assert abs(f_cdf(upper, d1, d2) - integral) <= 1e-8
+            assert abs(_f_cdf(upper, d1, d2) - integral) <= 1e-8
 
-    def test_negative_x_raises(self):
-        with pytest.raises(ValueError):
-            f_cdf(-0.1, 2.0, 3.0)
-        with pytest.raises(ValueError):
-            f_cdf(1.0, 0.0, 3.0)
+    def test_hotelling_p_value_is_the_f_survival(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((15, 4))
+        y = rng.standard_normal((18, 4)) + 0.3
+        report = hotelling_t2(x, y)
+        cdf = _f_cdf(report.f_stat, report.df1, report.df2)
+        assert abs(report.p_value - (1.0 - cdf)) <= 1e-12

@@ -48,6 +48,31 @@ def _strip_time(row):
     return dataclasses.replace(row, seconds=0.0)
 
 
+def _one_blas_thread_seen(task):
+    """A replication task that flags whether its process runs one BLAS thread."""
+    _, getter = experiments._openblas_threads()
+    return [getter() == 1]
+
+
+def _failing_replication(task):
+    raise RuntimeError(f"replication {task[1]} failed")
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """The OpenBLAS thread getter, with the count set to 2 for the test."""
+    calls = experiments._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+    setter, getter = calls
+    before = getter()
+    setter(2)
+    try:
+        yield getter
+    finally:
+        setter(before)
+
+
 class TestScenarioConfig:
     def test_delta_grid_is_normalized_to_floats(self):
         config = _config(deltas=[0, 1])
@@ -252,6 +277,46 @@ class TestRunPowerCurve:
         assert multiprocessing.active_children() == []
         serial = run_power_curve(config, threads=1)
         assert [_strip_time(r) for r in rows] == [_strip_time(r) for r in serial]
+
+
+class TestBlasThreads:
+    """The pool's workers run one BLAS thread; the parent's count is kept."""
+
+    def test_workers_run_one_blas_thread(self, monkeypatch, blas_at_two_threads):
+        monkeypatch.setattr(experiments, "_replicate", _one_blas_thread_seen)
+        config = _config(replications=4)
+        [serial] = run_power_curve(config, threads=1)
+        [pooled] = run_power_curve(config, threads=2)
+        assert serial.reject_frac == 0.0 and pooled.reject_frac == 1.0
+        assert blas_at_two_threads() == 2
+
+    def test_parent_count_restored_when_a_replication_raises(
+        self, monkeypatch, blas_at_two_threads
+    ):
+        monkeypatch.setattr(experiments, "_replicate", _failing_replication)
+        with pytest.raises(RuntimeError, match="replication"):
+            run_power_curve(_config(replications=4), threads=2)
+        assert blas_at_two_threads() == 2
+
+    def test_pool_forks_its_workers(self, monkeypatch):
+        contexts = []
+
+        class ForkedPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, mp_context=None, **kwargs):
+                contexts.append(mp_context)
+                super().__init__(max_workers, mp_context, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", ForkedPool)
+        run_power_curve(_config(replications=4), threads=2)
+        [context] = contexts
+        assert context.get_start_method() == "fork"
+
+    def test_no_blas_setter_changes_no_rows(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_openblas_threads", lambda: None)
+        config = _config(deltas=(0.0, 1.0), replications=8)
+        pooled = run_power_curve(config, threads=2)
+        serial = run_power_curve(config, threads=1)
+        assert [_strip_time(r) for r in pooled] == [_strip_time(r) for r in serial]
 
 
 class TestOutputFiles:
