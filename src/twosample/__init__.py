@@ -23,6 +23,7 @@ from .experiments import (
     CSV_COLUMNS,
     ResultRow,
     run_power_curve,
+    run_power_curves,
     write_csv,
     write_manifest,
 )
@@ -39,11 +40,10 @@ from .statistic import (
     KERNELS,
     SIGN,
     compute_statistic,
-    compute_statistic_oracle,
     pair_aggregates,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "BaselineReport",
@@ -62,7 +62,6 @@ __all__ = [
     "TestReport",
     "block_summary",
     "compute_statistic",
-    "compute_statistic_oracle",
     "config_from_dict",
     "config_to_dict",
     "derive_seed",
@@ -76,6 +75,7 @@ __all__ = [
     "pair_aggregates",
     "parse_family",
     "run_power_curve",
+    "run_power_curves",
     "run_realdata_blocks",
     "run_test",
     "scenario_sigma",

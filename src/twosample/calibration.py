@@ -104,7 +104,8 @@ def empirical_quantile(values, level):
     # 0.95 cannot land an epsilon away from 19/20 and shift the rank
     frac = Fraction(level).limit_denominator(10**12)
     k = min(max(math.ceil(frac * v.size), 1), v.size)
-    return float(np.sort(v)[k - 1])
+    # the k-th smallest without sorting all M; NaN ranks last, as in a sort
+    return float(np.partition(v, k - 1)[k - 1])
 
 
 def _checked_pair(x, y, estimator):

@@ -1,6 +1,7 @@
 """Command-line front end: single tests on CSVs, simulation runs, block scans."""
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 
 from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, run_test
 from .config import load_configs
-from .experiments import _write_json, run_power_curve, write_csv, write_manifest
+from .experiments import _write_json, run_power_curves, write_csv, write_manifest
 from .realdata import block_summary, load_matrix_csv, run_realdata_blocks
 from .statistic import KERNELS
 
@@ -111,13 +112,15 @@ def _cmd_simulate(args):
         ),
     )
     os.makedirs(args.out, exist_ok=True)
-    for config in configs:
-        rows = run_power_curve(config, threads=args.threads)
-        csv_path = os.path.join(args.out, f"{config.scenario_id}.csv")
-        manifest_path = os.path.join(args.out, f"{config.scenario_id}.json")
-        write_csv(rows, csv_path)
-        write_manifest(config, manifest_path)
-        print(f"{config.scenario_id}: wrote {len(rows)} rows to {csv_path}")
+    # closing() shuts the pool down if a write fails; with the curves first,
+    # zip runs them to their end, so the pool is joined before we return
+    with contextlib.closing(run_power_curves(configs, threads=args.threads)) as curves:
+        for rows, config in zip(curves, configs):
+            csv_path = os.path.join(args.out, f"{config.scenario_id}.csv")
+            manifest_path = os.path.join(args.out, f"{config.scenario_id}.json")
+            write_csv(rows, csv_path)
+            write_manifest(config, manifest_path)
+            print(f"{config.scenario_id}: wrote {len(rows)} rows to {csv_path}")
     return 0
 
 

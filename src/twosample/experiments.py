@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import ctypes
+import itertools
 import json
 import math
 import multiprocessing
@@ -140,30 +141,49 @@ def _row(config, delta, count, seconds):
     )
 
 
-def run_power_curve(config, threads=1):
-    """One ResultRow per grid delta; a one-point grid is a size experiment.
+def run_power_curves(configs, threads=1):
+    """Yield each config's ResultRows, one list per config, in order.
 
-    threads > 1 runs the replications in one fork pool of
-    min(threads, replications) workers, each with one BLAS thread (the
-    parent's count is restored after); when that is 1 they run serially.
-    Each row's `seconds` is the curve's wall time divided by the number of
-    deltas.
+    One row per grid delta; a one-point grid is a size experiment.
+    threads > 1 runs every config's replications in one fork pool of
+    min(threads, total replications) workers, each with one BLAS thread
+    (the parent's count is restored after); when that is 1 they run
+    serially. All replications are queued at once, so the workers go on
+    with later configs while the caller handles a yielded curve. On an
+    error or an early close the pending replications are cancelled.
+    Each row's `seconds` is the wall time since the previous curve was
+    done (since the start for the first) divided by the number of deltas,
+    so the rows sum to the run's wall time.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     start = time.perf_counter()
-    tasks = [(config, r) for r in range(config.replications)]
-    workers = min(threads, config.replications)
-    if workers > 1:
-        with _one_blas_thread():
-            with ProcessPoolExecutor(max_workers=workers, mp_context=_FORK) as pool:
-                chunk = max(1, config.replications // (workers * 4))
-                flags = list(pool.map(_replicate, tasks, chunksize=chunk))
-    else:
-        flags = [_replicate(t) for t in tasks]
-    seconds = (time.perf_counter() - start) / len(config.deltas)
-    counts = np.count_nonzero(flags, axis=0)  # rejections per delta
-    return [_row(config, d, c, seconds) for d, c in zip(config.deltas, counts)]
+    configs = list(configs)
+    tasks = [(config, r) for config in configs for r in range(config.replications)]
+    workers = min(threads, len(tasks))
+    with contextlib.ExitStack() as stack:
+        flags = map(_replicate, tasks)
+        if workers > 1:
+            stack.enter_context(_one_blas_thread())
+            pool = ProcessPoolExecutor(max_workers=workers, mp_context=_FORK)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            # a chunk size dividing every R keeps each chunk inside one config,
+            # so a failing replication cannot take an earlier curve with it
+            chunk = max(1, len(tasks) // (workers * 4))
+            chunk = math.gcd(chunk, *(c.replications for c in configs))
+            flags = pool.map(_replicate, tasks, chunksize=chunk)
+        for config in configs:
+            # rejections per delta, over this config's replications
+            counts = np.count_nonzero(list(itertools.islice(flags, config.replications)), axis=0)
+            done = time.perf_counter()
+            seconds, start = (done - start) / len(config.deltas), done
+            yield [_row(config, d, c, seconds) for d, c in zip(config.deltas, counts)]
+
+
+def run_power_curve(config, threads=1):
+    """The ResultRows of one config; see run_power_curves."""
+    [rows] = run_power_curves([config], threads)
+    return rows
 
 
 @contextlib.contextmanager

@@ -31,16 +31,6 @@ def _check_kernel(kernel):
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
 
 
-def _unit(d):
-    # scale by the largest magnitude first so the squared norm cannot
-    # overflow or underflow for extreme but finite differences
-    m = np.max(np.abs(d))
-    if m == 0.0:
-        return np.zeros_like(d)
-    s = d / m
-    return s / np.sqrt(s @ s)
-
-
 def pair_aggregates(x, y, kernel):
     """All sums over the n1*n2 kernel values h(x_i - y_j), with no loop over pairs.
 
@@ -176,31 +166,3 @@ def _recentred_statistic(stat, g, n1, n2, delta):
     """
     correction = (n1 - 1) * (n2 - 1) * (n1 * n2 * float(delta @ delta) - 2.0 * float(delta @ g))
     return stat + correction / ((n1 + n2) * n1 * n2)
-
-
-def compute_statistic_oracle(x, y, kernel):
-    """Literal quadruple-sum evaluation, for cross-checking on small inputs.
-
-    Cost is O(n1^2 n2^2 p); intended for n1 * n2 up to about 100.
-    """
-    mx, my = _check_pair(x, y)
-    _check_kernel(kernel)
-    n1, p = mx.shape
-    n2 = my.shape[0]
-    n = n1 + n2
-    h = np.empty((n1, n2, p))
-    for i in range(n1):
-        for j in range(n2):
-            d = mx[i] - my[j]
-            h[i, j] = d if kernel == IDENTITY else _unit(d)
-    total = 0.0
-    for i1 in range(n1):
-        for i2 in range(n1):
-            if i2 == i1:
-                continue
-            for j1 in range(n2):
-                for j2 in range(n2):
-                    if j2 == j1:
-                        continue
-                    total += float(h[i1, j1] @ h[i2, j2])
-    return total / (n * n1 * n2)

@@ -18,12 +18,13 @@ from twosample import (
     NullDrawConfig,
     ScenarioConfig,
     compute_statistic,
-    compute_statistic_oracle,
     derive_seed,
     run_power_curve,
     shift_vector,
     simulate_null_draws,
 )
+
+from oracle import compute_statistic_oracle
 
 SEED = 20250819
 

@@ -1,4 +1,7 @@
+import csv
 import json
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -6,12 +9,21 @@ import pytest
 from twosample import (
     NullDrawConfig,
     block_summary,
+    cli,
     derive_seed,
+    experiments,
     load_matrix_csv,
     run_realdata_blocks,
     run_test,
 )
 from twosample.cli import main
+
+
+def _second_scenario_fails(task):
+    config, r = task
+    if config.scenario_id == "second":
+        raise ValueError(f"replication {r} of {config.scenario_id} failed")
+    return [False] * len(config.deltas)
 
 
 def _write_matrix(path, matrix):
@@ -320,12 +332,17 @@ class TestCliSimulate:
         }
         return {**base, **overrides}
 
-    def _run_invalid(self, tmp_path, capsys, scenarios):
-        """Run simulate on a bad scenario list; no result file may appear."""
+    def _simulate(self, tmp_path, scenarios, threads=1):
+        """Run simulate on a scenario list; the exit code and output directory."""
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(scenarios))
         out_dir = tmp_path / "out"
-        code = main(["simulate", "--config", str(config_path), "--out", str(out_dir)])
+        argv = ["simulate", "--config", str(config_path), "--out", str(out_dir)]
+        return main(argv + ["--threads", str(threads)]), out_dir
+
+    def _run_invalid(self, tmp_path, capsys, scenarios):
+        """Run simulate on a bad scenario list; no result file may appear."""
+        code, _ = self._simulate(tmp_path, scenarios)
         assert code == 1
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
         return capsys.readouterr()
@@ -371,6 +388,63 @@ class TestCliSimulate:
         scenarios = [self._scenario("good"), self._scenario("bad", **overrides)]
         err = self._run_invalid(tmp_path, capsys, scenarios).err
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "threads, replications, workers",
+        [(2, (4, 4, 4), [2]), (4, (1, 2), [3])],
+        ids=["three-scenarios", "fewer-replications"],
+    )
+    def test_one_pool_per_run(self, tmp_path, monkeypatch, threads, replications, workers):
+        sizes = []
+
+        class SizedPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SizedPool)
+        scenarios = [self._scenario(f"s{i}", replications=r) for i, r in enumerate(replications)]
+        code, out_dir = self._simulate(tmp_path, scenarios, threads)
+        assert code == 0
+        assert sizes == workers
+        # the pool's workers are joined before simulate returns
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            f"s{i}.{ext}" for i in range(len(replications)) for ext in ("csv", "json")
+        )
+
+    def test_failing_scenario_keeps_the_earlier_files(
+        self, tmp_path, monkeypatch, capsys, blas_at_two_threads
+    ):
+        monkeypatch.setattr(experiments, "_replicate", _second_scenario_fails)
+        scenarios = [self._scenario("first"), self._scenario("second")]
+        code, out_dir = self._simulate(tmp_path, scenarios, threads=2)
+        assert blas_at_two_threads() == 2
+        assert code == 1
+        assert "replication" in capsys.readouterr().err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["first.csv", "first.json"]
+        assert multiprocessing.active_children() == []
+
+    def test_seconds_count_the_time_since_the_previous_curve(self, tmp_path, monkeypatch):
+        # a slow write of one curve's file is counted in the next curve's seconds
+        original = cli.write_csv
+
+        def slow_write_csv(rows, path):
+            time.sleep(0.1)
+            original(rows, path)
+
+        monkeypatch.setattr(cli, "write_csv", slow_write_csv)
+        scenarios = [self._scenario(f"s{i}", deltas=[0.0, 1.0]) for i in range(3)]
+        start = time.perf_counter()
+        code, out_dir = self._simulate(tmp_path, scenarios, threads=2)
+        wall = time.perf_counter() - start
+        assert code == 0
+        seconds = []
+        for i in range(3):
+            with open(out_dir / f"s{i}.csv", newline="") as fh:
+                seconds += [float(row["seconds"]) for row in csv.DictReader(fh)]
+        assert len(seconds) == 6 and min(seconds) >= 0.0
+        assert 0.2 <= sum(seconds) <= wall
 
     def test_duplicate_scenario_id_rejected(self, tmp_path, capsys):
         scenarios = [self._scenario("twice"), self._scenario("once"), self._scenario("twice", p=4)]

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from twosample import (
     generate_scenario,
     load_configs,
     run_power_curve,
+    run_power_curves,
     write_csv,
     write_manifest,
 )
@@ -58,19 +60,20 @@ def _failing_replication(task):
     raise RuntimeError(f"replication {task[1]} failed")
 
 
-@pytest.fixture
-def blas_at_two_threads():
-    """The OpenBLAS thread getter, with the count set to 2 for the test."""
-    calls = experiments._openblas_threads()
-    if calls is None:
-        pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
-    setter, getter = calls
-    before = getter()
-    setter(2)
-    try:
-        yield getter
-    finally:
-        setter(before)
+def _second_scenario_fails(task):
+    config, r = task
+    if config.scenario_id == "second":
+        raise RuntimeError(f"replication {r} of {config.scenario_id} failed")
+    return [False] * len(config.deltas)
+
+
+def _logged_replication(task):
+    """A slow replication that appends its scenario to a log in the cwd."""
+    config, _ = task
+    time.sleep(0.01)
+    with open("replications.log", "a") as fh:
+        fh.write(config.scenario_id + "\n")
+    return [False] * len(config.deltas)
 
 
 class TestScenarioConfig:
@@ -277,6 +280,70 @@ class TestRunPowerCurve:
         assert multiprocessing.active_children() == []
         serial = run_power_curve(config, threads=1)
         assert [_strip_time(r) for r in rows] == [_strip_time(r) for r in serial]
+
+
+class TestSharedPool:
+    """run_power_curves runs all configs' replications in one pool."""
+
+    def _configs(self, *replications):
+        return [
+            _config(scenario_id=f"s{i}", deltas=(0.0, 1.0), replications=r, seed=7 + i)
+            for i, r in enumerate(replications)
+        ]
+
+    @pytest.mark.parametrize(
+        "threads, replications, workers",
+        [(6, (2, 1), [3]), (2, (1, 1), [2]), (2, (3, 5, 2), [2])],
+        ids=["fewer-replications", "one-each", "fewer-threads"],
+    )
+    def test_one_pool_sized_to_all_the_work(self, monkeypatch, threads, replications, workers):
+        sizes = []
+
+        class SizedPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SizedPool)
+        configs = self._configs(*replications)
+        curves = list(run_power_curves(configs, threads=threads))
+        assert sizes == workers
+        assert multiprocessing.active_children() == []
+        serial = [run_power_curve(c, threads=1) for c in configs]
+        assert [[_strip_time(r) for r in rows] for rows in curves] == [
+            [_strip_time(r) for r in rows] for rows in serial
+        ]
+
+    def test_failure_in_a_later_config_keeps_the_earlier_curve(
+        self, monkeypatch, blas_at_two_threads
+    ):
+        monkeypatch.setattr(experiments, "_replicate", _second_scenario_fails)
+        configs = [_config(scenario_id="first", replications=4), _config(scenario_id="second")]
+        curves = run_power_curves(configs, threads=2)
+        [first] = next(curves)
+        assert first.scenario_id == "first" and first.reject_frac == 0.0
+        with pytest.raises(RuntimeError, match="of second failed"):
+            next(curves)
+        assert blas_at_two_threads() == 2
+        assert multiprocessing.active_children() == []
+
+    def test_early_close_cancels_the_queued_replications(
+        self, monkeypatch, tmp_path, blas_at_two_threads
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "_replicate", _logged_replication)
+        configs = [
+            _config(scenario_id="first", replications=2),
+            _config(scenario_id="rest", replications=200),
+        ]
+        curves = run_power_curves(configs, threads=2)
+        next(curves)
+        curves.close()
+        assert multiprocessing.active_children() == []
+        assert blas_at_two_threads() == 2
+        # only the chunks already running or queued to a worker finish
+        ran = (tmp_path / "replications.log").read_text().split()
+        assert ran.count("first") == 2 and ran.count("rest") < 200
 
 
 class TestBlasThreads:

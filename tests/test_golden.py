@@ -8,9 +8,12 @@ means to alter these numbers re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists every changed value in CHANGES.md.
+and lists every changed value in CHANGES.md. The reports are bit-exact to
+the OpenBLAS kernel they ran on, so each kernel with a recorded file has
+its own: re-record the Haswell file under OPENBLAS_CORETYPE=Haswell.
 """
 
+import ctypes
 import json
 import pathlib
 
@@ -25,6 +28,8 @@ GOLDEN = HERE / "golden"
 CONFIGS = HERE.parent / "configs"
 SIMULATE = ("demo", "size_p5", "size_p100", "power_p5", "power_p100")
 REDUCED_R = 20
+# the reports file per OpenBLAS core; any other core reads reports.txt
+REPORTS = {"Haswell": "reports_haswell.txt"}
 
 # (label, p, n1, n2, shift); the last has p > n1 + n2 - 2
 PAIRS = (
@@ -32,6 +37,20 @@ PAIRS = (
     ("p100", 100, 40, 50, 0.1),
     ("p40-n12-n15", 40, 12, 15, 0.5),
 )
+
+
+def _openblas_core():
+    """The OpenBLAS core numpy's BLAS runs, such as "SkylakeX", or None."""
+    try:
+        getter = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_char_p
+    return getter().decode()
+
+
+def _reports_golden():
+    return GOLDEN / REPORTS.get(_openblas_core(), "reports.txt")
 
 
 def _report_lines():
@@ -48,7 +67,7 @@ def _report_lines():
     return "".join(line + "\n" for line in lines)
 
 
-def _simulate_text(name, workdir):
+def _simulate_text(name, workdir, threads=1):
     """CSV text of every scenario in configs/<name>.json, without `seconds`."""
     scenarios = json.loads((CONFIGS / f"{name}.json").read_text())
     scenarios = scenarios if isinstance(scenarios, list) else [scenarios]
@@ -57,7 +76,8 @@ def _simulate_text(name, workdir):
     config_path = workdir / f"{name}.json"
     config_path.write_text(json.dumps(scenarios))
     out = workdir / f"{name}-out"
-    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    argv = ["simulate", "--config", str(config_path), "--out", str(out), "--threads", str(threads)]
+    assert main(argv) == 0
     text = ""
     for scenario in scenarios:
         csv_text = (out / f"{scenario['scenario_id']}.csv").read_text()
@@ -66,7 +86,7 @@ def _simulate_text(name, workdir):
 
 
 def test_reports_match_golden():
-    assert _report_lines() == (GOLDEN / "reports.txt").read_text()
+    assert _report_lines() == _reports_golden().read_text()
 
 
 @pytest.mark.parametrize("name", SIMULATE)
@@ -74,11 +94,18 @@ def test_simulate_matches_golden(name, tmp_path):
     assert _simulate_text(name, tmp_path) == (GOLDEN / f"simulate_{name}.csv").read_text()
 
 
+@pytest.mark.parametrize("name", SIMULATE)
+def test_threaded_simulate_matches_golden(name, tmp_path):
+    # one pool runs every scenario of the file; the rows must not change
+    text = _simulate_text(name, tmp_path, threads=2)
+    assert text == (GOLDEN / f"simulate_{name}.csv").read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    (GOLDEN / "reports.txt").write_text(_report_lines())
+    _reports_golden().write_text(_report_lines())
     with tempfile.TemporaryDirectory() as tmp:
         for name in SIMULATE:
             text = _simulate_text(name, pathlib.Path(tmp))
