@@ -1,0 +1,40 @@
+"""The thread count of the OpenBLAS that numpy calls, through ctypes."""
+
+import ctypes
+import functools
+
+import numpy as np
+
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(setter, getter) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    dlsym on numpy's linalg extension also searches the libraries it links,
+    so this finds the BLAS numpy actually calls, bundled or system-wide.
+    The library is looked up once per process.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for set_name, get_name in _OPENBLAS_THREAD_CALLS:
+        try:
+            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+        except AttributeError:
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return setter, getter
+    return None
+
+
+def _blas_threads():
+    """OpenBLAS's current thread count, or None when it has no getter."""
+    calls = _openblas_threads()
+    return None if calls is None else calls[1]()

@@ -1,6 +1,10 @@
 """Covariance structures, shift vectors, and elliptical samplers for simulations."""
 
+import functools
+
 import numpy as np
+
+from ._blas import _blas_threads
 
 GAUSSIAN = "gaussian"
 STUDENT_T = "t"
@@ -66,17 +70,31 @@ def parse_family(family):
     raise ValueError(f"unknown family {family!r}; expected gaussian, cauchy, or t<k>")
 
 
+@functools.lru_cache(maxsize=1)
+def _factor(cov_form, p, blas_threads):
+    """The read-only Cholesky factor of scenario_sigma(cov_form, p).
+
+    One factor is kept at a time, so a run over one design factors it once.
+    The key holds the OpenBLAS thread count because at large p the factor's
+    last bits depend on it.
+    """
+    chol = np.linalg.cholesky(scenario_sigma(cov_form, p))
+    chol.flags.writeable = False
+    return chol
+
+
 def generate_scenario(config, rng):
     """Draw (x, y) for a single-delta scenario.
 
     x is sampled at the origin and y at shift_vector(p, delta), sharing the
-    family and one Cholesky factor of the covariance form. x is drawn before
-    y from the same generator.
+    family and one Cholesky factor of the covariance form, which is reused
+    while the form, p and BLAS thread count stay the same. x is drawn
+    before y from the same generator.
     """
     if len(config.deltas) != 1:
         raise ValueError("generate_scenario needs a single-delta config; split the grid first")
     _, nu = parse_family(config.family)
-    chol = np.linalg.cholesky(scenario_sigma(config.cov_form, config.p))
+    chol = _factor(config.cov_form, config.p, _blas_threads())
     x = _sample(np.zeros(config.p), chol, nu, config.n1, rng)
     y = _sample(shift_vector(config.p, config.deltas[0]), chol, nu, config.n2, rng)
     return x, y

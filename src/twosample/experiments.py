@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import ctypes
 import itertools
 import json
 import math
@@ -14,6 +13,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
+from ._blas import _openblas_threads
 from .baselines import hotelling_t2
 from .calibration import _shift_tests
 from .config import HOTELLING, config_to_dict
@@ -52,31 +52,6 @@ _FORK = (
     if "fork" in multiprocessing.get_all_start_methods()
     else None
 )
-_OPENBLAS_THREAD_CALLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-def _openblas_threads():
-    """(setter, getter) of the thread count of the OpenBLAS numpy loaded, or None.
-
-    dlsym on numpy's linalg extension also searches the libraries it links,
-    so this finds the BLAS numpy actually calls, bundled or system-wide.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    for set_name, get_name in _OPENBLAS_THREAD_CALLS:
-        try:
-            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-        except AttributeError:
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        return setter, getter
-    return None
 
 
 @contextlib.contextmanager

@@ -108,10 +108,13 @@ def _sign_sums(mx, my, z):
     sumsq = float(near.size - np.count_nonzero(near))
     if near.any():
         i, j = np.nonzero(near)
-        h = mx[i] - my[j]
+        h = mx[i]
+        h -= my[j]
         top = np.max(np.abs(h), axis=1)
         keep = top > 0.0  # a tie x_i == y_j has kernel value 0
-        i, j, h = i[keep], j[keep], h[keep] / top[keep, None]
+        if not keep.all():
+            i, j, h, top = i[keep], j[keep], h[keep], top[keep]
+        h /= top[:, None]
         h /= np.sqrt(np.einsum("ij,ij->i", h, h))[:, None]
         _add_rows(sx, h, i)
         _add_rows(sy, h, j)

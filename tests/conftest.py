@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from twosample import experiments
+from twosample import datagen, experiments
 
 
 @pytest.fixture
@@ -16,3 +17,19 @@ def blas_at_two_threads():
         yield getter
     finally:
         setter(before)
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The shapes np.linalg.cholesky is called on, from an empty factor cache."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    datagen._factor.cache_clear()
+    yield calls
+    datagen._factor.cache_clear()

@@ -11,6 +11,7 @@ from twosample import (
     scenario_sigma,
     shift_vector,
 )
+from twosample import _blas, datagen
 from twosample.datagen import _sample
 
 
@@ -35,6 +36,31 @@ class TestScenarioSigma:
         # every named design must admit a Cholesky factorization up to p=2000
         for form in COV_FORMS:
             np.linalg.cholesky(scenario_sigma(form, 2000))
+
+
+class TestFactor:
+    """One read-only factor per (cov_form, p, BLAS thread count) at a time."""
+
+    def test_read_only_and_equal_to_a_fresh_factor(self):
+        chol = datagen._factor("ar", 50, _blas._blas_threads())
+        assert not chol.flags.writeable
+        with pytest.raises(ValueError):
+            chol[0, 0] = 2.0
+        assert np.array_equal(chol, np.linalg.cholesky(scenario_sigma("ar", 50)))
+
+    def test_thread_count_is_part_of_the_key(self, blas_at_two_threads):
+        # at p=300 OpenBLAS's factor can differ in its last bits between 1
+        # and 2 threads, so a factor taken at one count must not be reused
+        # at the other
+        config = _scenario(cov_form="equicorr", p=300, n1=3, n2=2)
+        setter, _ = _blas._openblas_threads()
+        datagen._factor.cache_clear()
+        for threads in (2, 1):
+            setter(threads)
+            x, _ = generate_scenario(config, np.random.default_rng(31))
+            fresh = np.linalg.cholesky(scenario_sigma("equicorr", 300))
+            z = np.random.default_rng(31).standard_normal((3, 300))
+            assert np.array_equal(x, z @ fresh.T)
 
 
 class TestShiftVector:
@@ -146,17 +172,20 @@ class TestGenerateScenario:
         gaussian_part = raw[:, :3] @ np.linalg.cholesky(scenario_sigma("equicorr", 3)).T
         assert np.allclose(x, gaussian_part / np.sqrt(w / 4.0)[:, None], rtol=1e-12, atol=0)
 
-    def test_sigma_is_factored_once(self, monkeypatch):
-        calls = []
-        cholesky = np.linalg.cholesky
-
-        def counting(a):
-            calls.append(a.shape)
-            return cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
+    def test_sigma_is_factored_once(self, cholesky_calls):
+        # the factor depends on the design alone, not on the family or shift
         generate_scenario(_scenario(family="t4", cov_form="ar"), np.random.default_rng(5))
-        assert calls == [(5, 5)]
+        generate_scenario(_scenario(cov_form="ar", deltas=(2.0,)), np.random.default_rng(6))
+        assert cholesky_calls == [(5, 5)]
+        generate_scenario(_scenario(cov_form="ar", p=6), np.random.default_rng(7))
+        assert cholesky_calls == [(5, 5), (6, 6)]
+
+    def test_warm_factor_draws_the_cold_bits(self):
+        config = _scenario(family="t5", cov_form="equicorr", p=40)
+        datagen._factor.cache_clear()
+        cold = generate_scenario(config, np.random.default_rng(29))
+        warm = generate_scenario(config, np.random.default_rng(29))
+        assert np.array_equal(cold[0], warm[0]) and np.array_equal(cold[1], warm[1])
 
     def test_multi_delta_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -239,6 +239,10 @@ class TestRunPowerCurve:
         assert len({row.seconds for row in rows}) == 1
         assert rows[0].seconds >= 0.0
 
+    def test_serial_curve_factors_its_design_once(self, cholesky_calls):
+        run_power_curve(_config(cov_form="equicorr", deltas=(0.0, 1.0), replications=4))
+        assert cholesky_calls == [(3, 3)]
+
     def test_one_pool_and_one_draw_per_replication(self, monkeypatch):
         pools, draws = [], []
 
