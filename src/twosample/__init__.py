@@ -43,7 +43,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "BaselineReport",

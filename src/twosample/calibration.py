@@ -72,25 +72,19 @@ class TestReport:
 def simulate_null_draws(spectrum, config, rng):
     """Draw config.draws values of sum_i lam_i * (Z_i^2 - 1), Z standard normal.
 
-    The p normals of draw j are consumed before any normal of draw j+1, which
-    pins the output for a given generator state.
+    The k normals of draw j are consumed before any normal of draw j+1, which
+    pins the output for a given generator state. A k x S matrix of spectra,
+    one per column, gives config.draws x S draws over one set of normals;
+    each column equals the call on that column alone, bit for bit.
     """
     lam = np.asarray(spectrum, dtype=float)
-    if lam.ndim != 1 or lam.size < 1:
-        raise ValueError("spectrum must be a nonempty 1-d sequence")
-    return _squared_normals(config.draws, lam.size, rng) @ lam
-
-
-def _squared_normals(draws, k, rng):
-    """Z * Z - 1 for a draws x k matrix Z of standard normals, drawn row by row.
-
-    Times a spectrum of length k it gives that spectrum's null draws, so one
-    matrix serves every spectrum of that length drawn with the same seed.
-    """
-    z = rng.standard_normal((draws, k))
+    if lam.ndim not in (1, 2) or lam.size == 0:
+        raise ValueError("spectrum must be a nonempty 1-d sequence or a k x S matrix of columns")
+    z = rng.standard_normal((config.draws, lam.shape[0]))
     z *= z  # in place: no draws x k temporaries
     z -= 1.0
-    return z
+    # column by column: one matrix product would round unlike the 1-d call
+    return z @ lam if lam.ndim == 1 else np.array([z @ col for col in lam.T]).T
 
 
 def empirical_quantile(values, level):
@@ -108,19 +102,6 @@ def empirical_quantile(values, level):
     return float(np.partition(v, k - 1)[k - 1])
 
 
-def _checked_pair(x, y, estimator):
-    """The input checks of a test: a known estimator and two finite samples
-    of equal width with at least two rows each."""
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    mx, my = _check_pair(x, y)
-    if mx.shape[0] < 2 or my.shape[0] < 2:
-        raise ValueError(
-            f"x and y need at least two rows each: x has {mx.shape[0]}, y has {my.shape[0]}"
-        )
-    return mx, my
-
-
 def _overflow(kernel):
     return ValueError(
         f"x and y are too large in magnitude for the {kernel} kernel: "
@@ -130,7 +111,7 @@ def _overflow(kernel):
 
 def _estimate(mx, my, kernel, estimator, beta):
     """One pair pass: the grand sum g, the statistic and the spectrum of the
-    estimate (plain from its Gram form, or tapered), as `run_test` takes them."""
+    estimate (plain from its Gram form, or tapered)."""
     # the identity kernel's sums can overflow for huge but finite data; that
     # is reported below in terms of x and y, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -148,10 +129,51 @@ def _estimate(mx, my, kernel, estimator, beta):
     return g, stat, eigenvalues_sym(est)
 
 
+def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
+    """T, spectrum and null draws of the test of x against y0 + s, per shift s.
+
+    Returns (stats, spectra, draws): a statistic per shift, and the k x C
+    spectra and config.draws x C null draws of C calibrations, where C is
+    len(shifts), or 1 when one serves every shift. shifts=None tests y0.
+
+    All calibrations draw over one set of null normals, which depend only
+    on config.seed and the spectrum length. The sign kernel makes one pair
+    pass and one spectrum per shift. The identity kernel has h = x - y, so
+    a shift of y recentres h and leaves the estimate as it is: one pass and
+    one calibration serve every shift, and T comes from
+    `_recentred_statistic`, equal to a separate test's up to rounding and
+    exactly at s = 0.
+    """
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    mx, my0 = _check_pair(x, y0)
+    if mx.shape[0] < 2 or my0.shape[0] < 2:
+        raise ValueError(
+            f"x and y need at least two rows each: x has {mx.shape[0]}, y has {my0.shape[0]}"
+        )
+    if shifts is None:
+        shifts = [np.zeros(mx.shape[1])]
+    if kernel == IDENTITY:
+        g, stat, lam = _estimate(mx, my0, kernel, estimator, beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = [_recentred_statistic(stat, g, mx.shape[0], my0.shape[0], s) for s in shifts]
+        if not np.isfinite(stats).all():
+            raise _overflow(kernel)
+        spectra = lam[:, None]
+    else:
+        # a shift keeps the row counts, and pair_aggregates checks that y is finite
+        passes = [_estimate(mx, my0 + s, kernel, estimator, beta) for s in shifts]
+        stats = [stat for _, stat, _ in passes]
+        spectra = np.array([lam for _, _, lam in passes]).T
+    draws = simulate_null_draws(spectra, config, np.random.default_rng(config.seed))
+    return stats, spectra, draws
+
+
 def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
     """Full test: statistic, spectrum estimate, null draws, cutoff, decision.
 
-    The statistic and the covariance estimate come from one pair pass. The
+    The one-shift case of the replication path (`_shift_tests`). The
+    statistic and the covariance estimate come from one pair pass. The
     plain spectrum is taken from the min(p, n1+n2)-square Gram form of the
     estimate (`_plain_gram`), so the null draws use that many weights; the
     tapered estimate is not low rank and keeps its p x p spectrum.
@@ -160,11 +182,10 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
     p-value (1 + #{V_j >= T}) / (M + 1) is reported alongside and may disagree
     with the flag at ties.
     """
-    mx, my = _checked_pair(x, y, estimator)
     if config is None:
         config = NullDrawConfig()
-    _, stat, lam = _estimate(mx, my, kernel, estimator, beta)
-    draws = simulate_null_draws(lam, config, np.random.default_rng(config.seed))
+    stats, spectra, draws = _shift_tests(x, y, None, kernel, estimator, config, beta)
+    stat, lam, draws = stats[0], spectra[:, 0], draws[:, 0]
     cutoff = empirical_quantile(draws, 1.0 - config.alpha)
     exceed = int(np.count_nonzero(draws >= stat))
     return TestReport(
@@ -176,37 +197,3 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
         top_eigenvalue=float(lam[0]),
         negative_eigenvalues=int(np.count_nonzero(lam < -_NEGATIVE_RTOL * abs(lam[0]))),
     )
-
-
-def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
-    """(statistic, cutoff) of `run_test(x, y0 + s, ...)` for each shift s.
-
-    The null normals depend only on config.seed and the spectrum length,
-    which does not change with the shift, so they are drawn once. The sign
-    kernel then makes one pair pass and one spectrum per shift, and its
-    values equal run_test's bit for bit. For the identity kernel h = x - y,
-    so shifting y by s recentres h by s: the centred sums, and with them
-    the estimate, the spectrum and the cutoff, do not change, and T comes
-    from `_recentred_statistic`. It makes one pair pass and one calibration
-    in all; its values equal run_test's up to rounding, and exactly at s = 0.
-    """
-    mx, my0 = _checked_pair(x, y0, estimator)
-    rng = np.random.default_rng(config.seed)
-    level = 1.0 - config.alpha
-    if kernel == IDENTITY:
-        g, stat, lam = _estimate(mx, my0, kernel, estimator, beta)
-        cutoff = empirical_quantile(simulate_null_draws(lam, config, rng), level)
-        with np.errstate(over="ignore", invalid="ignore"):
-            stats = [_recentred_statistic(stat, g, mx.shape[0], my0.shape[0], s) for s in shifts]
-        if not np.isfinite(stats).all():
-            raise _overflow(kernel)
-        return [(t, cutoff) for t in stats]
-    out = []
-    squares = None
-    for s in shifts:
-        # a shift keeps the row counts, and pair_aggregates checks that y is finite
-        _, stat, lam = _estimate(mx, my0 + s, kernel, estimator, beta)
-        if squares is None:
-            squares = _squared_normals(config.draws, lam.size, rng)
-        out.append((stat, empirical_quantile(squares @ lam, level)))
-    return out

@@ -13,9 +13,9 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
+from . import calibration
 from ._blas import _openblas_threads
 from .baselines import hotelling_t2
-from .calibration import _shift_tests
 from .config import HOTELLING, config_to_dict
 from .datagen import generate_scenario, shift_vector
 from .seeding import substream
@@ -81,18 +81,20 @@ def _replicate(task):
     The data stream is keyed by (seed, r, 0) and the null-draw stream by
     (seed, r, 1). The sampler draws y as location + noise, so y0 + the shift
     at d is bit for bit the y that a config with the single delta d draws.
-    The kernel tests at all deltas share one calibration where they can
-    (`_shift_tests`) and reject when T > c(alpha), as `run_test` does.
+    The kernel tests at all deltas share the null normals (`_shift_tests`)
+    and reject when T > c(alpha), as `run_test` does.
     """
     config, r = task
     x, y0 = generate_scenario(replace(config, deltas=(0.0,)), substream(config.seed, r, 0))
     shifts = [shift_vector(config.p, d) for d in config.deltas]
     if config.estimator == HOTELLING:
         return [hotelling_t2(x, y0 + s).p_value <= config.alpha for s in shifts]
-    tests = _shift_tests(
+    stats, _, draws = calibration._shift_tests(
         x, y0, shifts, config.kernel, config.estimator, config._draw_config(r), config.beta
     )
-    return [stat > cutoff for stat, cutoff in tests]
+    # a cutoff per calibration (called on the module, so its wrappers see it)
+    cutoffs = [calibration.empirical_quantile(d, 1.0 - config.alpha) for d in draws.T]
+    return np.asarray(stats) > cutoffs  # one cutoff broadcasts over the grid
 
 
 def _row(config, delta, count, seconds):

@@ -11,12 +11,21 @@ from .seeding import derive_seed
 from .statistic import _check_pair
 
 
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_matrix_csv(path):
     """Read a numeric CSV as an observations-by-variables matrix.
 
-    A single leading header row is skipped when its cells fail to parse as
-    numbers. Ragged rows, non-numeric cells, and non-finite values raise
-    ValueError naming the offending line; fully blank lines are ignored.
+    A first row in which no cell parses as a number is a header and is
+    skipped. A header of another width than the data, ragged rows,
+    non-numeric cells, and non-finite values raise ValueError naming the
+    offending line; fully blank lines are ignored.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -27,12 +36,10 @@ def load_matrix_csv(path):
     if not rows:
         raise ValueError(f"{path}: no data rows")
     start = 0
-    try:
-        [float(cell) for cell in rows[0][1]]
-    except ValueError:
+    if not any(_is_number(cell) for cell in rows[0][1]):
         start = 1  # header row
         if len(rows) == 1:
-            raise ValueError(f"{path}: header row but no data rows") from None
+            raise ValueError(f"{path}: header row but no data rows")
     data = []
     width = None
     for lineno, cells in rows[start:]:
@@ -49,6 +56,9 @@ def load_matrix_csv(path):
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"{path}: line {lineno}: non-finite value")
         data.append(values)
+    if start and len(rows[0][1]) != width:
+        found = f"header has {len(rows[0][1])} columns, the data have {width}"
+        raise ValueError(f"{path}: line {rows[0][0]}: {found}")
     return np.asarray(data, dtype=float)
 
 

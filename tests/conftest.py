@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from twosample import datagen, experiments
+from twosample import datagen
+from twosample._blas import _openblas_threads
 
 
 @pytest.fixture
 def blas_at_two_threads():
     """The OpenBLAS thread getter, with the count set to 2 for the test."""
-    calls = experiments._openblas_threads()
+    calls = _openblas_threads()
     if calls is None:
         pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
     setter, getter = calls

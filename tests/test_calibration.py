@@ -11,6 +11,7 @@ from twosample import (
     eigenvalues_sym,
     empirical_quantile,
     estimate_plain,
+    experiments,
     generate_scenario,
     run_power_curve,
     run_test,
@@ -92,6 +93,23 @@ class TestSimulateNullDraws:
     def test_empty_spectrum_raises(self):
         with pytest.raises(ValueError):
             simulate_null_draws([], NullDrawConfig(draws=5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k, columns", [(1, 1), (3, 4), (90, 5)])
+    def test_columns_equal_the_one_spectrum_call(self, k, columns):
+        # the shared normals: column j is the 1-d call on column j, bit for bit
+        spectra = np.random.default_rng(k).standard_normal((k, columns))
+        config = NullDrawConfig(draws=300, seed=17)
+        got = simulate_null_draws(spectra, config, np.random.default_rng(17))
+        assert got.shape == (300, columns)
+        for j in range(columns):
+            want = simulate_null_draws(spectra[:, j].copy(), config, np.random.default_rng(17))
+            assert np.array_equal(got[:, j], want)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 1), (3, 0), (0, 2)])
+    def test_bad_spectrum_matrix_raises(self, shape):
+        # a 3-d input, a matrix with no columns and one with empty spectra
+        with pytest.raises(ValueError, match="spectrum must be"):
+            simulate_null_draws(np.ones(shape), NullDrawConfig(draws=5), np.random.default_rng(0))
 
 
 class TestEmpiricalQuantile:
@@ -256,9 +274,9 @@ class TestRunTest:
 POWER_GRID = (0.0, 1.0, 2.0, 3.0, 4.0)  # the grid of configs/power_p100.json
 
 
-def _replication(family, p, seed):
-    """x, y0 and the shifts of one power-curve replication, n 40 + 50."""
-    config = ScenarioConfig(
+def _scenario(family, p, seed, **fields):
+    """A one-replication scenario, n 40 + 50, equicorrelated covariance."""
+    settings = dict(
         scenario_id="shift",
         family=family,
         cov_form="equicorr",
@@ -271,7 +289,12 @@ def _replication(family, p, seed):
         replications=1,
         seed=seed,
     )
-    x, y0 = generate_scenario(config, np.random.default_rng(seed))
+    return ScenarioConfig(**(settings | fields))
+
+
+def _replication(family, p, seed):
+    """x, y0 and the shifts of one power-curve replication, n 40 + 50."""
+    x, y0 = generate_scenario(_scenario(family, p, seed), np.random.default_rng(seed))
     return x, y0, [shift_vector(p, d) for d in POWER_GRID]
 
 
@@ -284,10 +307,17 @@ class TestShiftTests:
     def test_sign_kernel_equals_run_test_bit_for_bit(self, estimator, p, seed):
         x, y0, shifts = _replication("t3", p, seed)
         config = NullDrawConfig(draws=500, seed=seed + 10)
-        got = calibration._shift_tests(x, y0, shifts, "sign", estimator, config, 0.25)
-        for s, (stat, cutoff) in zip(shifts, got):
+        stats, spectra, draws = calibration._shift_tests(
+            x, y0, shifts, "sign", estimator, config, 0.25
+        )
+        assert draws.shape == (500, len(shifts))
+        for j, s in enumerate(shifts):
             report = run_test(x, y0 + s, "sign", estimator, config)
-            assert (stat, cutoff) == (report.statistic, report.cutoff)
+            assert stats[j] == report.statistic
+            assert spectra[0, j] == report.top_eigenvalue
+            assert empirical_quantile(draws[:, j], 0.95) == report.cutoff
+            exceed = np.count_nonzero(draws[:, j] >= stats[j])
+            assert (1 + exceed) / 501 == report.p_value
 
     @pytest.mark.parametrize("family", ["gaussian", "t3", "cauchy"])
     @pytest.mark.parametrize("p", [5, 100])
@@ -295,22 +325,33 @@ class TestShiftTests:
     def test_identity_kernel_matches_run_test(self, estimator, p, family):
         x, y0, shifts = _replication(family, p, 4)
         config = NullDrawConfig(draws=500, seed=14)
-        got = calibration._shift_tests(x, y0, shifts, "identity", estimator, config, 0.25)
-        for s, (stat, cutoff) in zip(shifts, got):
+        stats, spectra, draws = calibration._shift_tests(
+            x, y0, shifts, "identity", estimator, config, 0.25
+        )
+        # one calibration serves every shift
+        assert spectra.shape[1] == 1 and draws.shape == (500, 1)
+        cutoff = empirical_quantile(draws[:, 0], 0.95)
+        for s, stat in zip(shifts, stats):
             report = run_test(x, y0 + s, "identity", estimator, config)
             assert stat == pytest.approx(report.statistic, rel=1e-12, abs=0.0)
             assert cutoff == pytest.approx(report.cutoff, rel=1e-12, abs=0.0)
         # at delta 0 the closed form adds exactly nothing
-        assert got[0][0] == run_test(x, y0, "identity", estimator, config).statistic
+        report = run_test(x, y0, "identity", estimator, config)
+        assert (stats[0], cutoff) == (report.statistic, report.cutoff)
 
     @pytest.mark.parametrize("kernel, passes", [("identity", 1), ("sign", len(POWER_GRID))])
     def test_one_calibration_per_replication(self, monkeypatch, kernel, passes):
-        x, y0, shifts = _replication("gaussian", 20, 5)
-        calls = {"pair_aggregates": 0, "eigenvalues_sym": 0, "_squared_normals": 0}
+        config = _scenario(
+            "gaussian", 20, 5, deltas=POWER_GRID, draws=200, kernel=kernel, estimator="taper"
+        )
+        calls = dict.fromkeys(
+            ["pair_aggregates", "eigenvalues_sym", "simulate_null_draws", "empirical_quantile"], 0
+        )
         for module, name in (
             (statistic, "pair_aggregates"),
             (calibration, "eigenvalues_sym"),
-            (calibration, "_squared_normals"),
+            (calibration, "simulate_null_draws"),
+            (calibration, "empirical_quantile"),
         ):
 
             def counting(*args, _name=name, _original=getattr(module, name)):
@@ -318,12 +359,12 @@ class TestShiftTests:
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counting)
-        config = NullDrawConfig(draws=200, seed=3)
-        calibration._shift_tests(x, y0, shifts, kernel, "taper", config, 0.25)
+        assert len(experiments._replicate((config, 0))) == len(POWER_GRID)
         assert calls == {
             "pair_aggregates": passes,
             "eigenvalues_sym": passes,
-            "_squared_normals": 1,
+            "simulate_null_draws": 1,
+            "empirical_quantile": passes,
         }
 
     def test_overflowing_identity_shift_names_the_input(self):

@@ -91,6 +91,27 @@ class TestLoadMatrixCsv:
         path.write_text("1,2\n\n3,4\n")
         assert np.array_equal(load_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a first row with one typo is data, not a header to drop
+            ("1,2,x\n3,4,5\n6,7,8\n", "line 1: non-numeric cell"),
+            ("a,b\n3,4,5\n6,7,8\n", "line 1: header has 2 columns, the data have 3"),
+        ],
+    )
+    def test_bad_first_row_names_line_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_matrix_csv(path)
+        good = tmp_path / "good.csv"
+        good.write_text("1,2,3\n4,5,6\n7,8,9\n")
+        out = tmp_path / "report.json"
+        args = ["--x", str(path), "--y", str(good), "--seed", "1", "--json", str(out)]
+        assert main(["test", *args]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunRealdataBlocks:
     def test_blocks_partition_and_drop_remainder(self, sample_pair):
