@@ -24,10 +24,12 @@ ESTIMATORS = (PLAIN, TAPER)
 _NEGATIVE_RTOL = 1e-10  # tau of TestReport.negative_eigenvalues
 
 
-def _check_int(name, value):
-    """Reject a count that is not an int, a bool included, naming the field."""
+def _check_int(name, value, low=None):
+    """Reject a count that is not an int (a bool included) or is below low, naming it."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -39,16 +41,12 @@ class NullDrawConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        _check_int("draws", self.draws)
-        if self.draws < 1:
-            raise ValueError("draws must be at least 1")
+        _check_int("draws", self.draws, 1)
         if not _is_real(self.alpha):
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        _check_int("seed", self.seed)
-        if self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed}")
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
 """Scenario configuration shared by the experiment harness and the CLI."""
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 
 from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, _check_int
 from .covariance import _is_real, _taper_bandwidth
-from .datagen import COV_FORMS, parse_family
+from .datagen import parse_family, scenario_sigma, shift_vector
 from .seeding import derive_seed
-from .statistic import KERNELS
+from .statistic import _check_kernel
 
 HOTELLING = "hotelling"
 ESTIMATOR_CHOICES = ESTIMATORS + (HOTELLING,)
@@ -46,22 +45,20 @@ class ScenarioConfig:
         if self.scenario_id in (".", "..") or "/" in self.scenario_id or "\\" in self.scenario_id:
             raise ValueError(f"scenario_id {self.scenario_id!r} is not a plain file name")
         parse_family(self.family)
-        if self.cov_form not in COV_FORMS:
-            raise ValueError(f"unknown covariance form {self.cov_form!r}; expected one of {COV_FORMS}")
-        for name in ("p", "n1", "n2", "replications", "seed"):
-            _check_int(name, getattr(self, name))
-        if min(self.p, self.n1, self.n2) < 1:
-            raise ValueError("p, n1, and n2 must be at least 1")
+        # the form, each delta and the kernel follow the rules of the code that uses them
+        scenario_sigma(self.cov_form, 1)
+        for name in ("p", "n1", "n2", "replications"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed)
         if not isinstance(self.deltas, (list, tuple)) or not all(map(_is_real, self.deltas)):
             raise ValueError(f"deltas must be a list of numbers, got {self.deltas!r}")
         grid = tuple(float(d) for d in self.deltas)
         if not grid:
             raise ValueError("deltas must be a nonempty grid")
-        if not all(math.isfinite(d) and d >= 0 for d in grid):
-            raise ValueError("deltas must be finite and nonnegative")
+        for d in grid:
+            shift_vector(1, d)
         object.__setattr__(self, "deltas", grid)
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {KERNELS}")
+        _check_kernel(self.kernel)
         if self.estimator not in ESTIMATOR_CHOICES:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_CHOICES}"
@@ -74,8 +71,6 @@ class ScenarioConfig:
         # beta, draws and alpha follow the rules of the tests that use them
         _taper_bandwidth(self.beta, self.n1 + self.n2, self.p)
         self._draw_config(0)
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
 
     def _draw_config(self, r):
         """The reference-draw settings of replication r, seeded by (seed, r, 1)."""
@@ -104,14 +99,16 @@ def config_from_dict(payload):
 def load_configs(path, on_default_seed=None):
     """Read one scenario object or a list of them from a JSON file.
 
-    Every scenario is validated, and the scenario_ids checked to be unique,
-    before any is returned. `on_default_seed`, if given, is then called with
+    An empty list is an error. Every scenario is validated, and the
+    scenario_ids checked to be unique, before any is returned. `on_default_seed`, if given, is then called with
     the scenario_id of each scenario that names no seed and so runs with
     DEFAULT_SEED.
     """
     with open(path) as fh:
         payload = json.load(fh)
     items = payload if isinstance(payload, list) else [payload]
+    if not items:
+        raise ValueError(f"{path}: the scenario list is empty")
     configs = [config_from_dict(item) for item in items]
     ids = [config.scenario_id for config in configs]
     duplicates = sorted({name for name in ids if ids.count(name) > 1})

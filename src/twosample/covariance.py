@@ -77,8 +77,8 @@ def _apply_taper(est, k):
     needs no re-symmetrizing.
     """
     p = est.shape[0]
-    d = np.abs(np.subtract.outer(np.arange(p, dtype=float), np.arange(p, dtype=float)))
-    return est * np.where(d <= k / 2.0, 1.0, np.where(d < k, 1.0 - d / k, 0.0))
+    weights = np.array([taper_weight(0, d, k) for d in range(p)])  # one per offset |i-j|
+    return est * weights[np.abs(np.subtract.outer(np.arange(p), np.arange(p)))]
 
 
 def eigenvalues_sym(m):

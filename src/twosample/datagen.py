@@ -1,23 +1,24 @@
 """Covariance structures, shift vectors, and elliptical samplers for simulations."""
 
 import functools
+import math
 
 import numpy as np
 
 from ._blas import _blas_threads
+from .calibration import _check_int
 
 GAUSSIAN = "gaussian"
 STUDENT_T = "t"
 
-COV_FORMS = ("equicorr", "identity", "ar")
-
 # correlation levels used by the named simulation designs
 _FORM_RHO = {"equicorr": 0.5, "identity": 0.0, "ar": 0.75}
+COV_FORMS = tuple(_FORM_RHO)
 
 
 def scenario_sigma(cov_form, p):
     """Covariance matrix for a named scenario form at its fixed correlation."""
-    if cov_form not in _FORM_RHO:
+    if cov_form not in COV_FORMS:
         raise ValueError(f"unknown covariance form {cov_form!r}; expected one of {COV_FORMS}")
     rho = _FORM_RHO[cov_form]
     if cov_form == "equicorr":
@@ -32,11 +33,10 @@ def scenario_sigma(cov_form, p):
 
 
 def shift_vector(p, delta):
-    """delta times the unit vector along (1, 2, ..., p)."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    """delta times the unit vector along (1, 2, ..., p), for a finite delta >= 0."""
+    _check_int("p", p, 1)
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"deltas must be finite and nonnegative, got {delta!r}")
     v = np.arange(1, p + 1, dtype=float)
     return (delta / np.linalg.norm(v)) * v
 

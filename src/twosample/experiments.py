@@ -132,8 +132,7 @@ def run_power_curves(configs, threads=1):
     done (since the start for the first) divided by the number of deltas,
     so the rows sum to the run's wall time.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    calibration._check_int("threads", threads, 1)
     start = time.perf_counter()
     configs = list(configs)
     tasks = [(config, r) for config in configs for r in range(config.replications)]

@@ -87,9 +87,7 @@ def run_realdata_blocks(x, y, width, kernel="sign", estimator=PLAIN, config=None
     blocks run or in what order.
     """
     mx, my = _check_pair(x, y)
-    _check_int("width", width)
-    if width < 1:
-        raise ValueError("width must be at least 1")
+    _check_int("width", width, 1)
     if config is None:
         config = NullDrawConfig()
     cols = mx.shape[1]

@@ -376,6 +376,10 @@ class TestCliSimulate:
         err = self._run_invalid(tmp_path, capsys, scenarios).err
         assert "'too-wide'" in err and "p=21, n1=10, n2=12" in err
 
+    def test_empty_scenario_list_rejected(self, tmp_path, capsys):
+        err = self._run_invalid(tmp_path, capsys, []).err
+        assert err == f"error: {tmp_path / 'config.json'}: the scenario list is empty\n"
+
     @pytest.mark.parametrize("scenario_id", ["../escaped", "a/b", "a\\b", ".", ".."])
     def test_path_unsafe_scenario_id_rejected(self, tmp_path, capsys, scenario_id):
         err = self._run_invalid(tmp_path, capsys, [self._scenario(scenario_id)]).err

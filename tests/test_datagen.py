@@ -81,6 +81,9 @@ class TestShiftVector:
             shift_vector(0, 1.0)
         with pytest.raises(ValueError):
             shift_vector(3, -0.5)
+        for delta in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                shift_vector(3, delta)
 
 
 class TestSample:

@@ -150,6 +150,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="^duplicate scenario_id 'twice'$"):
             load_configs(path)
 
+    def test_load_configs_rejects_an_empty_list(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError) as err:
+            load_configs(path)
+        assert str(err.value) == f"{path}: the scenario list is empty"
+
     def test_hotelling_needs_p_at_most_n1_plus_n2_minus_2(self):
         assert _config(estimator="hotelling", p=28).p == 28
         with pytest.raises(ValueError, match=r"'tiny'.*p=29, n1=15, n2=15"):
@@ -197,7 +204,7 @@ class TestRunSizeExperiment:
         assert len(serial) == len(config.deltas)
         assert [_strip_time(r) for r in serial] == [_strip_time(r) for r in parallel]
 
-    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, True, "2"])
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
             run_power_curve(_config(deltas=(0.0, 1.0)), threads=threads)

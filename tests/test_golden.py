@@ -1,8 +1,10 @@
 """Golden outputs: seeded results that a refactor must reproduce bit for bit.
 
 The files under tests/golden/ hold the full `TestReport` repr of seeded
-sample pairs and the `simulate` CSV output, minus the `seconds` column, of
-`configs/demo.json` and of the `size_*`/`power_*` configs with R cut to 20.
+sample pairs, the statistics and cutoffs of the replication path
+(`calibration._shift_tests`) on the same pairs, and the `simulate` CSV
+output, minus the `seconds` column, of `configs/demo.json` and of the
+`size_*`/`power_*` configs with R cut to 20.
 A float's repr round-trips, so equal text means equal bits. A change that
 means to alter these numbers re-records them with
 
@@ -20,7 +22,15 @@ import pathlib
 import numpy as np
 import pytest
 
-from twosample import ESTIMATORS, KERNELS, NullDrawConfig, run_test
+from twosample import (
+    ESTIMATORS,
+    KERNELS,
+    NullDrawConfig,
+    empirical_quantile,
+    run_test,
+    shift_vector,
+)
+from twosample.calibration import _shift_tests
 from twosample.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -30,6 +40,9 @@ SIMULATE = ("demo", "size_p5", "size_p100", "power_p5", "power_p100")
 REDUCED_R = 20
 # the reports file per OpenBLAS core; any other core reads reports.txt
 REPORTS = {"Haswell": "reports_haswell.txt"}
+
+# the replication lines test each pair at these shifts of y
+GRID = (0.0, 0.5, 1.0)
 
 # (label, p, n1, n2, shift); the last has p > n1 + n2 - 2
 PAIRS = (
@@ -53,17 +66,32 @@ def _reports_golden():
     return GOLDEN / REPORTS.get(_openblas_core(), "reports.txt")
 
 
-def _report_lines():
-    lines = []
+def _pairs():
+    """(label, x, y, config) of each seeded sample pair."""
     for index, (label, p, n1, n2, shift) in enumerate(PAIRS):
         rng = np.random.default_rng([20250819, index])
         x = rng.standard_normal((n1, p))
         y = rng.standard_t(3, size=(n2, p)) + shift
+        yield label, x, y, NullDrawConfig(draws=2000, alpha=0.05, seed=97 + index)
+
+
+def _report_lines():
+    """A `run_test` line per pair, kernel and estimator, then a line of the
+    replication path's statistics and 0.95 cutoffs over GRID for each."""
+    lines = []
+    for label, x, y, config in _pairs():
         for kernel in KERNELS:
             for estimator in ESTIMATORS:
-                config = NullDrawConfig(draws=2000, alpha=0.05, seed=97 + index)
                 report = run_test(x, y, kernel, estimator, config)
                 lines.append(f"{label} {kernel} {estimator} {report!r}")
+    for label, x, y, config in _pairs():
+        shifts = [shift_vector(x.shape[1], d) for d in GRID]
+        for kernel in KERNELS:
+            for estimator in ESTIMATORS:
+                stats, _, draws = _shift_tests(x, y, shifts, kernel, estimator, config, 0.25)
+                stats = [float(stat) for stat in stats]
+                cutoffs = [empirical_quantile(column, 0.95) for column in draws.T]
+                lines.append(f"{label} {kernel} {estimator} shifts {stats!r} {cutoffs!r}")
     return "".join(line + "\n" for line in lines)
 
 
