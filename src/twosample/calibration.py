@@ -67,6 +67,15 @@ class TestReport:
     negative_eigenvalues: int
 
 
+_BLOCK_DOUBLES = 2**17  # 1 MiB of normals per block
+
+
+def _block_rows(k):
+    """Rows of one block of k normals: a multiple of 8, at least 8, and at
+    most _BLOCK_DOUBLES doubles in all once k <= _BLOCK_DOUBLES / 8."""
+    return max(8, _BLOCK_DOUBLES // k // 8 * 8)
+
+
 def simulate_null_draws(spectrum, config, rng):
     """Draw config.draws values of sum_i lam_i * (Z_i^2 - 1), Z standard normal.
 
@@ -74,15 +83,42 @@ def simulate_null_draws(spectrum, config, rng):
     pins the output for a given generator state. A k x S matrix of spectra,
     one per column, gives config.draws x S draws over one set of normals;
     each column equals the call on that column alone, bit for bit.
+
+    The normals are drawn in row blocks of B = `_block_rows(k)` draws that
+    reuse one buffer, so working memory is O(B k + M S), not O(M k). The bits
+    equal those of one M x k matrix times each column at one OpenBLAS
+    thread. The generator fills consecutive blocks in the order it fills one
+    array, and OpenBLAS's matrix-vector product rounds a row by its place in
+    a group of 4 rows counted from the top, so every block but the last is
+    a multiple of 8 rows. For k up to 57600 a block's product is below the
+    size (rows x k = 460800) at which OpenBLAS 0.3.31 splits one over
+    threads, so the draws do not depend on the BLAS thread count, bar one
+    draw over more than 10000 weights: a dot product, which OpenBLAS splits.
     """
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim not in (1, 2) or lam.size == 0:
         raise ValueError("spectrum must be a nonempty 1-d sequence or a k x S matrix of columns")
-    z = rng.standard_normal((config.draws, lam.shape[0]))
-    z *= z  # in place: no draws x k temporaries
-    z -= 1.0
-    # column by column: one matrix product would round unlike the 1-d call
-    return z @ lam if lam.ndim == 1 else np.array([z @ col for col in lam.T]).T
+    if not np.isfinite(lam).all():
+        raise ValueError("spectrum contains non-finite entries")
+    m, k = config.draws, lam.shape[0]
+    cols = lam.T if lam.ndim == 2 else lam[None, :]
+    out = np.empty((cols.shape[0], m))
+    buf = np.empty((min(_block_rows(k), m), k))
+    for start in range(0, m, buf.shape[0]):
+        n = min(buf.shape[0], m - start)
+        z = buf[:n]
+        rng.standard_normal(out=z)
+        z *= z
+        z -= 1.0
+        if n == 1 < m:
+            # numpy takes a one-row product by a dot, which rounds unlike the
+            # last row of a matrix-vector product: lead it by the previous
+            # block's last four rows, a group of 4 as in one M x k matrix
+            z = np.concatenate((buf[-4:], z))
+        # column by column: one matrix product would round unlike the 1-d call
+        for row, col in zip(out, cols):
+            row[start : start + n] = (z @ col)[-n:]
+    return out.T if lam.ndim == 2 else out[0]
 
 
 def empirical_quantile(values, level):

@@ -6,18 +6,25 @@ from twosample._blas import _openblas_threads
 
 
 @pytest.fixture
-def blas_at_two_threads():
-    """The OpenBLAS thread getter, with the count set to 2 for the test."""
+def blas_threads():
+    """The OpenBLAS thread (setter, getter); the count is restored after the test."""
     calls = _openblas_threads()
     if calls is None:
         pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
     setter, getter = calls
     before = getter()
-    setter(2)
     try:
-        yield getter
+        yield setter, getter
     finally:
         setter(before)
+
+
+@pytest.fixture
+def blas_at_two_threads(blas_threads):
+    """The OpenBLAS thread getter, with the count set to 2 for the test."""
+    setter, getter = blas_threads
+    setter(2)
+    return getter
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
-"""Slow, literal references for the tests: the quadruple-sum statistic.
+"""Slow, literal references for the tests: the quadruple-sum statistic and
+the null draws from one matrix of normals.
 
-Not part of the package; the fast pair pass in `twosample.statistic` is
-checked against these on small inputs.
+Not part of the package; the fast pair pass in `twosample.statistic` and
+the blocked draws of `twosample.calibration` are checked against these.
 """
 
 import numpy as np
@@ -45,3 +46,16 @@ def compute_statistic_oracle(x, y, kernel):
                         continue
                     total += float(h[i1, j1] @ h[i2, j2])
     return total / (n * n1 * n2)
+
+
+def null_draws_one_matrix(spectrum, config, rng):
+    """`simulate_null_draws` from one config.draws x k matrix of normals.
+
+    Its memory is O(M k). Each spectrum column is its own matrix-vector
+    product, as in the package.
+    """
+    lam = np.asarray(spectrum, dtype=float)
+    z = rng.standard_normal((config.draws, lam.shape[0]))
+    z *= z
+    z -= 1.0
+    return z @ lam if lam.ndim == 1 else np.array([z @ col for col in lam.T]).T

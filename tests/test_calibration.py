@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,8 @@ from twosample import (
     statistic,
 )
 from twosample.covariance import _apply_taper, _taper_bandwidth
+
+from oracle import null_draws_one_matrix
 
 
 class TestNullDrawConfig:
@@ -110,6 +113,59 @@ class TestSimulateNullDraws:
         # a 3-d input, a matrix with no columns and one with empty spectra
         with pytest.raises(ValueError, match="spectrum must be"):
             simulate_null_draws(np.ones(shape), NullDrawConfig(draws=5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spectrum_raises(self, bad):
+        # a NaN or infinite weight would make every draw, and so the cutoff, NaN or infinite
+        for spectrum in ([bad, 1.0], [[1.0, 2.0], [3.0, bad]]):
+            with pytest.raises(ValueError, match="^spectrum contains non-finite entries$"):
+                simulate_null_draws(spectrum, NullDrawConfig(draws=5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("columns", [None, 1, 5])
+    @pytest.mark.parametrize("k", [1, 5, 90, 1000, 20000])
+    def test_blocks_equal_one_matrix(self, blas_threads, k, columns):
+        # every draw count around the block height B; k = 20000 has the floor of 8 rows.
+        # One BLAS thread, as OpenBLAS at two splits the one matrix's product in halves
+        setter, _ = blas_threads
+        setter(1)
+        b = calibration._block_rows(k)
+        shape = (k,) if columns is None else (k, columns)
+        spectrum = np.random.default_rng(k).standard_normal(shape)
+        for m in sorted({1, 7, b - 1, b, b + 1, 10**4 + 1}):
+            if m * k > 2 * 10**7:
+                continue  # the one matrix of 10^4 + 1 rows at k = 20000 would take 1.6 GB
+            config = NullDrawConfig(draws=m, seed=m)
+            got = simulate_null_draws(spectrum, config, np.random.default_rng(m))
+            want = null_draws_one_matrix(spectrum, config, np.random.default_rng(m))
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), f"draws={m}"
+
+    @pytest.mark.parametrize("k", [5, 90, 1000])
+    def test_draws_do_not_depend_on_the_blas_thread_count(self, blas_threads, k):
+        # at two threads OpenBLAS splits a matrix-vector product of rows x k >= 460800
+        # in halves, which rounds some rows otherwise when a half is not a multiple of 4
+        setter, _ = blas_threads
+        spectrum = np.random.default_rng(k).standard_normal((k, 5))
+        b = calibration._block_rows(k)
+        for m in [7, 13, b + 1, b + 2, 2 * b + 5, 10**4 + 1, 10**4 + 3]:
+            config = NullDrawConfig(draws=m, seed=m)
+            runs = []
+            for threads in (1, 2):
+                setter(threads)
+                runs.append(simulate_null_draws(spectrum, config, np.random.default_rng(m)))
+            assert np.array_equal(*runs), f"draws={m}"
+
+    def test_working_memory_is_one_block(self):
+        # one M x k matrix of normals at M = 10^4 and k = 1000 would take 80 MB
+        spectrum = np.linspace(1.0, 0.0, 1000)
+        config = NullDrawConfig(draws=10**4, seed=5)
+        tracemalloc.start()
+        try:
+            simulate_null_draws(spectrum, config, np.random.default_rng(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestEmpiricalQuantile:
