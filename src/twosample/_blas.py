@@ -1,5 +1,6 @@
 """The thread count of the OpenBLAS that numpy calls, through ctypes."""
 
+import contextlib
 import ctypes
 import functools
 
@@ -34,7 +35,23 @@ def _openblas_threads():
     return None
 
 
-def _blas_threads():
-    """OpenBLAS's current thread count, or None when it has no getter."""
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS at one thread and restore its count after.
+
+    All simulation work runs in it: at p >= 300 OpenBLAS's last bits depend
+    on the thread count, and a fork pool started in it gives each worker one
+    thread. At one thread already, or without a setter, it sets nothing: a
+    set in a forked worker restarts OpenBLAS's pool, whose idle threads spin.
+    """
     calls = _openblas_threads()
-    return None if calls is None else calls[1]()
+    before = None if calls is None else calls[1]()
+    if before in (None, 1):
+        yield
+        return
+    setter = calls[0]
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)

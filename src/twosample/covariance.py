@@ -26,8 +26,8 @@ def _plain_from_aggregates(g, sx, sy):
     n1, n2 = sx.shape[0], sy.shape[0]
     n = n1 + n2
     dh = g / (n1 * n2)
-    est = (sx.T @ sx + sy.T @ sy) / (n * n1 * n2) - np.outer(dh, dh)
-    return _symmetrize(est)
+    # exactly symmetric: a.T @ a goes through syrk, and outer(dh, dh) is symmetric
+    return (sx.T @ sx + sy.T @ sy) / (n * n1 * n2) - np.outer(dh, dh)
 
 
 def _plain_gram(g, sx, sy):

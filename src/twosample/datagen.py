@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from ._blas import _blas_threads
+from ._blas import _one_blas_thread
 from .calibration import _check_int
 
 GAUSSIAN = "gaussian"
@@ -71,14 +71,15 @@ def parse_family(family):
 
 
 @functools.lru_cache(maxsize=1)
-def _factor(cov_form, p, blas_threads):
+def _factor(cov_form, p):
     """The read-only Cholesky factor of scenario_sigma(cov_form, p).
 
     One factor is kept at a time, so a run over one design factors it once.
-    The key holds the OpenBLAS thread count because at large p the factor's
-    last bits depend on it.
+    It is taken at one BLAS thread, as a run is, since at large p its last
+    bits depend on the thread count.
     """
-    chol = np.linalg.cholesky(scenario_sigma(cov_form, p))
+    with _one_blas_thread():
+        chol = np.linalg.cholesky(scenario_sigma(cov_form, p))
     chol.flags.writeable = False
     return chol
 
@@ -88,13 +89,13 @@ def generate_scenario(config, rng):
 
     x is sampled at the origin and y at shift_vector(p, delta), sharing the
     family and one Cholesky factor of the covariance form, which is reused
-    while the form, p and BLAS thread count stay the same. x is drawn
-    before y from the same generator.
+    while the form and p stay the same. x is drawn before y from the same
+    generator.
     """
     if len(config.deltas) != 1:
         raise ValueError("generate_scenario needs a single-delta config; split the grid first")
     _, nu = parse_family(config.family)
-    chol = _factor(config.cov_form, config.p, _blas_threads())
+    chol = _factor(config.cov_form, config.p)
     x = _sample(np.zeros(config.p), chol, nu, config.n1, rng)
     y = _sample(shift_vector(config.p, config.deltas[0]), chol, nu, config.n2, rng)
     return x, y

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from . import calibration
-from ._blas import _openblas_threads
+from ._blas import _one_blas_thread
 from .baselines import hotelling_t2
 from .config import HOTELLING, config_to_dict
 from .datagen import generate_scenario, shift_vector
@@ -45,34 +45,13 @@ class ResultRow:
 _CSV_NAMES = {"draws": "M", "replications": "R"}
 CSV_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(ResultRow))
 
-# workers must inherit the parent's one-thread BLAS, which a forkserver or
-# spawned worker would not; None (no fork here) keeps the default method
+# workers must inherit the run's one-thread BLAS (`_one_blas_thread`), which a
+# forkserver or spawned worker would not; None (no fork here) keeps the default
 _FORK = (
     multiprocessing.get_context("fork")
     if "fork" in multiprocessing.get_all_start_methods()
     else None
 )
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS at one thread and restore its count after.
-
-    Entered before a fork pool starts, so each worker inherits one BLAS
-    thread: workers that each start a multi-threaded BLAS oversubscribe the
-    cores. Without an OpenBLAS thread setter it changes nothing.
-    """
-    calls = _openblas_threads()
-    if calls is None:
-        yield
-        return
-    setter, getter = calls
-    before = getter()
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(before)
 
 
 def _replicate(task):
@@ -82,7 +61,8 @@ def _replicate(task):
     (seed, r, 1). The sampler draws y as location + noise, so y0 + the shift
     at d is bit for bit the y that a config with the single delta d draws.
     The kernel tests at all deltas share the null normals (`_shift_tests`)
-    and reject when T > c(alpha), as `run_test` does.
+    and reject when T > c(alpha), as `run_test` does. It runs at one BLAS
+    thread, in a worker or serially (see run_power_curves).
     """
     config, r = task
     x, y0 = generate_scenario(replace(config, deltas=(0.0,)), substream(config.seed, r, 0))
@@ -122,9 +102,10 @@ def run_power_curves(configs, threads=1):
     """Yield each config's ResultRows, one list per config, in order.
 
     One row per grid delta; a one-point grid is a size experiment.
+    The whole run, its yields included, holds OpenBLAS at one thread
+    (`_one_blas_thread`), so no row depends on the caller's BLAS count.
     threads > 1 runs every config's replications in one fork pool of
-    min(threads, total replications) workers, each with one BLAS thread
-    (the parent's count is restored after); when that is 1 they run
+    min(threads, total replications) workers; when that is 1 they run
     serially. All replications are queued at once, so the workers go on
     with later configs while the caller handles a yielded curve. On an
     error or an early close the pending replications are cancelled.
@@ -137,10 +118,9 @@ def run_power_curves(configs, threads=1):
     configs = list(configs)
     tasks = [(config, r) for config in configs for r in range(config.replications)]
     workers = min(threads, len(tasks))
-    with contextlib.ExitStack() as stack:
+    with _one_blas_thread(), contextlib.ExitStack() as stack:
         flags = map(_replicate, tasks)
         if workers > 1:
-            stack.enter_context(_one_blas_thread())
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=_FORK)
             stack.callback(pool.shutdown, cancel_futures=True)
             # a chunk size dividing every R keeps each chunk inside one config,

@@ -8,10 +8,11 @@ from twosample import (
     ScenarioConfig,
     generate_scenario,
     parse_family,
+    run_power_curve,
     scenario_sigma,
     shift_vector,
 )
-from twosample import _blas, datagen
+from twosample import datagen
 from twosample.datagen import _sample
 
 
@@ -39,28 +40,39 @@ class TestScenarioSigma:
 
 
 class TestFactor:
-    """One read-only factor per (cov_form, p, BLAS thread count) at a time."""
+    """One read-only factor per (cov_form, p) at a time, taken at one BLAS thread."""
 
     def test_read_only_and_equal_to_a_fresh_factor(self):
-        chol = datagen._factor("ar", 50, _blas._blas_threads())
+        chol = datagen._factor("ar", 50)
         assert not chol.flags.writeable
         with pytest.raises(ValueError):
             chol[0, 0] = 2.0
         assert np.array_equal(chol, np.linalg.cholesky(scenario_sigma("ar", 50)))
 
-    def test_thread_count_is_part_of_the_key(self, blas_at_two_threads):
+    def test_run_factors_at_one_thread_whatever_the_callers_count(
+        self, monkeypatch, blas_threads
+    ):
         # at p=300 OpenBLAS's factor can differ in its last bits between 1
-        # and 2 threads, so a factor taken at one count must not be reused
-        # at the other
-        config = _scenario(cov_form="equicorr", p=300, n1=3, n2=2)
-        setter, _ = _blas._openblas_threads()
+        # and 2 threads; a direct call at 2 threads and a run after it must
+        # both draw from the one-thread factor
+        factors = []
+
+        def spy(loc, chol, nu, n, rng):
+            factors.append(chol)
+            return _sample(loc, chol, nu, n, rng)
+
+        monkeypatch.setattr(datagen, "_sample", spy)
+        setter, getter = blas_threads
+        setter(2)
         datagen._factor.cache_clear()
-        for threads in (2, 1):
-            setter(threads)
-            x, _ = generate_scenario(config, np.random.default_rng(31))
-            fresh = np.linalg.cholesky(scenario_sigma("equicorr", 300))
-            z = np.random.default_rng(31).standard_normal((3, 300))
-            assert np.array_equal(x, z @ fresh.T)
+        config = _scenario(cov_form="equicorr", p=300, n1=3, n2=2)
+        generate_scenario(config, np.random.default_rng(31))
+        run_power_curve(config, threads=1)
+        assert getter() == 2
+        setter(1)
+        one_thread = np.linalg.cholesky(scenario_sigma("equicorr", 300))
+        assert len(factors) == 4
+        assert all(f.tobytes() == one_thread.tobytes() for f in factors)
 
 
 class TestShiftVector:

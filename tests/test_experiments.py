@@ -24,6 +24,7 @@ from twosample import (
     write_csv,
     write_manifest,
 )
+from twosample import _blas, calibration, datagen
 
 
 def _config(**overrides):
@@ -52,7 +53,7 @@ def _strip_time(row):
 
 def _one_blas_thread_seen(task):
     """A replication task that flags whether its process runs one BLAS thread."""
-    _, getter = experiments._openblas_threads()
+    _, getter = _blas._openblas_threads()
     return [getter() == 1]
 
 
@@ -358,15 +359,52 @@ class TestSharedPool:
 
 
 class TestBlasThreads:
-    """The pool's workers run one BLAS thread; the parent's count is kept."""
+    """Replications run at one BLAS thread, serial or pooled; the parent's count is kept."""
 
     def test_workers_run_one_blas_thread(self, monkeypatch, blas_at_two_threads):
         monkeypatch.setattr(experiments, "_replicate", _one_blas_thread_seen)
         config = _config(replications=4)
         [serial] = run_power_curve(config, threads=1)
         [pooled] = run_power_curve(config, threads=2)
-        assert serial.reject_frac == 0.0 and pooled.reject_frac == 1.0
+        assert serial.reject_frac == 1.0 and pooled.reject_frac == 1.0
         assert blas_at_two_threads() == 2
+
+    @pytest.mark.parametrize("estimator", ["plain", "taper"])
+    @pytest.mark.parametrize("cov_form", ["equicorr", "ar"])
+    def test_serial_bits_do_not_depend_on_the_callers_count(
+        self, monkeypatch, blas_threads, cov_form, estimator
+    ):
+        # at p=300 OpenBLAS rounds the factor, the drawn data and the taper
+        # spectrum differently at 1 and 2 threads; the CSV rows are too
+        # coarse to show that, so compare the bits of T and the null draws
+        shift_tests = calibration._shift_tests
+        seen = []
+
+        def spy(*args):
+            stats, spectra, draws = shift_tests(*args)
+            seen.append((np.asarray(stats).tobytes(), draws.tobytes()))
+            return stats, spectra, draws
+
+        monkeypatch.setattr(calibration, "_shift_tests", spy)
+        setter, getter = blas_threads
+        config = _config(
+            cov_form=cov_form,
+            p=300,
+            n1=40,
+            n2=50,
+            deltas=(0.0, 0.5),
+            estimator=estimator,
+            draws=40,
+            replications=2,
+        )
+        runs = []
+        for threads in (1, 2):
+            setter(threads)
+            seen.clear()
+            run_power_curve(config, threads=1)
+            assert getter() == threads
+            runs.append(list(seen))
+        assert len(runs[0]) == 2 and runs[0] == runs[1]
 
     def test_parent_count_restored_when_a_replication_raises(
         self, monkeypatch, blas_at_two_threads
@@ -389,8 +427,17 @@ class TestBlasThreads:
         [context] = contexts
         assert context.get_start_method() == "fork"
 
+    def test_one_thread_already_sets_nothing(self, monkeypatch):
+        # a set in a forked worker restarts OpenBLAS's thread pool, whose idle
+        # threads spin on the cores the other workers need
+        sets = []
+        monkeypatch.setattr(_blas, "_openblas_threads", lambda: (sets.append, lambda: 1))
+        datagen._factor.cache_clear()
+        run_power_curve(_config(cov_form="ar", replications=4), threads=1)
+        assert datagen._factor.cache_info().misses == 1 and sets == []
+
     def test_no_blas_setter_changes_no_rows(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(_blas, "_openblas_threads", lambda: None)
         config = _config(deltas=(0.0, 1.0), replications=8)
         pooled = run_power_curve(config, threads=2)
         serial = run_power_curve(config, threads=1)
