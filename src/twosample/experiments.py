@@ -103,7 +103,8 @@ def run_power_curves(configs, threads=1):
 
     One row per grid delta; a one-point grid is a size experiment.
     The whole run, its yields included, holds OpenBLAS at one thread
-    (`_one_blas_thread`), so no row depends on the caller's BLAS count.
+    (`_one_blas_thread`, process-wide: caller BLAS work between yields too),
+    so no row depends on the caller's BLAS count, unless two runs overlap.
     threads > 1 runs every config's replications in one fork pool of
     min(threads, total replications) workers; when that is 1 they run
     serially. All replications are queued at once, so the workers go on
