@@ -51,8 +51,12 @@ class NullDrawConfig:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of `run_test`, with diagnostics of the spectrum it drew over.
+    """Outcome of one test, with diagnostics of the spectrum it drew over.
 
+    `cutoff` is the (1 - alpha) quantile of the M null draws V_j
+    (`empirical_quantile`). The decision `reject` is the strict comparison
+    T > cutoff; the p-value (1 + #{V_j >= T}) / (M + 1) is reported
+    alongside and may disagree with the flag at ties.
     `trace` and `top_eigenvalue` are the sum and the largest of the spectrum.
     `negative_eigenvalues` counts eigenvalues below -tau * |top_eigenvalue|
     with tau = 1e-10, so rounding noise around zero is not counted.
@@ -163,20 +167,30 @@ def _estimate(mx, my, kernel, estimator, beta):
     return g, stat, eigenvalues_sym(est)
 
 
+def _report(stat, lam, draws, cutoff, config):
+    """The TestReport of T = stat against one calibration: spectrum, draws, cutoff."""
+    exceed = int(np.count_nonzero(draws >= stat))
+    return TestReport(
+        statistic=float(stat),
+        cutoff=float(cutoff),
+        p_value=(1 + exceed) / (config.draws + 1),
+        reject=bool(stat > cutoff),
+        trace=float(lam.sum()),
+        top_eigenvalue=float(lam[0]),
+        negative_eigenvalues=int(np.count_nonzero(lam < -_NEGATIVE_RTOL * abs(lam[0]))),
+    )
+
+
 def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
-    """T, spectrum and null draws of the test of x against y0 + s, per shift s.
+    """The TestReport of the test of x against y0 + s, per shift s.
 
-    Returns (stats, spectra, draws): a statistic per shift, and the k x C
-    spectra and config.draws x C null draws of C calibrations, where C is
-    len(shifts), or 1 when one serves every shift. shifts=None tests y0.
-
-    All calibrations draw over one set of null normals, which depend only
-    on config.seed and the spectrum length. The sign kernel makes one pair
-    pass and one spectrum per shift. The identity kernel has h = x - y, so
-    a shift of y recentres h and leaves the estimate as it is: one pass and
-    one calibration serve every shift, and T comes from
-    `_recentred_statistic`, equal to a separate test's up to rounding and
-    exactly at s = 0.
+    shifts=None tests y0 alone. All calibrations draw over one set of null
+    normals, which depend only on config.seed and the spectrum length. The
+    sign kernel makes one pair pass, one spectrum and one cutoff per shift.
+    The identity kernel has h = x - y, so a shift of y recentres h and
+    leaves the estimate as it is: one pass and one calibration serve every
+    shift, and T comes from `_recentred_statistic`, equal to a separate
+    test's up to rounding and exactly at s = 0.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
@@ -200,7 +214,13 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
         stats = [stat for _, stat, _ in passes]
         spectra = np.array([lam for _, _, lam in passes]).T
     draws = simulate_null_draws(spectra, config, np.random.default_rng(config.seed))
-    return stats, spectra, draws
+    calibrations = [
+        (lam, column, empirical_quantile(column, 1.0 - config.alpha))
+        for lam, column in zip(spectra.T, draws.T)
+    ]
+    if kernel == IDENTITY:
+        calibrations *= len(stats)
+    return [_report(stat, *calib, config) for stat, calib in zip(stats, calibrations)]
 
 
 def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
@@ -211,23 +231,8 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
     plain spectrum is taken from the min(p, n1+n2)-square Gram form of the
     estimate (`_plain_gram`), so the null draws use that many weights; the
     tapered estimate is not low rank and keeps its p x p spectrum.
-
-    The reported decision is the strict cutoff comparison T > c(alpha); the
-    p-value (1 + #{V_j >= T}) / (M + 1) is reported alongside and may disagree
-    with the flag at ties.
     """
     if config is None:
         config = NullDrawConfig()
-    stats, spectra, draws = _shift_tests(x, y, None, kernel, estimator, config, beta)
-    stat, lam, draws = stats[0], spectra[:, 0], draws[:, 0]
-    cutoff = empirical_quantile(draws, 1.0 - config.alpha)
-    exceed = int(np.count_nonzero(draws >= stat))
-    return TestReport(
-        statistic=float(stat),
-        cutoff=float(cutoff),
-        p_value=(1 + exceed) / (config.draws + 1),
-        reject=bool(stat > cutoff),
-        trace=float(lam.sum()),
-        top_eigenvalue=float(lam[0]),
-        negative_eigenvalues=int(np.count_nonzero(lam < -_NEGATIVE_RTOL * abs(lam[0]))),
-    )
+    [report] = _shift_tests(x, y, None, kernel, estimator, config, beta)
+    return report

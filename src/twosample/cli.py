@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import os
 import sys
@@ -18,16 +19,7 @@ from .statistic import KERNELS
 def _report_fields(report, draws):
     """JSON fields of one TestReport, with the p-value's Monte-Carlo error."""
     p = report.p_value
-    return {
-        "statistic": report.statistic,
-        "cutoff": report.cutoff,
-        "p_value": report.p_value,
-        "p_value_mcse": math.sqrt(p * (1.0 - p) / draws),
-        "reject": report.reject,
-        "trace": report.trace,
-        "top_eigenvalue": report.top_eigenvalue,
-        "negative_eigenvalues": report.negative_eigenvalues,
-    }
+    return {**dataclasses.asdict(report), "p_value_mcse": math.sqrt(p * (1.0 - p) / draws)}
 
 
 def _checked(convert, ok, requirement):

@@ -6,7 +6,6 @@ from dataclasses import asdict, dataclass, fields
 from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, _check_int
 from .covariance import _is_real, _taper_bandwidth
 from .datagen import parse_family, scenario_sigma, shift_vector
-from .seeding import derive_seed
 from .statistic import _check_kernel
 
 HOTELLING = "hotelling"
@@ -70,11 +69,7 @@ class ScenarioConfig:
             )
         # beta, draws and alpha follow the rules of the tests that use them
         _taper_bandwidth(self.beta, self.n1 + self.n2, self.p)
-        self._draw_config(0)
-
-    def _draw_config(self, r):
-        """The reference-draw settings of replication r, seeded by (seed, r, 1)."""
-        return NullDrawConfig(self.draws, self.alpha, derive_seed(self.seed, r, 1))
+        NullDrawConfig(self.draws, self.alpha)
 
 
 def config_to_dict(config):

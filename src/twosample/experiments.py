@@ -16,9 +16,10 @@ import numpy as np
 from . import calibration
 from ._blas import _one_blas_thread
 from .baselines import hotelling_t2
+from .calibration import NullDrawConfig
 from .config import HOTELLING, config_to_dict
 from .datagen import generate_scenario, shift_vector
-from .seeding import substream
+from .seeding import derive_seed, substream
 
 
 @dataclass(frozen=True)
@@ -60,21 +61,20 @@ def _replicate(task):
     The data stream is keyed by (seed, r, 0) and the null-draw stream by
     (seed, r, 1). The sampler draws y as location + noise, so y0 + the shift
     at d is bit for bit the y that a config with the single delta d draws.
-    The kernel tests at all deltas share the null normals (`_shift_tests`)
-    and reject when T > c(alpha), as `run_test` does. It runs at one BLAS
-    thread, in a worker or serially (see run_power_curves).
+    The kernel tests at all deltas share the null normals (`_shift_tests`).
+    It runs at one BLAS thread, in a worker or serially (see
+    run_power_curves).
     """
     config, r = task
     x, y0 = generate_scenario(replace(config, deltas=(0.0,)), substream(config.seed, r, 0))
     shifts = [shift_vector(config.p, d) for d in config.deltas]
     if config.estimator == HOTELLING:
         return [hotelling_t2(x, y0 + s).p_value <= config.alpha for s in shifts]
-    stats, _, draws = calibration._shift_tests(
-        x, y0, shifts, config.kernel, config.estimator, config._draw_config(r), config.beta
+    draw_config = NullDrawConfig(config.draws, config.alpha, derive_seed(config.seed, r, 1))
+    reports = calibration._shift_tests(
+        x, y0, shifts, config.kernel, config.estimator, draw_config, config.beta
     )
-    # a cutoff per calibration (called on the module, so its wrappers see it)
-    cutoffs = [calibration.empirical_quantile(d, 1.0 - config.alpha) for d in draws.T]
-    return np.asarray(stats) > cutoffs  # one cutoff broadcasts over the grid
+    return [report.reject for report in reports]
 
 
 def _row(config, delta, count, seconds):

@@ -25,10 +25,11 @@ def load_matrix_csv(path):
     A first row in which no cell parses as a number is a header and is
     skipped. A header of another width than the data, ragged rows,
     non-numeric cells, and non-finite values raise ValueError naming the
-    offending line; fully blank lines are ignored.
+    offending line; fully blank lines are ignored. A leading UTF-8
+    byte-order mark, as spreadsheet exports write, is dropped.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
@@ -104,7 +105,9 @@ def run_realdata_blocks(x, y, width, kernel="sign", estimator=PLAIN, config=None
 
 
 def block_summary(reports):
-    """Mean p-value and 20-bin histogram over [0, 1] across blocks."""
+    """Mean p-value and 20-bin histogram over [0, 1] across one or more blocks."""
+    if not reports:
+        raise ValueError("block_summary needs at least one block report; the list is empty")
     pvals = np.array([item.report.p_value for item in reports])
     counts, _ = np.histogram(pvals, bins=20, range=(0.0, 1.0))
     return BlockSummary(

@@ -363,17 +363,11 @@ class TestShiftTests:
     def test_sign_kernel_equals_run_test_bit_for_bit(self, estimator, p, seed):
         x, y0, shifts = _replication("t3", p, seed)
         config = NullDrawConfig(draws=500, seed=seed + 10)
-        stats, spectra, draws = calibration._shift_tests(
-            x, y0, shifts, "sign", estimator, config, 0.25
-        )
-        assert draws.shape == (500, len(shifts))
+        reports = calibration._shift_tests(x, y0, shifts, "sign", estimator, config, 0.25)
+        assert len(reports) == len(shifts)
+        # every field of every shift's report, the p-value and cutoff included
         for j, s in enumerate(shifts):
-            report = run_test(x, y0 + s, "sign", estimator, config)
-            assert stats[j] == report.statistic
-            assert spectra[0, j] == report.top_eigenvalue
-            assert empirical_quantile(draws[:, j], 0.95) == report.cutoff
-            exceed = np.count_nonzero(draws[:, j] >= stats[j])
-            assert (1 + exceed) / 501 == report.p_value
+            assert reports[j] == run_test(x, y0 + s, "sign", estimator, config)
 
     @pytest.mark.parametrize("family", ["gaussian", "t3", "cauchy"])
     @pytest.mark.parametrize("p", [5, 100])
@@ -381,19 +375,17 @@ class TestShiftTests:
     def test_identity_kernel_matches_run_test(self, estimator, p, family):
         x, y0, shifts = _replication(family, p, 4)
         config = NullDrawConfig(draws=500, seed=14)
-        stats, spectra, draws = calibration._shift_tests(
-            x, y0, shifts, "identity", estimator, config, 0.25
-        )
+        reports = calibration._shift_tests(x, y0, shifts, "identity", estimator, config, 0.25)
+        assert len(reports) == len(shifts)
         # one calibration serves every shift
-        assert spectra.shape[1] == 1 and draws.shape == (500, 1)
-        cutoff = empirical_quantile(draws[:, 0], 0.95)
-        for s, stat in zip(shifts, stats):
+        calibrations = {(r.cutoff, r.trace, r.top_eigenvalue) for r in reports}
+        assert len(calibrations) == 1
+        for s, shifted in zip(shifts, reports):
             report = run_test(x, y0 + s, "identity", estimator, config)
-            assert stat == pytest.approx(report.statistic, rel=1e-12, abs=0.0)
-            assert cutoff == pytest.approx(report.cutoff, rel=1e-12, abs=0.0)
+            assert shifted.statistic == pytest.approx(report.statistic, rel=1e-12, abs=0.0)
+            assert shifted.cutoff == pytest.approx(report.cutoff, rel=1e-12, abs=0.0)
         # at delta 0 the closed form adds exactly nothing
-        report = run_test(x, y0, "identity", estimator, config)
-        assert (stats[0], cutoff) == (report.statistic, report.cutoff)
+        assert reports[0] == run_test(x, y0, "identity", estimator, config)
 
     @pytest.mark.parametrize("kernel, passes", [("identity", 1), ("sign", len(POWER_GRID))])
     def test_one_calibration_per_replication(self, monkeypatch, kernel, passes):

@@ -86,6 +86,12 @@ class TestLoadMatrixCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_matrix_csv(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a spreadsheet's UTF-8 export leads a headerless first row with one
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        assert np.array_equal(load_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("1,2\n\n3,4\n")
@@ -121,6 +127,10 @@ class TestRunRealdataBlocks:
         summary = block_summary(reports)
         assert sum(summary.histogram) == 2
         assert len(summary.histogram) == 20
+
+    def test_summary_of_no_blocks_raises(self):
+        with pytest.raises(ValueError, match="the list is empty"):
+            block_summary([])
 
     def test_single_block_when_width_is_column_count(self, sample_pair):
         x, y, _, _ = sample_pair
@@ -178,6 +188,17 @@ class TestCliTest:
         assert payload["n2"] == 14
         assert payload["M"] == 500
         assert isinstance(payload["reject"], bool)
+
+    def test_byte_order_marked_csv_is_read(self, sample_pair, tmp_path):
+        x, y, x_path, y_path = sample_pair
+        marked = tmp_path / "x-bom.csv"
+        with open(x_path, "rb") as fh:
+            marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        outs = [tmp_path / "plain.json", tmp_path / "marked.json"]
+        for path, out in zip((x_path, marked), outs):
+            args = ["--x", str(path), "--y", y_path, "--draws", "200", "--seed", "3"]
+            assert main(["test", *args, "--json", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_default_seed_is_printed(self, sample_pair, capsys):
         _, _, x_path, y_path = sample_pair

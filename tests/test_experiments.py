@@ -377,14 +377,20 @@ class TestBlasThreads:
         # at p=300 OpenBLAS rounds the factor, the drawn data and the taper
         # spectrum differently at 1 and 2 threads; the CSV rows are too
         # coarse to show that, so compare the bits of T and the null draws
-        shift_tests = calibration._shift_tests
+        shift_tests, null_draws = calibration._shift_tests, calibration.simulate_null_draws
         seen = []
 
-        def spy(*args):
-            stats, spectra, draws = shift_tests(*args)
-            seen.append((np.asarray(stats).tobytes(), draws.tobytes()))
-            return stats, spectra, draws
+        def draws_spy(*args):
+            draws = null_draws(*args)
+            seen.append(draws.tobytes())
+            return draws
 
+        def spy(*args):
+            reports = shift_tests(*args)
+            seen.append(np.array([r.statistic for r in reports]).tobytes())
+            return reports
+
+        monkeypatch.setattr(calibration, "simulate_null_draws", draws_spy)
         monkeypatch.setattr(calibration, "_shift_tests", spy)
         setter, getter = blas_threads
         config = _config(
@@ -404,7 +410,8 @@ class TestBlasThreads:
             run_power_curve(config, threads=1)
             assert getter() == threads
             runs.append(list(seen))
-        assert len(runs[0]) == 2 and runs[0] == runs[1]
+        # the draws, then T, of each of the two replications
+        assert len(runs[0]) == 4 and runs[0] == runs[1]
 
     def test_parent_count_restored_when_a_replication_raises(
         self, monkeypatch, blas_at_two_threads
