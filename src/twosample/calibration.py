@@ -7,14 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import statistic
-from .covariance import (
-    _apply_taper,
-    _is_real,
-    _plain_from_aggregates,
-    _plain_gram,
-    _taper_bandwidth,
-    eigenvalues_sym,
-)
+from .covariance import _apply_taper, _centred_factor, _is_real, _taper_bandwidth, eigenvalues_sym
 from .statistic import IDENTITY, _check_pair, _recentred_statistic, _statistic_from_aggregates
 
 DEFAULT_SEED = 12345
@@ -45,7 +38,7 @@ class NullDrawConfig:
         if not _is_real(self.alpha):
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+            raise ValueError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
         _check_int("seed", self.seed, 0)
 
 
@@ -149,7 +142,8 @@ def _overflow(kernel):
 
 def _estimate(mx, my, kernel, estimator, beta):
     """One pair pass: the grand sum g, the statistic and the spectrum of the
-    estimate (plain from its Gram form, or tapered)."""
+    estimate, from one centred factor C (`_centred_factor`): plain from the
+    smaller of C^T C and C C^T, tapered from the p x p C^T C."""
     # the identity kernel's sums can overflow for huge but finite data; that
     # is reported below in terms of x and y, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -157,11 +151,12 @@ def _estimate(mx, my, kernel, estimator, beta):
         # statistic.pair_aggregates (bench/tracing.py) sees this pass
         g, sx, sy, sumsq = statistic.pair_aggregates(mx, my, kernel)
         stat = _statistic_from_aggregates(g, sx, sy, sumsq)
+        c = _centred_factor(g, sx, sy)
         if estimator == TAPER:
             k = _taper_bandwidth(beta, mx.shape[0] + my.shape[0], mx.shape[1])
-            est = _apply_taper(_plain_from_aggregates(g, sx, sy), k)
+            est = _apply_taper(c.T @ c, k)
         else:
-            est = _plain_gram(g, sx, sy)
+            est = c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T
     if not (math.isfinite(stat) and np.isfinite(est).all()):
         raise _overflow(kernel)
     return g, stat, eigenvalues_sym(est)
@@ -227,10 +222,11 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
     """Full test: statistic, spectrum estimate, null draws, cutoff, decision.
 
     The one-shift case of the replication path (`_shift_tests`). The
-    statistic and the covariance estimate come from one pair pass. The
-    plain spectrum is taken from the min(p, n1+n2)-square Gram form of the
-    estimate (`_plain_gram`), so the null draws use that many weights; the
-    tapered estimate is not low rank and keeps its p x p spectrum.
+    statistic and the estimate come from one pair pass, the estimate from
+    one centred factor C with C^T C the plain estimate (`_estimate`). The
+    plain spectrum is that of the min(p, n1+n2)-square C^T C or C C^T, so
+    the null draws use that many weights; the tapered C^T C is not low
+    rank and keeps its p x p spectrum.
     """
     if config is None:
         config = NullDrawConfig()

@@ -13,39 +13,39 @@ def estimate_plain(x, y, kernel):
     """Pooled outer-product estimator of the kernel covariance.
 
     (1/(n n1 n2)) [sum_i sx_i sx_i^T + sum_j sy_j sy_j^T] - dh dh^T with
-    dh the pair mean, emitted exactly symmetric. In exact arithmetic it is
-    positive semidefinite with rank at most n1+n2-2 (see `_plain_gram`); the
-    computed eigenvalues beyond that rank are rounding noise of either sign.
+    dh the pair mean, taken as C^T C for the centred factor C of
+    `_centred_factor` and emitted exactly symmetric. It is positive
+    semidefinite with rank at most n1+n2-2; the computed eigenvalues beyond
+    that rank are rounding noise of either sign.
     """
     g, sx, sy, _ = pair_aggregates(x, y, kernel)
-    return _plain_from_aggregates(g, sx, sy)
+    c = _centred_factor(g, sx, sy)
+    return c.T @ c
 
 
-def _plain_from_aggregates(g, sx, sy):
-    """The estimate_plain matrix from the sums of one pair pass."""
-    n1, n2 = sx.shape[0], sy.shape[0]
-    n = n1 + n2
-    dh = g / (n1 * n2)
-    # exactly symmetric: a.T @ a goes through syrk, and outer(dh, dh) is symmetric
-    return (sx.T @ sx + sy.T @ sy) / (n * n1 * n2) - np.outer(dh, dh)
+def _centred_factor(g, sx, sy):
+    """The (n1+n2) x p factor C with C^T C the plain estimate.
 
-
-def _plain_gram(g, sx, sy):
-    """A min(p, n1+n2)-square matrix with the nonzero spectrum of the plain estimate.
-
-    With s = n n1 n2 the plain estimate is exactly C^T C for the row-centred
-    C = [sx - g/n1; sy - g/n2] / sqrt(s): the rows of sx and of sy each sum
-    to g, so the -dh dh^T term is what centring them subtracts. C^T C and
-    C C^T share their nonzero eigenvalues; the smaller product is returned.
+    With s = n n1 n2, C = [sx - g/n1; sy - g/n2] / sqrt(s): the rows of sx
+    and of sy each sum to g, so centring them subtracts the -dh dh^T term
+    of the outer-product form. Centring first keeps the digits that form
+    loses to cancellation when the mean is large against the spread.
+    C^T C goes through syrk, so it is exactly symmetric; C C^T shares its
+    nonzero eigenvalues.
     """
     n1, n2 = sx.shape[0], sy.shape[0]
-    n = n1 + n2
-    c = np.vstack([sx - g / n1, sy - g / n2]) / np.sqrt(n * n1 * n2)
-    return c.T @ c if c.shape[1] <= n else c @ c.T
+    return np.vstack([sx - g / n1, sy - g / n2]) / np.sqrt((n1 + n2) * n1 * n2)
 
 
 def _is_real(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a float, not a bool; an int too large for a finite float is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _taper_bandwidth(beta, n, p):
@@ -53,7 +53,7 @@ def _taper_bandwidth(beta, n, p):
     if not _is_real(beta):
         raise ValueError(f"beta must be a number, got {beta!r}")
     if not beta > 0:
-        raise ValueError("beta must be positive")
+        raise ValueError(f"beta must be positive, got {beta}")
     return min(float(n) ** (1.0 / (2.0 * float(beta) + 2.0)), float(p))
 
 
@@ -72,8 +72,8 @@ def taper_weight(i, j, k):
 def _apply_taper(est, k):
     """Multiply a p x p estimate elementwise by the `taper_weight`s at bandwidth k.
 
-    Entries at |i-j| >= k become 0. est must be exactly symmetric, as
-    `_plain_from_aggregates` emits it; the weights are too, so the product
+    Entries at |i-j| >= k become 0. est must be exactly symmetric, as the
+    C^T C of `_centred_factor` is; the weights are too, so the product
     needs no re-symmetrizing.
     """
     p = est.shape[0]

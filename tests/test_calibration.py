@@ -54,10 +54,14 @@ class TestNullDrawConfig:
             NullDrawConfig(seed=-1)
         assert NullDrawConfig(seed=0).seed == 0
 
-    @pytest.mark.parametrize("alpha", ["0.5", True])
+    @pytest.mark.parametrize("alpha", ["0.5", True, pytest.param(10**400, id="beyond-float")])
     def test_alpha_must_be_a_number(self, alpha):
         with pytest.raises(ValueError, match=f"^alpha must be a number, got {alpha!r}$"):
             NullDrawConfig(alpha=alpha)
+
+    def test_alpha_out_of_range_names_the_value(self):
+        with pytest.raises(ValueError, match="^alpha must lie strictly between 0 and 1, got 2.0$"):
+            NullDrawConfig(alpha=2.0)
 
 
 class TestSimulateNullDraws:
@@ -245,6 +249,29 @@ class TestRunTest:
         y = rng.standard_normal((9, 4))
         with pytest.raises(ValueError, match=f"^beta must be a number, got {beta!r}$"):
             run_test(x, y, "sign", "taper", NullDrawConfig(draws=50), beta=beta)
+
+    @pytest.mark.parametrize("kernel", ["identity", "sign"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_taper_equals_plain_up_to_p_two(self, kernel, p):
+        # every taper weight is 1 at p <= 2, and both estimates are one C^T C
+        for seed in range(5):
+            rng = np.random.default_rng([p, seed])
+            x = rng.standard_normal((40, p))
+            y = rng.standard_t(3, size=(50, p)) + 0.3
+            config = NullDrawConfig(draws=200, seed=seed)
+            taper = run_test(x, y, kernel, "taper", config)
+            assert taper == run_test(x, y, kernel, "plain", config)
+
+    def test_far_shift_of_y_keeps_the_identity_taper_spectrum(self):
+        # h = x - y: shifting y by 10^6 moves only the mean that C removes
+        rng = np.random.default_rng(57)
+        x = rng.standard_normal((40, 30))
+        y = rng.standard_normal((50, 30))
+        config = NullDrawConfig(draws=100, seed=5)
+        near = run_test(x, y, "identity", "taper", config)
+        far = run_test(x, y + 1e6, "identity", "taper", config)
+        assert far.trace == pytest.approx(near.trace, rel=1e-9, abs=0)
+        assert far.top_eigenvalue == pytest.approx(near.top_eigenvalue, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("estimator", ["plain", "taper"])
     def test_one_pair_pass_per_test(self, monkeypatch, estimator):

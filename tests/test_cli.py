@@ -427,6 +427,20 @@ class TestCliSimulate:
             ({"replications": 2.5}, "replications must be an integer, got 2.5"),
             ({"seed": 1.7}, "seed must be an integer, got 1.7"),
             ({"deltas": 0.5}, "deltas must be a list of numbers, got 0.5"),
+            # ints that no float holds: named, not an OverflowError traceback
+            pytest.param(
+                {"deltas": [0.0, 10**400]},
+                f"deltas must be a list of numbers, got [0.0, {10**400}]",
+                id="delta-beyond-float",
+            ),
+            pytest.param(
+                {"beta": 10**400}, f"beta must be a number, got {10**400}", id="beta-beyond-float"
+            ),
+            pytest.param(
+                {"beta": -(10**400)},
+                f"beta must be a number, got {-(10**400)}",
+                id="beta-below-float",
+            ),
             ({"family": 5}, "unknown family 5; expected gaussian, cauchy, or t<k>"),
         ],
     )

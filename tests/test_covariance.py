@@ -9,7 +9,7 @@ from twosample import (
     pair_aggregates,
     taper_weight,
 )
-from twosample.covariance import _apply_taper, _plain_gram, _taper_bandwidth
+from twosample.covariance import _apply_taper, _centred_factor, _taper_bandwidth
 
 X4 = np.array([[0.0], [2.0]])
 Y4 = np.array([[1.0], [3.0]])
@@ -74,6 +74,9 @@ class TestEstimatePlain:
             ) - dh @ dh
             est = estimate_plain(x, y, kernel)
             assert abs(np.trace(est) - want) <= 1e-10 * (1.0 + abs(want))
+            # and entry by entry: the outer-product definition the centred factor equals
+            outer = (sx.T @ sx + sy.T @ sy) / (n * n1 * n2) - np.outer(dh, dh)
+            assert np.allclose(est, outer, rtol=0, atol=1e-14)
             assert np.trace(est) >= -1e-8 * 4
 
 
@@ -81,20 +84,32 @@ class TestPlainGram:
     @pytest.mark.parametrize("kernel", [IDENTITY, SIGN])
     @pytest.mark.parametrize("p", [5, 88, 90, 92, 300])
     def test_spectrum_matches_the_p_by_p_estimate(self, kernel, p):
-        # n1 + n2 = 90: the Gram form is p x p up to p = 90, then 90 x 90
+        # n1 + n2 = 90: C^T C is the smaller product up to p = 90, then C C^T
         rng = np.random.default_rng(p)
         x = rng.standard_normal((40, p))
         y = rng.standard_t(3, size=(50, p)) + 0.2
         g, sx, sy, _ = pair_aggregates(x, y, kernel)
-        gram = _plain_gram(g, sx, sy)
-        assert gram.shape == (min(p, 90), min(p, 90))
-        lam = eigenvalues_sym(gram)
+        c = _centred_factor(g, sx, sy)
+        assert c.shape == (90, p)
+        lam = eigenvalues_sym(c.T @ c if p <= 90 else c @ c.T)
         full = eigenvalues_sym(estimate_plain(x, y, kernel))
+        assert lam.size == min(p, 90)
         assert np.max(np.abs(lam - full[: lam.size])) <= 1e-12 * full[0]
 
     def test_four_point_value(self):
         g, sx, sy, _ = pair_aggregates(X4, Y4, IDENTITY)
-        assert np.array_equal(_plain_gram(g, sx, sy), [[1.0]])
+        c = _centred_factor(g, sx, sy)
+        assert np.array_equal(c.T @ c, [[1.0]])
+
+    def test_far_shift_of_y_keeps_the_identity_estimate(self):
+        # the identity kernel's h = x - y: a shift of y moves only the mean,
+        # which the centred factor removes before any product is formed
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((40, 30))
+        y = rng.standard_normal((50, 30))
+        est = estimate_plain(x, y, IDENTITY)
+        far = estimate_plain(x, y + 1e6, IDENTITY)
+        assert np.max(np.abs(far - est)) <= 1e-9 * np.max(np.abs(est))
 
 
 class TestTaper:
@@ -103,6 +118,8 @@ class TestTaper:
         assert _taper_bandwidth(0.25, 90, 2) == 2.0
 
     def test_invalid_arguments(self):
+        with pytest.raises(ValueError, match="beta must be positive, got -1.0"):
+            _taper_bandwidth(-1.0, 90, 10)
         with pytest.raises(ValueError, match="beta must be positive"):
             _taper_bandwidth(0.0, 90, 10)
         with pytest.raises(ValueError):
