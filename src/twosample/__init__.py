@@ -43,7 +43,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "BaselineReport",

@@ -17,19 +17,23 @@ class BaselineReport:
     p_value: float
 
 
+def _check_hotelling_dims(p, n1, n2, where=""):
+    """Hotelling's F reference needs p <= n1 + n2 - 2, so its degrees of freedom are positive."""
+    if p > n1 + n2 - 2:
+        raise ValueError(f"{where}hotelling needs p <= n1 + n2 - 2, got p={p}, n1={n1}, n2={n2}")
+
+
 def hotelling_t2(x, y):
     """Two-sample Hotelling T^2 with pooled covariance, F-calibrated.
 
-    Requires p <= n1 + n2 - 2 so the F degrees of freedom are positive. The
-    quadratic form is evaluated through a Cholesky solve of the pooled
-    covariance, never an explicit inverse.
+    Requires p <= n1 + n2 - 2. The quadratic form is evaluated through a
+    Cholesky solve of the pooled covariance, never an explicit inverse.
     """
     mx, my = _check_pair(x, y)
     n1, p = mx.shape
     n2 = my.shape[0]
+    _check_hotelling_dims(p, n1, n2)
     n = n1 + n2
-    if p > n - 2:
-        raise ValueError(f"need p <= n1 + n2 - 2 (got p={p}, n1+n2={n})")
     xc = mx - mx.mean(axis=0)
     yc = my - my.mean(axis=0)
     pooled = (xc.T @ xc + yc.T @ yc) / (n - 2)

@@ -15,6 +15,7 @@ PLAIN = "plain"
 TAPER = "taper"
 ESTIMATORS = (PLAIN, TAPER)
 _NEGATIVE_RTOL = 1e-10  # tau of TestReport.negative_eigenvalues
+_MIN_ROWS = 2  # per sample: the statistic sums over pairs of distinct rows
 
 
 def _check_int(name, value, low=None):
@@ -38,7 +39,7 @@ class NullDrawConfig:
         if not _is_real(self.alpha):
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
+            raise ValueError(f"alpha must be strictly between 0 and 1, got {self.alpha}")
         _check_int("seed", self.seed, 0)
 
 
@@ -190,7 +191,7 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     mx, my0 = _check_pair(x, y0)
-    if mx.shape[0] < 2 or my0.shape[0] < 2:
+    if min(mx.shape[0], my0.shape[0]) < _MIN_ROWS:
         raise ValueError(
             f"x and y need at least two rows each: x has {mx.shape[0]}, y has {my0.shape[0]}"
         )

@@ -9,8 +9,9 @@ import sys
 
 import numpy as np
 
-from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, run_test
+from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, _check_int, run_test
 from .config import load_configs
+from .covariance import _taper_bandwidth
 from .experiments import _write_json, run_power_curves, write_csv, write_manifest
 from .realdata import block_summary, load_matrix_csv, run_realdata_blocks
 from .statistic import KERNELS
@@ -22,34 +23,33 @@ def _report_fields(report, draws):
     return {**dataclasses.asdict(report), "p_value_mcse": math.sqrt(p * (1.0 - p) / draws)}
 
 
-def _checked(convert, ok, requirement):
-    """An argparse type: convert the text, then reject a value failing `ok` (exit 2)."""
+def _flag(convert, check):
+    """An argparse type: the text converted, then checked by the library code that uses it."""
 
     def parse(text):
         value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        try:
+            check(value)
+        except ValueError as err:  # a usage error (exit 2), raised before any file is read
+            raise argparse.ArgumentTypeError(str(err)) from None
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
     return parse
 
 
-_COUNT = _checked(int, lambda v: v >= 1, "at least 1")
-_SEED = _checked(int, lambda v: v >= 0, "at least 0")
-_LEVEL = _checked(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
-_POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
-
-
 def _add_test_flags(parser):
+    beta = _flag(float, lambda v: _taper_bandwidth(v, 2, 1))
+    alpha = _flag(float, lambda v: NullDrawConfig(alpha=v))
+    draws = _flag(int, lambda v: NullDrawConfig(draws=v))
     parser.add_argument("--x", required=True, help="CSV of the first sample; rows are observations")
     parser.add_argument("--y", required=True, help="CSV of the second sample")
     parser.add_argument("--kernel", choices=KERNELS, default="sign")
     parser.add_argument("--estimator", choices=ESTIMATORS, default="plain")
-    parser.add_argument("--beta", type=_POSITIVE, default=0.25, help="taper smoothness exponent")
-    parser.add_argument("--alpha", type=_LEVEL, default=0.05)
-    parser.add_argument("--draws", type=_COUNT, default=10000, help="Monte-Carlo reference draws M")
-    parser.add_argument("--seed", type=_SEED, default=None)
+    parser.add_argument("--beta", type=beta, default=0.25, help="taper smoothness exponent")
+    parser.add_argument("--alpha", type=alpha, default=0.05)
+    parser.add_argument("--draws", type=draws, default=10000, help="Monte-Carlo reference draws M")
+    parser.add_argument("--seed", type=_flag(int, lambda v: NullDrawConfig(seed=v)), default=None)
     parser.add_argument("--json", dest="json_path", default=None, help="write the report as JSON")
 
 
@@ -168,12 +168,14 @@ def _build_parser():
     p_sim = sub.add_parser("simulate", help="run simulation scenarios from a JSON config")
     p_sim.add_argument("--config", required=True, help="JSON file with one scenario or a list")
     p_sim.add_argument("--out", required=True, help="output directory for CSV and manifest files")
-    p_sim.add_argument("--threads", type=_COUNT, default=1)
+    threads = _flag(int, lambda v: _check_int("threads", v, 1))
+    p_sim.add_argument("--threads", type=threads, default=1)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_blocks = sub.add_parser("blocks", help="test consecutive column blocks of a CSV pair")
     _add_test_flags(p_blocks)
-    p_blocks.add_argument("--width", type=_COUNT, required=True, help="columns per block")
+    width = _flag(int, lambda v: _check_int("width", v, 1))
+    p_blocks.add_argument("--width", type=width, required=True, help="columns per block")
     p_blocks.set_defaults(func=_cmd_blocks)
     return parser
 

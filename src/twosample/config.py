@@ -3,7 +3,8 @@
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, _check_int
+from .baselines import _check_hotelling_dims
+from .calibration import _MIN_ROWS, DEFAULT_SEED, ESTIMATORS, NullDrawConfig, _check_int
 from .covariance import _is_real, _taper_bandwidth
 from .datagen import parse_family, scenario_sigma, shift_vector
 from .statistic import _check_kernel
@@ -46,8 +47,9 @@ class ScenarioConfig:
         parse_family(self.family)
         # the form, each delta and the kernel follow the rules of the code that uses them
         scenario_sigma(self.cov_form, 1)
-        for name in ("p", "n1", "n2", "replications"):
-            _check_int(name, getattr(self, name), 1)
+        rows = 1 if self.estimator == HOTELLING else _MIN_ROWS  # hotelling: see its p rule below
+        for name, low in (("p", 1), ("n1", rows), ("n2", rows), ("replications", 1)):
+            _check_int(name, getattr(self, name), low)
         _check_int("seed", self.seed)
         if not isinstance(self.deltas, (list, tuple)) or not all(map(_is_real, self.deltas)):
             raise ValueError(f"deltas must be a list of numbers, got {self.deltas!r}")
@@ -62,11 +64,8 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_CHOICES}"
             )
-        if self.estimator == HOTELLING and self.p > self.n1 + self.n2 - 2:
-            raise ValueError(
-                f"scenario {self.scenario_id!r}: hotelling needs p <= n1 + n2 - 2, "
-                f"got p={self.p}, n1={self.n1}, n2={self.n2}"
-            )
+        if self.estimator == HOTELLING:
+            _check_hotelling_dims(self.p, self.n1, self.n2, f"scenario {self.scenario_id!r}: ")
         # beta, draws and alpha follow the rules of the tests that use them
         _taper_bandwidth(self.beta, self.n1 + self.n2, self.p)
         NullDrawConfig(self.draws, self.alpha)

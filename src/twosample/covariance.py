@@ -5,10 +5,6 @@ import numpy as np
 from .statistic import pair_aggregates
 
 
-def _symmetrize(a):
-    return (a + a.T) / 2.0
-
-
 def estimate_plain(x, y, kernel):
     """Pooled outer-product estimator of the kernel covariance.
 
@@ -49,11 +45,11 @@ def _is_real(value):
 
 
 def _taper_bandwidth(beta, n, p):
-    """Taper bandwidth k = min(n^(1/(2 beta + 2)), p) for a number beta > 0, kept real."""
+    """Taper bandwidth k = min(n^(1/(2 beta + 2)), p) for a finite number beta > 0, kept real."""
     if not _is_real(beta):
         raise ValueError(f"beta must be a number, got {beta!r}")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"beta must be {'finite' if beta > 0 else 'positive'}, got {beta}")
     return min(float(n) ** (1.0 / (2.0 * float(beta) + 2.0)), float(p))
 
 
@@ -84,13 +80,13 @@ def _apply_taper(est, k):
 def eigenvalues_sym(m):
     """All eigenvalues of a symmetric matrix, sorted descending.
 
-    Negative eigenvalues are retained; callers that feed the spectrum into
-    the null reference expect them verbatim.
+    `eigvalsh` reads only the lower triangle, so m must be exactly symmetric,
+    as C^T C and C C^T from syrk are. Negative eigenvalues are kept verbatim:
+    the null reference draws over them.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("m must be a square 2-d array")
     if not np.isfinite(a).all():
         raise ValueError("m contains non-finite entries")
-    lam = np.linalg.eigvalsh(_symmetrize(a))
-    return lam[::-1].copy()
+    return np.linalg.eigvalsh(a)[::-1].copy()

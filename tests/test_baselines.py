@@ -51,7 +51,8 @@ class TestHotelling:
     def test_dimension_too_large_raises(self):
         # p = 6 > n1 + n2 - 2 = 5 leaves no F degrees of freedom
         rng = np.random.default_rng(9)
-        with pytest.raises(ValueError):
+        message = "^hotelling needs p <= n1 \\+ n2 - 2, got p=6, n1=4, n2=3$"
+        with pytest.raises(ValueError, match=message):
             hotelling_t2(rng.standard_normal((4, 6)), rng.standard_normal((3, 6)))
 
     def test_singular_pooled_covariance_raises(self):

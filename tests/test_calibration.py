@@ -60,7 +60,7 @@ class TestNullDrawConfig:
             NullDrawConfig(alpha=alpha)
 
     def test_alpha_out_of_range_names_the_value(self):
-        with pytest.raises(ValueError, match="^alpha must lie strictly between 0 and 1, got 2.0$"):
+        with pytest.raises(ValueError, match="^alpha must be strictly between 0 and 1, got 2.0$"):
             NullDrawConfig(alpha=2.0)
 
 
@@ -249,6 +249,14 @@ class TestRunTest:
         y = rng.standard_normal((9, 4))
         with pytest.raises(ValueError, match=f"^beta must be a number, got {beta!r}$"):
             run_test(x, y, "sign", "taper", NullDrawConfig(draws=50), beta=beta)
+
+    def test_taper_beta_must_be_finite(self):
+        # n^(1/(2 beta + 2)) = 1 at beta = inf would taper to the diagonal alone
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal((8, 4))
+        y = rng.standard_normal((9, 4))
+        with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
+            run_test(x, y, "sign", "taper", NullDrawConfig(draws=50), beta=float("inf"))
 
     @pytest.mark.parametrize("kernel", ["identity", "sign"])
     @pytest.mark.parametrize("p", [1, 2])

@@ -442,12 +442,26 @@ class TestCliSimulate:
                 id="beta-below-float",
             ),
             ({"family": 5}, "unknown family 5; expected gaussian, cauchy, or t<k>"),
+            pytest.param({"beta": float("inf")}, "beta must be finite, got inf", id="beta-inf"),
         ],
     )
     def test_mistyped_field_rejected_before_any_output(self, tmp_path, capsys, overrides, message):
         scenarios = [self._scenario("good"), self._scenario("bad", **overrides)]
         err = self._run_invalid(tmp_path, capsys, scenarios).err
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [({"n1": 1}, "n1"), ({"n2": 1, "estimator": "taper"}, "n2")],
+        ids=["n1-sign-plain", "n2-sign-taper"],
+    )
+    def test_one_row_scenario_rejected_before_any_output(
+        self, tmp_path, capsys, overrides, field
+    ):
+        # every replication of it would fail in the test, after earlier files were written
+        scenarios = [self._scenario("good"), self._scenario("bad", **overrides)]
+        err = self._run_invalid(tmp_path, capsys, scenarios).err
+        assert err == f"error: {field} must be at least 2, got 1\n"
 
     @pytest.mark.parametrize(
         "threads, replications, workers",
@@ -529,6 +543,8 @@ class TestCliSimulate:
         ["blocks", "--width", "3", "--beta", "-1"],
         ["test", "--seed", "-1"],
         ["blocks", "--width", "3", "--seed", "-1"],
+        ["test", "--beta", "inf"],
+        ["blocks", "--width", "3", "--beta", "inf"],
     ],
 )
 def test_out_of_range_numeric_flag_is_a_usage_error(tmp_path, capsys, argv):
@@ -540,3 +556,31 @@ def test_out_of_range_numeric_flag_is_a_usage_error(tmp_path, capsys, argv):
     message = capsys.readouterr().err
     flag = argv[-2]
     assert f"argument {flag}:" in message and "must be" in message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["test", "--draws", "0"], "argument --draws: draws must be at least 1, got 0"),
+        (
+            ["test", "--alpha", "2"],
+            "argument --alpha: alpha must be strictly between 0 and 1, got 2.0",
+        ),
+        (["test", "--seed", "-1"], "argument --seed: seed must be at least 0, got -1"),
+        (["test", "--beta", "-1"], "argument --beta: beta must be positive, got -1.0"),
+        (["test", "--beta", "inf"], "argument --beta: beta must be finite, got inf"),
+        (["blocks", "--width", "0"], "argument --width: width must be at least 1, got 0"),
+        (["simulate", "--threads", "0"], "argument --threads: threads must be at least 1, got 0"),
+    ],
+)
+def test_numeric_flag_reports_the_library_message(tmp_path, capsys, argv, message):
+    # the flag's value is checked by the library code that uses it, in its words
+    missing = str(tmp_path / "missing")
+    if argv[0] == "simulate":
+        files = ["--config", missing, "--out", missing]
+    else:
+        files = ["--x", missing, "--y", missing]
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], *files, *argv[1:]])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")

@@ -59,6 +59,15 @@ class TestEstimatePlain:
             assert np.array_equal(est, est.T)
             tapered = _apply_taper(est, 2.5)
             assert np.array_equal(tapered, tapered.T)
+        # p > n1 + n2: the plain spectrum comes from the smaller C C^T
+        x = rng.standard_normal((6, 20))
+        y = rng.standard_normal((8, 20))
+        for kernel in (IDENTITY, SIGN):
+            g, sx, sy, _ = pair_aggregates(x, y, kernel)
+            c = _centred_factor(g, sx, sy)
+            gram = c @ c.T
+            assert gram.shape == (14, 14)
+            assert np.array_equal(gram, gram.T)
 
     def test_trace_identity_from_aggregates(self):
         rng = np.random.default_rng(13)
@@ -122,6 +131,12 @@ class TestTaper:
             _taper_bandwidth(-1.0, 90, 10)
         with pytest.raises(ValueError, match="beta must be positive"):
             _taper_bandwidth(0.0, 90, 10)
+        with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
+            _taper_bandwidth(float("inf"), 90, 10)
+        with pytest.raises(ValueError, match="^beta must be positive, got -inf$"):
+            _taper_bandwidth(float("-inf"), 90, 10)
+        with pytest.raises(ValueError, match="^beta must be positive, got nan$"):
+            _taper_bandwidth(float("nan"), 90, 10)
         with pytest.raises(ValueError):
             taper_weight(0, 1, 0.0)
 
@@ -196,6 +211,11 @@ class TestEigenvaluesSym:
         base = eigenvalues_sym(estimate_plain(x, y, SIGN))
         permuted = eigenvalues_sym(estimate_plain(x[:, perm], y[:, perm], SIGN))
         assert np.allclose(base, permuted, rtol=0, atol=1e-8)
+
+    def test_reads_the_lower_triangle_only(self):
+        # the upper entry 100 is ignored: the spectrum is that of [[2, 1], [1, 2]]
+        lam = eigenvalues_sym([[2.0, 100.0], [1.0, 2.0]])
+        assert np.allclose(lam, [3.0, 1.0], rtol=0, atol=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

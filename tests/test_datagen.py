@@ -165,7 +165,7 @@ class TestGenerateScenario:
         assert (np.abs(y.mean(axis=0) - shift_vector(5, 1.0)) <= band).all()
 
     def test_gaussian_covariance_concentrates(self):
-        config = _scenario(cov_form="ar", p=4, n1=100_000, n2=1)
+        config = _scenario(cov_form="ar", p=4, n1=100_000, n2=2)
         x, _ = generate_scenario(config, np.random.default_rng(11))
         sigma = scenario_sigma("ar", 4)
         emp = np.cov(x, rowvar=False)
@@ -173,7 +173,7 @@ class TestGenerateScenario:
         assert (np.abs(emp - sigma) <= tol).all()
 
     def test_cauchy_median_concentrates(self):
-        config = _scenario(family="cauchy", p=1, n1=100_000, n2=1)
+        config = _scenario(family="cauchy", p=1, n1=100_000, n2=2)
         x, _ = generate_scenario(config, np.random.default_rng(13))
         assert abs(np.median(x)) < 0.02
 

@@ -164,6 +164,21 @@ class TestScenarioConfig:
             _config(estimator="hotelling", p=29)
         assert _config(estimator="plain", p=29).p == 29
 
+    @pytest.mark.parametrize("field", ["n1", "n2"])
+    @pytest.mark.parametrize("estimator", ["plain", "taper"])
+    def test_kernel_tests_need_two_rows_per_sample(self, field, estimator):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 2, got 1$"):
+            _config(estimator=estimator, **{field: 1})
+        assert getattr(_config(estimator=estimator, **{field: 2}), field) == 2
+
+    def test_hotelling_runs_on_one_row(self):
+        # its only floor is p <= n1 + n2 - 2
+        config = _config(estimator="hotelling", n1=1, replications=10)
+        [row] = run_power_curve(config)
+        assert row.n1 == 1 and 0.0 <= row.reject_frac <= 1.0
+        with pytest.raises(ValueError, match="^n1 must be at least 1, got 0$"):
+            _config(estimator="hotelling", n1=0)
+
     def test_dict_round_trip(self):
         config = _config(deltas=(0.0, 0.5))
         assert config_from_dict(config_to_dict(config)) == config
