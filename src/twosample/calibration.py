@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import statistic
+from . import covariance, statistic
 from .covariance import _apply_taper, _centred_factor, _is_real, _taper_bandwidth, eigenvalues_sym
 from .statistic import IDENTITY, _check_pair, _recentred_statistic, _statistic_from_aggregates
 
@@ -219,7 +219,7 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     return [_report(stat, *calib, config) for stat, calib in zip(stats, calibrations)]
 
 
-def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
+def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=covariance._BETA):
     """Full test: statistic, spectrum estimate, null draws, cutoff, decision.
 
     The one-shift case of the replication path (`_shift_tests`). The
@@ -229,7 +229,6 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=0.25):
     the null draws use that many weights; the tapered C^T C is not low
     rank and keeps its p x p spectrum.
     """
-    if config is None:
-        config = NullDrawConfig()
+    config = NullDrawConfig() if config is None else config
     [report] = _shift_tests(x, y, None, kernel, estimator, config, beta)
     return report

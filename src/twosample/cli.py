@@ -9,12 +9,12 @@ import sys
 
 import numpy as np
 
-from .calibration import DEFAULT_SEED, ESTIMATORS, NullDrawConfig, _check_int, run_test
+from .calibration import DEFAULT_SEED, ESTIMATORS, PLAIN, NullDrawConfig, _check_int, run_test
 from .config import load_configs
-from .covariance import _taper_bandwidth
+from .covariance import _BETA, _taper_bandwidth
 from .experiments import _write_json, run_power_curves, write_csv, write_manifest
 from .realdata import block_summary, load_matrix_csv, run_realdata_blocks
-from .statistic import KERNELS
+from .statistic import KERNELS, SIGN
 
 
 def _report_fields(report, draws):
@@ -44,11 +44,13 @@ def _add_test_flags(parser):
     draws = _flag(int, lambda v: NullDrawConfig(draws=v))
     parser.add_argument("--x", required=True, help="CSV of the first sample; rows are observations")
     parser.add_argument("--y", required=True, help="CSV of the second sample")
-    parser.add_argument("--kernel", choices=KERNELS, default="sign")
-    parser.add_argument("--estimator", choices=ESTIMATORS, default="plain")
-    parser.add_argument("--beta", type=beta, default=0.25, help="taper smoothness exponent")
-    parser.add_argument("--alpha", type=alpha, default=0.05)
-    parser.add_argument("--draws", type=draws, default=10000, help="Monte-Carlo reference draws M")
+    parser.add_argument("--kernel", choices=KERNELS, default=SIGN)
+    parser.add_argument("--estimator", choices=ESTIMATORS, default=PLAIN)
+    parser.add_argument("--beta", type=beta, default=_BETA, help="taper smoothness exponent")
+    parser.add_argument("--alpha", type=alpha, default=NullDrawConfig.alpha)
+    parser.add_argument(
+        "--draws", type=draws, default=NullDrawConfig.draws, help="Monte-Carlo reference draws M"
+    )
     parser.add_argument("--seed", type=_flag(int, lambda v: NullDrawConfig(seed=v)), default=None)
     parser.add_argument("--json", dest="json_path", default=None, help="write the report as JSON")
 

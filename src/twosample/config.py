@@ -4,10 +4,10 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 from .baselines import _check_hotelling_dims
-from .calibration import _MIN_ROWS, DEFAULT_SEED, ESTIMATORS, NullDrawConfig, _check_int
-from .covariance import _is_real, _taper_bandwidth
+from .calibration import _MIN_ROWS, DEFAULT_SEED, ESTIMATORS, PLAIN, NullDrawConfig, _check_int
+from .covariance import _BETA, _is_real, _taper_bandwidth
 from .datagen import parse_family, scenario_sigma, shift_vector
-from .statistic import _check_kernel
+from .statistic import SIGN, _check_kernel
 
 HOTELLING = "hotelling"
 ESTIMATOR_CHOICES = ESTIMATORS + (HOTELLING,)
@@ -30,11 +30,11 @@ class ScenarioConfig:
     n1: int
     n2: int
     deltas: tuple = (0.0,)
-    kernel: str = "sign"
-    estimator: str = "plain"
-    beta: float = 0.25
-    alpha: float = 0.05
-    draws: int = 1000
+    kernel: str = SIGN
+    estimator: str = PLAIN
+    beta: float = _BETA
+    alpha: float = NullDrawConfig.alpha
+    draws: int = 1000  # below NullDrawConfig.draws on purpose: a scenario runs R tests
     replications: int = 500
     seed: int = DEFAULT_SEED
 

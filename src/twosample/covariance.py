@@ -4,6 +4,8 @@ import numpy as np
 
 from .statistic import pair_aggregates
 
+_BETA = 0.25  # the default taper exponent beta of `_taper_bandwidth`'s callers
+
 
 def estimate_plain(x, y, kernel):
     """Pooled outer-product estimator of the kernel covariance.

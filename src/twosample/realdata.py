@@ -7,8 +7,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import PLAIN, NullDrawConfig, TestReport, _check_int, run_test
+from .covariance import _BETA
 from .seeding import derive_seed
-from .statistic import _check_pair
+from .statistic import SIGN, _check_pair
 
 
 def _is_number(cell):
@@ -79,7 +80,7 @@ class BlockSummary:
     histogram: tuple  # 20 equal-width p-value bins over [0, 1]
 
 
-def run_realdata_blocks(x, y, width, kernel="sign", estimator=PLAIN, config=None, *, beta=0.25):
+def run_realdata_blocks(x, y, width, kernel=SIGN, estimator=PLAIN, config=None, *, beta=_BETA):
     """Column-block scan: one `run_test` per block of `width` consecutive columns.
 
     Trailing columns short of a full block are dropped. Block b runs with
@@ -89,8 +90,7 @@ def run_realdata_blocks(x, y, width, kernel="sign", estimator=PLAIN, config=None
     """
     mx, my = _check_pair(x, y)
     _check_int("width", width, 1)
-    if config is None:
-        config = NullDrawConfig()
+    config = NullDrawConfig() if config is None else config
     cols = mx.shape[1]
     blocks = cols // width
     if blocks == 0:

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import multiprocessing
 import time
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from twosample import (
+    DEFAULT_SEED,
     NullDrawConfig,
     block_summary,
     cli,
@@ -584,3 +586,18 @@ def test_numeric_flag_reports_the_library_message(tmp_path, capsys, argv, messag
         main([argv[0], *files, *argv[1:]])
     assert err.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [["test"], ["blocks", "--width", "3"]])
+def test_flag_defaults_are_the_library_defaults(command):
+    # a flag left out runs the test that a library call with no such argument runs
+    args = cli._build_parser().parse_args([*command, "--x", "x.csv", "--y", "y.csv"])
+    test = inspect.signature(run_test).parameters
+    blocks = inspect.signature(run_realdata_blocks).parameters
+    library = NullDrawConfig()
+    assert args.kernel == blocks["kernel"].default
+    assert args.estimator == test["estimator"].default == blocks["estimator"].default
+    assert args.beta == test["beta"].default == blocks["beta"].default
+    assert (args.draws, args.alpha) == (library.draws, library.alpha)
+    # with no --seed, _read_inputs says so and runs at DEFAULT_SEED, NullDrawConfig's own
+    assert args.seed is None and library.seed == DEFAULT_SEED

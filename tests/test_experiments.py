@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import pytest
 from twosample import (
     CSV_COLUMNS,
     DEFAULT_SEED,
+    NullDrawConfig,
     ResultRow,
     ScenarioConfig,
     config_from_dict,
@@ -21,6 +23,8 @@ from twosample import (
     load_configs,
     run_power_curve,
     run_power_curves,
+    run_realdata_blocks,
+    run_test,
     write_csv,
     write_manifest,
 )
@@ -178,6 +182,16 @@ class TestScenarioConfig:
         assert row.n1 == 1 and 0.0 <= row.reject_frac <= 1.0
         with pytest.raises(ValueError, match="^n1 must be at least 1, got 0$"):
             _config(estimator="hotelling", n1=0)
+
+    def test_defaults_are_the_library_defaults(self):
+        # a scenario that names no test settings runs the test a library call runs
+        config = ScenarioConfig("s", "gaussian", "identity", p=3, n1=5, n2=5)
+        test = inspect.signature(run_test).parameters
+        blocks = inspect.signature(run_realdata_blocks).parameters
+        assert config.kernel == blocks["kernel"].default
+        assert config.estimator == test["estimator"].default == blocks["estimator"].default
+        assert config.beta == test["beta"].default == blocks["beta"].default
+        assert config.alpha == NullDrawConfig().alpha
 
     def test_dict_round_trip(self):
         config = _config(deltas=(0.0, 0.5))

@@ -1,4 +1,4 @@
-"""The README's list of public names and `twosample.__all__` must agree."""
+"""The README's list of public names and `twosample.__all__` must agree, and its examples run."""
 
 import os
 import re
@@ -25,6 +25,14 @@ def _readme_public_names():
         if started:
             names.update(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", line))
     return names
+
+
+def test_readme_python_examples_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_every_exported_name_resolves():
