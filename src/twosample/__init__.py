@@ -43,7 +43,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
     "BaselineReport",

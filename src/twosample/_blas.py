@@ -40,9 +40,9 @@ def _one_blas_thread():
     """Run the block with OpenBLAS at one thread and restore its count after.
 
     All simulation work runs in it: at p >= 300 OpenBLAS's last bits depend
-    on the thread count, and a fork pool started in it gives each worker one
-    thread. At one thread already, or without a setter, it sets nothing: a
-    set in a forked worker restarts OpenBLAS's pool, whose idle threads spin.
+    on the thread count, and each worker forked in it runs one thread.
+    At one thread already, or without a setter, it sets nothing: a set in
+    a forked worker restarts OpenBLAS's pool, whose idle threads spin.
     """
     calls = _openblas_threads()
     before = None if calls is None else calls[1]()

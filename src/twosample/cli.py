@@ -106,8 +106,8 @@ def _cmd_simulate(args):
         ),
     )
     os.makedirs(args.out, exist_ok=True)
-    # closing() shuts the pool down if a write fails; with the curves first,
-    # zip runs them to their end, so the pool is joined before we return
+    # closing() terminates the workers if a write fails; with the curves
+    # first, zip runs them to their end, so the workers are joined before we return
     with contextlib.closing(run_power_curves(configs, threads=args.threads)) as curves:
         for rows, config in zip(curves, configs):
             csv_path = os.path.join(args.out, f"{config.scenario_id}.csv")

@@ -2,13 +2,11 @@
 
 import contextlib
 import csv
-import itertools
 import json
 import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -46,12 +44,11 @@ class ResultRow:
 _CSV_NAMES = {"draws": "M", "replications": "R"}
 CSV_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(ResultRow))
 
-# workers must inherit the run's one-thread BLAS (`_one_blas_thread`), which a
-# forkserver or spawned worker would not; None (no fork here) keeps the default
-_FORK = (
-    multiprocessing.get_context("fork")
-    if "fork" in multiprocessing.get_all_start_methods()
-    else None
+# workers must inherit the run's one-thread BLAS (`_one_blas_thread`) and the
+# caller's state, which a forkserver or spawned worker would not; where there
+# is no fork, the default start method is used
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 )
 
 
@@ -62,7 +59,7 @@ def _replicate(task):
     (seed, r, 1). The sampler draws y as location + noise, so y0 + the shift
     at d is bit for bit the y that a config with the single delta d draws.
     The kernel tests at all deltas share the null normals (`_shift_tests`).
-    It runs at one BLAS thread, in a worker or serially (see
+    It runs at one BLAS thread, in the caller or in a worker (see
     run_power_curves).
     """
     config, r = task
@@ -98,6 +95,56 @@ def _row(config, delta, count, seconds):
     )
 
 
+def _count(config, share):
+    """Rejections per delta over the replications r in `share` of config."""
+    counts = np.zeros(len(config.deltas), dtype=int)
+    for r in share:
+        counts += _replicate((config, r))
+    return counts
+
+
+def _work(configs, w, workers, conn):
+    """Worker w: send the counts of replications r = w mod workers, config by config.
+
+    A replication that raises sends its exception instead, and ends the work.
+    """
+    try:
+        for config in configs:
+            conn.send(_count(config, range(w, config.replications, workers)))
+    except Exception as err:
+        conn.send(err)
+    finally:
+        conn.close()
+
+
+def _start_worker(stack, configs, w, workers):
+    """Start worker w, which `stack` terminates and joins; its process and receiving end."""
+    recv, send = _CONTEXT.Pipe(duplex=False)
+    stack.enter_context(recv)
+    process = _CONTEXT.Process(target=_work, args=(configs, w, workers, send), daemon=True)
+    process.start()
+    stack.callback(process.join)
+    stack.callback(process.terminate)
+    # the worker holds the only send end, so its exit closes the pipe
+    send.close()
+    return process, recv
+
+
+def _received(process, recv, config):
+    """The counts of config that a worker sends; its exception or exit is raised."""
+    try:
+        message = recv.recv()
+    except EOFError:
+        process.join()
+        raise ChildProcessError(
+            f"worker process {process.pid} exited with code {process.exitcode} "
+            f"before sending its counts for {config.scenario_id!r}"
+        ) from None
+    if isinstance(message, Exception):
+        raise message
+    return message
+
+
 def run_power_curves(configs, threads=1):
     """Yield each config's ResultRows, one list per config, in order.
 
@@ -105,11 +152,16 @@ def run_power_curves(configs, threads=1):
     The whole run, its yields included, holds OpenBLAS at one thread
     (`_one_blas_thread`, process-wide: caller BLAS work between yields too),
     so no row depends on the caller's BLAS count, unless two runs overlap.
-    threads > 1 runs every config's replications in one fork pool of
-    min(threads, total replications) workers; when that is 1 they run
-    serially. All replications are queued at once, so the workers go on
-    with later configs while the caller handles a yielded curve. On an
-    error or an early close the pending replications are cancelled.
+    The run uses W = min(threads, the largest R) processes: the caller and
+    W - 1 workers, forked once per run (a worker beyond the largest R
+    would have nothing to run). Of each config, worker w runs the replications r = w mod W,
+    and the caller runs r = 0 mod W itself, then adds the counts that
+    each worker sends after each config. The workers go on with later
+    configs while the caller handles a yielded curve. When W is 1 every
+    replication runs in the caller. A replication's exception is raised
+    in the caller; a worker that exits without sending its counts raises
+    ChildProcessError. On an error or an early close the workers are
+    terminated and joined.
     Each row's `seconds` is the wall time since the previous curve was
     done (since the start for the first) divided by the number of deltas,
     so the rows sum to the run's wall time.
@@ -117,21 +169,13 @@ def run_power_curves(configs, threads=1):
     calibration._check_int("threads", threads, 1)
     start = time.perf_counter()
     configs = list(configs)
-    tasks = [(config, r) for config in configs for r in range(config.replications)]
-    workers = min(threads, len(tasks))
+    workers = min(threads, max((c.replications for c in configs), default=1))
     with _one_blas_thread(), contextlib.ExitStack() as stack:
-        flags = map(_replicate, tasks)
-        if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=_FORK)
-            stack.callback(pool.shutdown, cancel_futures=True)
-            # a chunk size dividing every R keeps each chunk inside one config,
-            # so a failing replication cannot take an earlier curve with it
-            chunk = max(1, len(tasks) // (workers * 4))
-            chunk = math.gcd(chunk, *(c.replications for c in configs))
-            flags = pool.map(_replicate, tasks, chunksize=chunk)
+        started = [_start_worker(stack, configs, w, workers) for w in range(1, workers)]
         for config in configs:
-            # rejections per delta, over this config's replications
-            counts = np.count_nonzero(list(itertools.islice(flags, config.replications)), axis=0)
+            counts = _count(config, range(0, config.replications, workers))
+            for process, recv in started:
+                counts += _received(process, recv, config)
             done = time.perf_counter()
             seconds, start = (done - start) / len(config.deltas), done
             yield [_row(config, d, c, seconds) for d, c in zip(config.deltas, counts)]

@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -26,6 +27,13 @@ def _second_scenario_fails(task):
     if config.scenario_id == "second":
         raise ValueError(f"replication {r} of {config.scenario_id} failed")
     return [False] * len(config.deltas)
+
+
+def _worker_exits(task, caller=os.getpid(), replicate=experiments._replicate):
+    """A replication that ends any process but the test's with exit code 3."""
+    if os.getpid() != caller:
+        os._exit(3)
+    return replicate(task)
 
 
 def _write_matrix(path, matrix):
@@ -466,28 +474,47 @@ class TestCliSimulate:
         assert err == f"error: {field} must be at least 2, got 1\n"
 
     @pytest.mark.parametrize(
-        "threads, replications, workers",
-        [(2, (4, 4, 4), [2]), (4, (1, 2), [3])],
-        ids=["three-scenarios", "fewer-replications"],
+        "threads, replications, processes",
+        [(2, (4, 4, 4), 2), (4, (1, 2), 2), (3, (4, 4, 4), 3)],
+        ids=["three-scenarios", "fewer-replications", "three-threads"],
     )
-    def test_one_pool_per_run(self, tmp_path, monkeypatch, threads, replications, workers):
-        sizes = []
+    def test_one_set_of_workers_per_run(
+        self, tmp_path, monkeypatch, threads, replications, processes
+    ):
+        pids = tmp_path / "pids.log"
+        replicate = experiments._replicate
 
-        class SizedPool(experiments.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def pid_logging(task):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()} {os.getppid()}\n")
+            return replicate(task)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SizedPool)
+        monkeypatch.setattr(experiments, "_replicate", pid_logging)
         scenarios = [self._scenario(f"s{i}", replications=r) for i, r in enumerate(replications)]
         code, out_dir = self._simulate(tmp_path, scenarios, threads)
         assert code == 0
-        assert sizes == workers
-        # the pool's workers are joined before simulate returns
+        # the caller and its forked workers, which ran the patched replication
+        seen = {tuple(map(int, line.split())) for line in pids.read_text().splitlines()}
+        caller = os.getpid()
+        assert len(seen) == processes and (caller, os.getppid()) in seen
+        assert {parent for pid, parent in seen if pid != caller} == {caller}
+        # the workers are joined before simulate returns
         assert multiprocessing.active_children() == []
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(
             f"s{i}.{ext}" for i in range(len(replications)) for ext in ("csv", "json")
         )
+
+    def test_dead_worker_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "_replicate", _worker_exits)
+        # the worker has no replication of "first", and dies on its first of "second"
+        scenarios = [self._scenario("first", replications=1), self._scenario("second")]
+        code, out_dir = self._simulate(tmp_path, scenarios, threads=2)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: worker process ") and err.count("\n") == 1
+        assert "exited with code 3 before sending its counts for 'second'" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["first.csv", "first.json"]
+        assert multiprocessing.active_children() == []
 
     def test_failing_scenario_keeps_the_earlier_files(
         self, tmp_path, monkeypatch, capsys, blas_at_two_threads

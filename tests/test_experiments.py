@@ -72,6 +72,35 @@ def _second_scenario_fails(task):
     return [False] * len(config.deltas)
 
 
+def _pid_logging(path, replicate=experiments._replicate):
+    """A replication that appends its process id to `path`, then runs `replicate`."""
+
+    def spy(task):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return replicate(task)
+
+    return spy
+
+
+def _pids(path):
+    """The process ids a `_pid_logging` spy wrote, each once: the caller's first."""
+    seen = set(path.read_text().split()) if path.exists() else set()
+    caller = str(os.getpid())
+    return [caller] * (caller in seen) + sorted(seen - {caller})
+
+
+def _worker_exits(caller, replicate=experiments._replicate):
+    """A replication that ends any process but `caller` with exit code 3."""
+
+    def spy(task):
+        if os.getpid() != caller:
+            os._exit(3)
+        return replicate(task)
+
+    return spy
+
+
 def _logged_replication(task):
     """A slow replication that appends its scenario to a log in the cwd."""
     config, _ = task
@@ -280,51 +309,48 @@ class TestRunPowerCurve:
         run_power_curve(_config(cov_form="equicorr", deltas=(0.0, 1.0), replications=4))
         assert cholesky_calls == [(3, 3)]
 
-    def test_one_pool_and_one_draw_per_replication(self, monkeypatch):
-        pools, draws = [], []
-
-        class CountingPool(experiments.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(1)
-                super().__init__(*args, **kwargs)
+    def test_one_draw_per_replication_shared_by_the_processes(self, monkeypatch, tmp_path):
+        draws = []
 
         def counting_generate(config, rng):
             draws.append(config.deltas)
             return generate_scenario(config, rng)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        log = tmp_path / "pids.log"
+        monkeypatch.setattr(experiments, "_replicate", _pid_logging(log))
         monkeypatch.setattr(experiments, "generate_scenario", counting_generate)
         config = _config(deltas=(0.0, 1.0, 3.0), replications=8)
         run_power_curve(config, threads=1)
-        assert draws == [(0.0,)] * 8 and not pools
+        assert draws == [(0.0,)] * 8 and _pids(log) == [str(os.getpid())]
+        log.unlink()
+        draws.clear()
         run_power_curve(config, threads=2)
-        assert len(pools) == 1
+        # the caller's share is drawn here, the worker's in its own process
+        assert draws == [(0.0,)] * 4 and len(_pids(log)) == 2
 
     @pytest.mark.parametrize(
-        "threads, replications, workers",
-        [(6, 3, [3]), (2, 8, [2]), (4, 1, [])],
-        ids=["fewer-replications", "fewer-threads", "serial"],
+        "threads, replications, processes",
+        [(6, 3, 3), (2, 8, 2), (3, 8, 3), (4, 1, 1)],
+        ids=["fewer-replications", "fewer-threads", "three-threads", "serial"],
     )
-    def test_pool_is_sized_to_the_work(self, monkeypatch, threads, replications, workers):
-        sizes = []
-
-        class SizedPool(experiments.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SizedPool)
+    def test_processes_are_sized_to_the_work(
+        self, monkeypatch, tmp_path, threads, replications, processes
+    ):
+        log = tmp_path / "pids.log"
+        monkeypatch.setattr(experiments, "_replicate", _pid_logging(log))
         config = _config(deltas=(0.0, 1.0), replications=replications)
         rows = run_power_curve(config, threads=threads)
-        assert sizes == workers
-        # the pool's workers are joined before the call returns
+        # the caller and min(threads, R) - 1 workers each run a share
+        assert len(_pids(log)) == processes
+        # the workers are joined before the call returns
         assert multiprocessing.active_children() == []
+        monkeypatch.undo()
         serial = run_power_curve(config, threads=1)
         assert [_strip_time(r) for r in rows] == [_strip_time(r) for r in serial]
 
 
-class TestSharedPool:
-    """run_power_curves runs all configs' replications in one pool."""
+class TestSharedWorkers:
+    """run_power_curves forks its workers once for all configs' replications."""
 
     def _configs(self, *replications):
         return [
@@ -333,23 +359,22 @@ class TestSharedPool:
         ]
 
     @pytest.mark.parametrize(
-        "threads, replications, workers",
-        [(6, (2, 1), [3]), (2, (1, 1), [2]), (2, (3, 5, 2), [2])],
-        ids=["fewer-replications", "one-each", "fewer-threads"],
+        "threads, replications, processes",
+        [(6, (2, 1), 2), (2, (1, 1), 1), (2, (3, 5, 2), 2), (3, (3, 5, 2), 3), (3, (), 0)],
+        ids=["fewer-replications", "one-each", "fewer-threads", "three-threads", "no-configs"],
     )
-    def test_one_pool_sized_to_all_the_work(self, monkeypatch, threads, replications, workers):
-        sizes = []
-
-        class SizedPool(experiments.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SizedPool)
+    def test_one_set_of_workers_sized_to_the_largest_config(
+        self, monkeypatch, tmp_path, threads, replications, processes
+    ):
+        log = tmp_path / "pids.log"
+        monkeypatch.setattr(experiments, "_replicate", _pid_logging(log))
         configs = self._configs(*replications)
         curves = list(run_power_curves(configs, threads=threads))
-        assert sizes == workers
+        # min(threads, the largest R) processes, the caller included, over
+        # the whole run: a worker more would have no replication to run
+        assert len(_pids(log)) == processes and len(curves) == len(configs)
         assert multiprocessing.active_children() == []
+        monkeypatch.undo()
         serial = [run_power_curve(c, threads=1) for c in configs]
         assert [[_strip_time(r) for r in rows] for rows in curves] == [
             [_strip_time(r) for r in rows] for rows in serial
@@ -364,6 +389,20 @@ class TestSharedPool:
         [first] = next(curves)
         assert first.scenario_id == "first" and first.reject_frac == 0.0
         with pytest.raises(RuntimeError, match="of second failed"):
+            next(curves)
+        assert blas_at_two_threads() == 2
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_is_named_after_the_earlier_curve(
+        self, monkeypatch, blas_at_two_threads
+    ):
+        monkeypatch.setattr(experiments, "_replicate", _worker_exits(os.getpid()))
+        configs = [_config(scenario_id="first", replications=1), _config(scenario_id="second")]
+        curves = run_power_curves(configs, threads=2)
+        # the worker has nothing of "first" to run, and dies on its share of "second"
+        [first] = next(curves)
+        assert first.scenario_id == "first"
+        with pytest.raises(ChildProcessError, match=r"exited with code 3 .* for 'second'"):
             next(curves)
         assert blas_at_two_threads() == 2
         assert multiprocessing.active_children() == []
@@ -450,18 +489,16 @@ class TestBlasThreads:
             run_power_curve(_config(replications=4), threads=2)
         assert blas_at_two_threads() == 2
 
-    def test_pool_forks_its_workers(self, monkeypatch):
-        contexts = []
-
-        class ForkedPool(experiments.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, mp_context=None, **kwargs):
-                contexts.append(mp_context)
-                super().__init__(max_workers, mp_context, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", ForkedPool)
+    def test_workers_are_forked_from_the_caller(self, monkeypatch, tmp_path):
+        # the spy is a closure patched into the caller only: a worker that
+        # runs it inherited the caller's memory, as a forked one does
+        log = tmp_path / "pids.log"
+        monkeypatch.setattr(experiments, "_replicate", _pid_logging(log))
         run_power_curve(_config(replications=4), threads=2)
-        [context] = contexts
-        assert context.get_start_method() == "fork"
+        [caller, worker] = _pids(log)
+        assert caller == str(os.getpid()) and worker != caller
+        assert experiments._CONTEXT.get_start_method() == "fork"
+        assert multiprocessing.active_children() == []
 
     def test_one_thread_already_sets_nothing(self, monkeypatch):
         # a set in a forked worker restarts OpenBLAS's thread pool, whose idle

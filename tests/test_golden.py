@@ -122,7 +122,8 @@ def test_simulate_matches_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", SIMULATE)
 def test_threaded_simulate_matches_golden(name, tmp_path):
-    # one pool runs every scenario of the file; the rows must not change
+    # the caller and one forked worker share every scenario of the file;
+    # the rows must not change
     text = _simulate_text(name, tmp_path, threads=2)
     assert text == (GOLDEN / f"simulate_{name}.csv").read_text()
 
