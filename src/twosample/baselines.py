@@ -73,39 +73,31 @@ def _betainc(a, b, x):
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
+_FPMIN = 1e-300
+
+
+def _floored(v):
+    """v, or _FPMIN in its place when |v| is below it: Lentz's guard against dividing by 0."""
+    return _FPMIN if abs(v) < _FPMIN else v
+
+
 def _betacf(a, b, x):
-    """Lentz evaluation of the incomplete-beta continued fraction."""
+    """Lentz evaluation of the incomplete-beta continued fraction, a step per coefficient."""
     max_iter = 300
     eps = 3e-16
-    fpmin = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
+    d = 1.0 / _floored(1.0 - qab * x / qap)
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + coef / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + coef / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        step = d * c
-        h *= step
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for coef in (even, odd):
+            d = 1.0 / _floored(1.0 + coef * d)
+            c = _floored(1.0 + coef / c)
+            step = d * c
+            h *= step
         if abs(step - 1.0) < eps:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")

@@ -82,16 +82,19 @@ def simulate_null_draws(spectrum, config, rng):
     one per column, gives config.draws x S draws over one set of normals;
     each column equals the call on that column alone, bit for bit.
 
-    The normals are drawn in row blocks of B = `_block_rows(k)` draws that
-    reuse one buffer, so working memory is O(B k + M S), not O(M k). The bits
-    equal those of one M x k matrix times each column at one OpenBLAS
-    thread. The generator fills consecutive blocks in the order it fills one
-    array, and OpenBLAS's matrix-vector product rounds a row by its place in
-    a group of 4 rows counted from the top, so every block but the last is
-    a multiple of 8 rows. For k up to 57600 a block's product is below the
-    size (rows x k = 460800) at which OpenBLAS 0.3.31 splits one over
-    threads, so the draws do not depend on the BLAS thread count, bar one
-    draw over more than 10000 weights: a dot product, which OpenBLAS splits.
+    The normals are drawn in row blocks of B = min(`_block_rows(k)`, M) draws
+    that reuse one buffer of B + 1 rows, so working memory is O(B k + M S),
+    not O(M k). The bits equal those of one M x k matrix times each column
+    at one OpenBLAS thread. The generator fills consecutive blocks in the
+    order it fills one array, and OpenBLAS's matrix-vector product rounds a
+    row by its place in a group of 4 rows counted from the top, so every
+    block but the last is a multiple of 8 rows. numpy takes a one-row
+    product by a dot, which rounds otherwise, so a lone last row joins the
+    block before it, which then has B + 1 rows: 9 when B = 8. So for k below
+    51200 a block's product is below the size (rows x k = 460800) at which
+    OpenBLAS 0.3.31 splits one over threads, and the draws do not depend on
+    the BLAS thread count, bar one draw (M = 1) over more than 10000
+    weights: a dot product, which OpenBLAS splits.
     """
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim not in (1, 2) or lam.size == 0:
@@ -101,21 +104,18 @@ def simulate_null_draws(spectrum, config, rng):
     m, k = config.draws, lam.shape[0]
     cols = lam.T if lam.ndim == 2 else lam[None, :]
     out = np.empty((cols.shape[0], m))
-    buf = np.empty((min(_block_rows(k), m), k))
-    for start in range(0, m, buf.shape[0]):
-        n = min(buf.shape[0], m - start)
+    b = min(_block_rows(k), m)
+    buf = np.empty((b + 1, k))
+    # no block starts at the last row, so a lone last row joins the one before
+    for start in range(0, max(m - 1, 1), b):
+        n = b if m - start > b + 1 else m - start
         z = buf[:n]
         rng.standard_normal(out=z)
         z *= z
         z -= 1.0
-        if n == 1 < m:
-            # numpy takes a one-row product by a dot, which rounds unlike the
-            # last row of a matrix-vector product: lead it by the previous
-            # block's last four rows, a group of 4 as in one M x k matrix
-            z = np.concatenate((buf[-4:], z))
         # column by column: one matrix product would round unlike the 1-d call
         for row, col in zip(out, cols):
-            row[start : start + n] = (z @ col)[-n:]
+            row[start : start + n] = z @ col
     return out.T if lam.ndim == 2 else out[0]
 
 

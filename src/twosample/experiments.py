@@ -44,9 +44,10 @@ class ResultRow:
 _CSV_NAMES = {"draws": "M", "replications": "R"}
 CSV_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(ResultRow))
 
-# workers must inherit the run's one-thread BLAS (`_one_blas_thread`) and the
-# caller's state, which a forkserver or spawned worker would not; where there
-# is no fork, the default start method is used
+# workers must inherit the caller's state, which a forkserver or spawned
+# worker would not; where there is no fork, the default start method is used.
+# Each worker pins its own BLAS to one thread (`_work`), which under fork,
+# inheriting the run's one thread, sets nothing
 _CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 )
@@ -106,11 +107,13 @@ def _count(config, share):
 def _work(configs, w, workers, conn):
     """Worker w: send the counts of replications r = w mod workers, config by config.
 
-    A replication that raises sends its exception instead, and ends the work.
+    It runs at one BLAS thread, as the caller does. A replication that
+    raises sends its exception instead, and ends the work.
     """
     try:
-        for config in configs:
-            conn.send(_count(config, range(w, config.replications, workers)))
+        with _one_blas_thread():
+            for config in configs:
+                conn.send(_count(config, range(w, config.replications, workers)))
     except Exception as err:
         conn.send(err)
     finally:

@@ -91,8 +91,11 @@ def _sign_sums(mx, my, z):
     """Unit-vector sums of the sign kernel; z holds the centred, scaled rows."""
     n1 = mx.shape[0]
     zx, zy = z[:n1], z[n1:]
-    # all norms and cross products from one symmetric product: its bits do
-    # not depend on the BLAS thread count, while those of zx @ zy.T do
+    # all norms and cross products from one symmetric product, whose bits at
+    # 40 + 50 rows on SkylakeX, unlike those of zx @ zy.T, do not depend on
+    # the BLAS thread count. Not in general: w.T @ zx splits over threads
+    # under the Haswell kernel at p = 1000, and at 200 + 300 rows, p = 300
+    # on SkylakeX, so do all three products here (ROADMAP item 2)
     gram = z @ z.T
     nsq = np.diag(gram)
     scale = nsq[:n1, None] + nsq[None, n1:]

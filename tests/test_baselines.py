@@ -89,6 +89,12 @@ class TestBetainc:
         assert _betainc(1.5, 2.5, -0.1) == 0.0
         assert _betainc(1.5, 2.5, 1.0) == 1.0
 
+    def test_no_convergence_raises(self):
+        # near the mean of a Beta(10^6, 10^6) the fraction needs about sqrt(a)
+        # terms, beyond the 300 iterations of `_betacf`
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _betainc(1e6, 1e6, 0.4999)
+
     def test_equal_dfs_median_at_one(self):
         for d in (1.0, 2.0, 5.0, 17.5):
             assert abs(_f_cdf(1.0, d, d) - 0.5) <= 1e-10

@@ -129,13 +129,14 @@ class TestSimulateNullDraws:
     @pytest.mark.parametrize("k", [1, 5, 90, 1000, 20000])
     def test_blocks_equal_one_matrix(self, blas_threads, k, columns):
         # every draw count around the block height B; k = 20000 has the floor of 8 rows.
+        # B + 1 and 2 B + 1 end in a lone row, which joins the block before it.
         # One BLAS thread, as OpenBLAS at two splits the one matrix's product in halves
         setter, _ = blas_threads
         setter(1)
         b = calibration._block_rows(k)
         shape = (k,) if columns is None else (k, columns)
         spectrum = np.random.default_rng(k).standard_normal(shape)
-        for m in sorted({1, 7, b - 1, b, b + 1, 10**4 + 1}):
+        for m in sorted({1, 7, b - 1, b, b + 1, 2 * b + 1, 10**4 + 1}):
             if m * k > 2 * 10**7:
                 continue  # the one matrix of 10^4 + 1 rows at k = 20000 would take 1.6 GB
             config = NullDrawConfig(draws=m, seed=m)

@@ -437,6 +437,18 @@ class TestBlasThreads:
         assert serial.reject_frac == 1.0 and pooled.reject_frac == 1.0
         assert blas_at_two_threads() == 2
 
+    def test_a_worker_pins_its_own_blas(self, monkeypatch, blas_at_two_threads):
+        # a worker started without fork does not inherit the run's one thread:
+        # run worker 1 of 2 here, at the caller's two threads
+        monkeypatch.setattr(experiments, "_replicate", _one_blas_thread_seen)
+        recv, send = multiprocessing.Pipe(duplex=False)
+        with recv:
+            experiments._work([_config(replications=4)], 1, 2, send)
+            counts = recv.recv()
+        # replications 1 and 3, each at one thread
+        assert counts.tolist() == [2]
+        assert blas_at_two_threads() == 2
+
     @pytest.mark.parametrize("estimator", ["plain", "taper"])
     @pytest.mark.parametrize("cov_form", ["equicorr", "ar"])
     def test_serial_bits_do_not_depend_on_the_callers_count(
