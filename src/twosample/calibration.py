@@ -28,7 +28,7 @@ def _check_int(name, value, low=None):
 
 @dataclass(frozen=True)
 class NullDrawConfig:
-    """Reference draws (an int >= 1), level alpha in (0, 1), and generator seed (an int >= 0)."""
+    """Reference draws (an int >= 1), level alpha in (2**-54, 1), generator seed (an int >= 0)."""
 
     draws: int = 10000
     alpha: float = 0.05
@@ -40,6 +40,10 @@ class NullDrawConfig:
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be strictly between 0 and 1, got {self.alpha}")
+        if not 1.0 - self.alpha < 1.0:  # the level of `empirical_quantile` must stay below 1
+            raise ValueError(
+                f"alpha must be above 2**-54, or 1 - alpha rounds to 1, got {self.alpha}"
+            )
         _check_int("seed", self.seed, 0)
 
 

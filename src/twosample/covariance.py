@@ -75,8 +75,10 @@ def _apply_taper(est, k):
     needs no re-symmetrizing.
     """
     p = est.shape[0]
-    weights = np.array([taper_weight(0, d, k) for d in range(p)])  # one per offset |i-j|
-    return est * weights[np.abs(np.subtract.outer(np.arange(p), np.arange(p)))]
+    half = [taper_weight(0, d, k) for d in range(p)]
+    weights = np.array(half[:0:-1] + half)  # one per offset j-i, from 1-p to p-1
+    # row i of the reversed windows is weights[p-1-i : 2p-1-i], the offsets j-i of that row
+    return est * np.lib.stride_tricks.sliding_window_view(weights, p)[::-1]
 
 
 def eigenvalues_sym(m):

@@ -53,7 +53,7 @@ _CONTEXT = multiprocessing.get_context(
 )
 
 
-def _replicate(task):
+def _replicate(config, r):
     """One replication: sample once, return the rejection flag at each delta.
 
     The data stream is keyed by (seed, r, 0) and the null-draw stream by
@@ -63,7 +63,6 @@ def _replicate(task):
     It runs at one BLAS thread, in the caller or in a worker (see
     run_power_curves).
     """
-    config, r = task
     x, y0 = generate_scenario(replace(config, deltas=(0.0,)), substream(config.seed, r, 0))
     shifts = [shift_vector(config.p, d) for d in config.deltas]
     if config.estimator == HOTELLING:
@@ -96,24 +95,25 @@ def _row(config, delta, count, seconds):
     )
 
 
-def _count(config, share):
-    """Rejections per delta over the replications r in `share` of config."""
-    counts = np.zeros(len(config.deltas), dtype=int)
-    for r in share:
-        counts += _replicate((config, r))
-    return counts
+def _counts(configs, w, workers):
+    """Per config in turn, its rejections per delta over the replications r = w mod workers."""
+    for config in configs:
+        counts = np.zeros(len(config.deltas), dtype=int)
+        for r in range(w, config.replications, workers):
+            counts += _replicate(config, r)
+        yield counts
 
 
 def _work(configs, w, workers, conn):
-    """Worker w: send the counts of replications r = w mod workers, config by config.
+    """Worker w: send the counts of `_counts`, config by config.
 
     It runs at one BLAS thread, as the caller does. A replication that
     raises sends its exception instead, and ends the work.
     """
     try:
         with _one_blas_thread():
-            for config in configs:
-                conn.send(_count(config, range(w, config.replications, workers)))
+            for counts in _counts(configs, w, workers):
+                conn.send(counts)
     except Exception as err:
         conn.send(err)
     finally:
@@ -157,14 +157,14 @@ def run_power_curves(configs, threads=1):
     so no row depends on the caller's BLAS count, unless two runs overlap.
     The run uses W = min(threads, the largest R) processes: the caller and
     W - 1 workers, forked once per run (a worker beyond the largest R
-    would have nothing to run). Of each config, worker w runs the replications r = w mod W,
-    and the caller runs r = 0 mod W itself, then adds the counts that
-    each worker sends after each config. The workers go on with later
-    configs while the caller handles a yielded curve. When W is 1 every
-    replication runs in the caller. A replication's exception is raised
-    in the caller; a worker that exits without sending its counts raises
-    ChildProcessError. On an error or an early close the workers are
-    terminated and joined.
+    would have nothing to run). Of each config, process w runs its share
+    of the replications (`_counts`), the caller as process 0, which then
+    adds the counts that each worker sends after each config. The workers
+    go on with later configs while the caller handles a yielded curve.
+    When W is 1 every replication runs in the caller. A replication's
+    exception is raised in the caller; a worker that exits without
+    sending its counts raises ChildProcessError. On an error or an early
+    close the workers are terminated and joined.
     Each row's `seconds` is the wall time since the previous curve was
     done (since the start for the first) divided by the number of deltas,
     so the rows sum to the run's wall time.
@@ -175,8 +175,7 @@ def run_power_curves(configs, threads=1):
     workers = min(threads, max((c.replications for c in configs), default=1))
     with _one_blas_thread(), contextlib.ExitStack() as stack:
         started = [_start_worker(stack, configs, w, workers) for w in range(1, workers)]
-        for config in configs:
-            counts = _count(config, range(0, config.replications, workers))
+        for config, counts in zip(configs, _counts(configs, 0, workers)):
             for process, recv in started:
                 counts += _received(process, recv, config)
             done = time.perf_counter()

@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 import warnings
 
@@ -62,6 +64,22 @@ class TestNullDrawConfig:
     def test_alpha_out_of_range_names_the_value(self):
         with pytest.raises(ValueError, match="^alpha must be strictly between 0 and 1, got 2.0$"):
             NullDrawConfig(alpha=2.0)
+
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-54])
+    def test_alpha_whose_level_rounds_to_1_is_rejected(self, alpha):
+        # 1.0 - alpha == 1.0, which empirical_quantile would reject mid-run
+        message = f"alpha must be above 2**-54, or 1 - alpha rounds to 1, got {alpha}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NullDrawConfig(alpha=alpha)
+
+    def test_smallest_alpha_runs_a_test(self):
+        alpha = math.nextafter(2.0**-54, 1.0)
+        # its level 1 - 2**-53 is below 1, and the cutoff is the largest draw
+        assert empirical_quantile(np.arange(50.0), 1.0 - alpha) == 49.0
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((6, 2)), rng.standard_normal((7, 2))
+        report = run_test(x, y, "sign", config=NullDrawConfig(draws=50, alpha=alpha, seed=1))
+        assert math.isfinite(report.cutoff)
 
 
 class TestSimulateNullDraws:
@@ -443,7 +461,7 @@ class TestShiftTests:
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counting)
-        assert len(experiments._replicate((config, 0))) == len(POWER_GRID)
+        assert len(experiments._replicate(config, 0)) == len(POWER_GRID)
         assert calls == {
             "pair_aggregates": passes,
             "eigenvalues_sym": passes,

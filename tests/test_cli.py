@@ -22,18 +22,17 @@ from twosample import (
 from twosample.cli import main
 
 
-def _second_scenario_fails(task):
-    config, r = task
+def _second_scenario_fails(config, r):
     if config.scenario_id == "second":
         raise ValueError(f"replication {r} of {config.scenario_id} failed")
     return [False] * len(config.deltas)
 
 
-def _worker_exits(task, caller=os.getpid(), replicate=experiments._replicate):
+def _worker_exits(config, r, caller=os.getpid(), replicate=experiments._replicate):
     """A replication that ends any process but the test's with exit code 3."""
     if os.getpid() != caller:
         os._exit(3)
-    return replicate(task)
+    return replicate(config, r)
 
 
 def _write_matrix(path, matrix):
@@ -453,6 +452,11 @@ class TestCliSimulate:
             ),
             ({"family": 5}, "unknown family 5; expected gaussian, cauchy, or t<k>"),
             pytest.param({"beta": float("inf")}, "beta must be finite, got inf", id="beta-inf"),
+            pytest.param(
+                {"alpha": 1e-17},
+                "alpha must be above 2**-54, or 1 - alpha rounds to 1, got 1e-17",
+                id="alpha-level-rounds-to-1",
+            ),
         ],
     )
     def test_mistyped_field_rejected_before_any_output(self, tmp_path, capsys, overrides, message):
@@ -484,10 +488,10 @@ class TestCliSimulate:
         pids = tmp_path / "pids.log"
         replicate = experiments._replicate
 
-        def pid_logging(task):
+        def pid_logging(config, r):
             with open(pids, "a") as fh:
                 fh.write(f"{os.getpid()} {os.getppid()}\n")
-            return replicate(task)
+            return replicate(config, r)
 
         monkeypatch.setattr(experiments, "_replicate", pid_logging)
         scenarios = [self._scenario(f"s{i}", replications=r) for i, r in enumerate(replications)]
@@ -564,6 +568,7 @@ class TestCliSimulate:
         ["test", "--alpha", "1"],
         ["test", "--alpha", "2"],
         ["test", "--alpha", "nan"],
+        ["test", "--alpha", "1e-17"],
         ["test", "--beta", "0"],
         ["test", "--beta", "-1"],
         ["blocks", "--width", "0"],
@@ -594,6 +599,10 @@ def test_out_of_range_numeric_flag_is_a_usage_error(tmp_path, capsys, argv):
         (
             ["test", "--alpha", "2"],
             "argument --alpha: alpha must be strictly between 0 and 1, got 2.0",
+        ),
+        (
+            ["test", "--alpha", "1e-17"],
+            "argument --alpha: alpha must be above 2**-54, or 1 - alpha rounds to 1, got 1e-17",
         ),
         (["test", "--seed", "-1"], "argument --seed: seed must be at least 0, got -1"),
         (["test", "--beta", "-1"], "argument --beta: beta must be positive, got -1.0"),

@@ -155,16 +155,21 @@ class TestTaper:
         plain = estimate_plain(x, y, SIGN)
         assert np.array_equal(_apply_taper(plain, k), plain)
 
-    def test_cellwise_weights_match_scalar_op(self):
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 37, 100, 300, 1000])
+    @pytest.mark.parametrize("k", [0.3, 1, 2.5, 6.05, "p", "p + 3"])
+    def test_cellwise_weights_match_scalar_op(self, p, k):
+        k = {"p": p, "p + 3": p + 3}.get(k, k)
         rng = np.random.default_rng(23)
-        x = rng.standard_normal((40, 10))
-        y = rng.standard_normal((50, 10))
-        k = _taper_bandwidth(0.25, 90, 10)
+        x = rng.standard_normal((40, p))
+        y = rng.standard_normal((50, p))
         plain = estimate_plain(x, y, IDENTITY)
         tapered = _apply_taper(plain, k)
-        for i in range(10):
-            for j in range(10):
-                assert tapered[i, j] == taper_weight(i, j, k) * plain[i, j]
+        # diagonal d holds the entries (i, i + d), all weighed by taper_weight(i, i + d, k);
+        # the signs of the zeros beyond the bandwidth must match too
+        for d in range(1 - p, p):
+            want = taper_weight(0, d, k) * np.diagonal(plain, d)
+            got = np.diagonal(tapered, d)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_entries_beyond_bandwidth_are_zero(self):
         rng = np.random.default_rng(29)

@@ -55,18 +55,17 @@ def _strip_time(row):
     return dataclasses.replace(row, seconds=0.0)
 
 
-def _one_blas_thread_seen(task):
-    """A replication task that flags whether its process runs one BLAS thread."""
+def _one_blas_thread_seen(config, r):
+    """A replication that flags whether its process runs one BLAS thread."""
     _, getter = _blas._openblas_threads()
     return [getter() == 1]
 
 
-def _failing_replication(task):
-    raise RuntimeError(f"replication {task[1]} failed")
+def _failing_replication(config, r):
+    raise RuntimeError(f"replication {r} failed")
 
 
-def _second_scenario_fails(task):
-    config, r = task
+def _second_scenario_fails(config, r):
     if config.scenario_id == "second":
         raise RuntimeError(f"replication {r} of {config.scenario_id} failed")
     return [False] * len(config.deltas)
@@ -75,10 +74,10 @@ def _second_scenario_fails(task):
 def _pid_logging(path, replicate=experiments._replicate):
     """A replication that appends its process id to `path`, then runs `replicate`."""
 
-    def spy(task):
+    def spy(config, r):
         with open(path, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return replicate(task)
+        return replicate(config, r)
 
     return spy
 
@@ -93,17 +92,16 @@ def _pids(path):
 def _worker_exits(caller, replicate=experiments._replicate):
     """A replication that ends any process but `caller` with exit code 3."""
 
-    def spy(task):
+    def spy(config, r):
         if os.getpid() != caller:
             os._exit(3)
-        return replicate(task)
+        return replicate(config, r)
 
     return spy
 
 
-def _logged_replication(task):
+def _logged_replication(config, r):
     """A slow replication that appends its scenario to a log in the cwd."""
-    config, _ = task
     time.sleep(0.01)
     with open("replications.log", "a") as fh:
         fh.write(config.scenario_id + "\n")
