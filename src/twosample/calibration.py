@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import covariance, statistic
+from . import covariance
 from .covariance import _apply_taper, _centred_factor, _is_real, _taper_bandwidth, eigenvalues_sym
-from .statistic import IDENTITY, _check_pair, _recentred_statistic, _statistic_from_aggregates
+from .statistic import IDENTITY, _check_pair, _pass, _recentred_statistic
 
 DEFAULT_SEED = 12345
 PLAIN = "plain"
@@ -138,59 +138,52 @@ def empirical_quantile(values, level):
     return float(np.partition(v, k - 1)[k - 1])
 
 
-def _overflow(kernel):
-    return ValueError(
-        f"x and y are too large in magnitude for the {kernel} kernel: "
-        "its pair sums overflow; rescale the data"
-    )
-
-
 def _estimate(mx, my, kernel, estimator, beta):
-    """One pair pass: the grand sum g, the statistic and the spectrum of the
-    estimate, from one centred factor C (`_centred_factor`): plain from the
-    smaller of C^T C and C C^T, tapered from the p x p C^T C."""
-    # the identity kernel's sums can overflow for huge but finite data; that
-    # is reported below in terms of x and y, without numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        # looked up on the module, so a wrapper installed on
-        # statistic.pair_aggregates (bench/tracing.py) sees this pass
-        g, sx, sy, sumsq = statistic.pair_aggregates(mx, my, kernel)
-        stat = _statistic_from_aggregates(g, sx, sy, sumsq)
-        c = _centred_factor(g, sx, sy)
-        if estimator == TAPER:
-            k = _taper_bandwidth(beta, mx.shape[0] + my.shape[0], mx.shape[1])
-            est = _apply_taper(c.T @ c, k)
-        else:
-            est = c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T
-    if not (math.isfinite(stat) and np.isfinite(est).all()):
-        raise _overflow(kernel)
+    """One pair pass (`_pass`): the grand sum g, the statistic and the spectrum
+    of the estimate, from one centred factor C (`_centred_factor`): plain from
+    the smaller of C^T C and C C^T, tapered from the p x p C^T C."""
+    g, sx, sy, stat = _pass(mx, my, kernel)
+    c = _centred_factor(g, sx, sy)
+    if estimator == TAPER:
+        k = _taper_bandwidth(beta, mx.shape[0] + my.shape[0], mx.shape[1])
+        est = _apply_taper(c.T @ c, k)
+    else:
+        est = c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T
     return g, stat, eigenvalues_sym(est)
 
 
-def _report(stat, lam, draws, cutoff, config):
-    """The TestReport of T = stat against one calibration: spectrum, draws, cutoff."""
-    exceed = int(np.count_nonzero(draws >= stat))
-    return TestReport(
-        statistic=float(stat),
-        cutoff=float(cutoff),
-        p_value=(1 + exceed) / (config.draws + 1),
-        reject=bool(stat > cutoff),
-        trace=float(lam.sum()),
-        top_eigenvalue=float(lam[0]),
-        negative_eigenvalues=int(np.count_nonzero(lam < -_NEGATIVE_RTOL * abs(lam[0]))),
-    )
+def _calibrate(laws, config):
+    """The TestReports of every statistic against the null law of its spectrum.
+
+    laws holds (spectrum, statistics) pairs, with spectra of one length; all
+    draw over one set of null normals, and each spectrum gets one cutoff.
+    """
+    spectra = np.array([lam for lam, _ in laws]).T
+    draws = simulate_null_draws(spectra, config, np.random.default_rng(config.seed))
+    reports = []
+    for (lam, stats), column in zip(laws, draws.T):
+        cutoff = empirical_quantile(column, 1.0 - config.alpha)
+        diag = dict(  # the diagnostics of the spectrum
+            trace=float(lam.sum()),
+            top_eigenvalue=float(lam[0]),
+            negative_eigenvalues=int(np.count_nonzero(lam < -_NEGATIVE_RTOL * abs(lam[0]))),
+        )
+        for stat in stats:
+            exceed = int(np.count_nonzero(column >= stat))
+            p_value = (1 + exceed) / (config.draws + 1)
+            reports.append(TestReport(float(stat), cutoff, p_value, bool(stat > cutoff), **diag))
+    return reports
 
 
 def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     """The TestReport of the test of x against y0 + s, per shift s.
 
     shifts=None tests y0 alone. All calibrations draw over one set of null
-    normals, which depend only on config.seed and the spectrum length. The
-    sign kernel makes one pair pass, one spectrum and one cutoff per shift.
-    The identity kernel has h = x - y, so a shift of y recentres h and
-    leaves the estimate as it is: one pass and one calibration serve every
-    shift, and T comes from `_recentred_statistic`, equal to a separate
-    test's up to rounding and exactly at s = 0.
+    normals (`_calibrate`). The sign kernel makes one pair pass, one
+    spectrum and one cutoff per shift. The identity kernel has h = x - y, so
+    a shift of y recentres h and leaves the estimate as it is: one pass and
+    one calibration serve every shift, and T comes from `_recentred_statistic`,
+    equal to a separate test's up to rounding and exactly at s = 0.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
@@ -203,24 +196,12 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
         shifts = [np.zeros(mx.shape[1])]
     if kernel == IDENTITY:
         g, stat, lam = _estimate(mx, my0, kernel, estimator, beta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            stats = [_recentred_statistic(stat, g, mx.shape[0], my0.shape[0], s) for s in shifts]
-        if not np.isfinite(stats).all():
-            raise _overflow(kernel)
-        spectra = lam[:, None]
+        laws = [(lam, [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts])]
     else:
         # a shift keeps the row counts, and pair_aggregates checks that y is finite
         passes = [_estimate(mx, my0 + s, kernel, estimator, beta) for s in shifts]
-        stats = [stat for _, stat, _ in passes]
-        spectra = np.array([lam for _, _, lam in passes]).T
-    draws = simulate_null_draws(spectra, config, np.random.default_rng(config.seed))
-    calibrations = [
-        (lam, column, empirical_quantile(column, 1.0 - config.alpha))
-        for lam, column in zip(spectra.T, draws.T)
-    ]
-    if kernel == IDENTITY:
-        calibrations *= len(stats)
-    return [_report(stat, *calib, config) for stat, calib in zip(stats, calibrations)]
+        laws = [(lam, [stat]) for _, stat, lam in passes]
+    return _calibrate(laws, config)
 
 
 def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=covariance._BETA):

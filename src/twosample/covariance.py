@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .statistic import pair_aggregates
+from .statistic import _pass
 
 _BETA = 0.25  # the default taper exponent beta of `_taper_bandwidth`'s callers
 
@@ -16,7 +16,7 @@ def estimate_plain(x, y, kernel):
     semidefinite with rank at most n1+n2-2; the computed eigenvalues beyond
     that rank are rounding noise of either sign.
     """
-    g, sx, sy, _ = pair_aggregates(x, y, kernel)
+    g, sx, sy, _ = _pass(x, y, kernel)
     c = _centred_factor(g, sx, sy)
     return c.T @ c
 

@@ -29,38 +29,31 @@ def load_matrix_csv(path):
     offending line; fully blank lines are ignored. A leading UTF-8
     byte-order mark, as spreadsheet exports write, is dropped.
     """
-    rows = []
+    header, data = None, []  # header: (line, width) of a first row of no numbers
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
-            rows.append((lineno, [cell.strip() for cell in record]))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    start = 0
-    if not any(_is_number(cell) for cell in rows[0][1]):
-        start = 1  # header row
-        if len(rows) == 1:
-            raise ValueError(f"{path}: header row but no data rows")
-    data = []
-    width = None
-    for lineno, cells in rows[start:]:
-        try:
-            values = [float(cell) for cell in cells]
-        except ValueError as err:
-            raise ValueError(f"{path}: line {lineno}: non-numeric cell") from err
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {width} columns, found {len(values)}"
-            )
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"{path}: line {lineno}: non-finite value")
-        data.append(values)
-    if start and len(rows[0][1]) != width:
-        found = f"header has {len(rows[0][1])} columns, the data have {width}"
-        raise ValueError(f"{path}: line {rows[0][0]}: {found}")
+            cells = [cell.strip() for cell in record]
+            if header is None and not data and not any(_is_number(cell) for cell in cells):
+                header = (lineno, len(cells))
+                continue
+            try:
+                values = [float(cell) for cell in cells]
+            except ValueError as err:
+                raise ValueError(f"{path}: line {lineno}: non-numeric cell") from err
+            if data and len(values) != len(data[0]):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {len(data[0])} columns, found {len(values)}"
+                )
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
+            data.append(values)
+    if not data:
+        raise ValueError(f"{path}: {'header row but ' if header else ''}no data rows")
+    if header and header[1] != len(data[0]):
+        found = f"header has {header[1]} columns, the data have {len(data[0])}"
+        raise ValueError(f"{path}: line {header[0]}: {found}")
     return np.asarray(data, dtype=float)
 
 

@@ -153,6 +153,29 @@ def _statistic_from_aggregates(g, sx, sy, sumsq):
     return total / (n * n1 * n2)
 
 
+def _finite(stat, kernel):
+    """stat, or a ValueError naming x, y and the kernel whose pair sums overflowed."""
+    if not np.isfinite(stat):
+        raise ValueError(
+            f"x and y are too large in magnitude for the {kernel} kernel: "
+            "its pair sums overflow; rescale the data"
+        )
+    return stat
+
+
+def _pass(x, y, kernel):
+    """One pair pass, (g, sx, sy, T), where huge data that overflow T raise (`_finite`).
+
+    A finite T bounds C, C^T C and C C^T (`covariance._centred_factor`):
+    its terms include ||g||^2, sum ||sx_i||^2 and sum ||sy_j||^2.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a module global, so a wrapper set on statistic.pair_aggregates sees the pass
+        g, sx, sy, sumsq = pair_aggregates(x, y, kernel)
+        stat = _statistic_from_aggregates(g, sx, sy, sumsq)
+    return g, sx, sy, _finite(stat, kernel)
+
+
 def compute_statistic(x, y, kernel):
     """Two-sample statistic T over all pairs with distinct x-rows and y-rows.
 
@@ -160,7 +183,7 @@ def compute_statistic(x, y, kernel):
     (||g||^2 - sum_i ||sx_i||^2 - sum_j ||sy_j||^2 + sum_ij ||h_ij||^2) / (n n1 n2),
     which never materializes the n1*n2 kernel vectors at once.
     """
-    return _statistic_from_aggregates(*pair_aggregates(x, y, kernel))
+    return _pass(x, y, kernel)[3]
 
 
 def _recentred_statistic(stat, g, n1, n2, delta):
@@ -169,6 +192,8 @@ def _recentred_statistic(stat, g, n1, n2, delta):
     Replacing every kernel value h by h - delta gives
     T(delta) = T + (n1-1)(n2-1)(n1 n2 ||delta||^2 - 2 delta.g) / (n n1 n2).
     At delta = 0 the correction is exactly 0.0, so T comes back unchanged.
+    A delta so far out that T(delta) overflows raises the identity kernel's error.
     """
-    correction = (n1 - 1) * (n2 - 1) * (n1 * n2 * float(delta @ delta) - 2.0 * float(delta @ g))
-    return stat + correction / ((n1 + n2) * n1 * n2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        correction = (n1 - 1) * (n2 - 1) * (n1 * n2 * float(delta @ delta) - 2.0 * float(delta @ g))
+        return _finite(stat + correction / ((n1 + n2) * n1 * n2), IDENTITY)

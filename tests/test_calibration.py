@@ -369,8 +369,51 @@ class TestRunTest:
                 run_test(x, y, "identity", "plain", NullDrawConfig(draws=100))
             with pytest.raises(ValueError, match="x and y .* identity kernel"):
                 run_test(x, y, "identity", "taper", NullDrawConfig(draws=100))
+            # the public functions of the same pair pass name the input too
+            with pytest.raises(ValueError, match="x and y .* identity kernel"):
+                compute_statistic(x, y, "identity")
+            with pytest.raises(ValueError, match="x and y .* identity kernel"):
+                estimate_plain(x, y, "identity")
             # the sign kernel is bounded, so the same data are fine there
             assert run_test(x, y, "sign", "plain", NullDrawConfig(draws=100)).trace > 0.0
+            # but x_i - y_j itself overflows at +-1.7e308, and the error names the sign kernel
+            x = np.array([[1.7e308, 0.0], [-1.7e308, 1.0], [0.0, 2.0]])
+            y = np.array([[-1.7e308, 0.0], [1.7e308, 1.0], [0.0, 3.0]])
+            with pytest.raises(ValueError, match="x and y .* sign kernel"):
+                compute_statistic(x, y, "sign")
+            with pytest.raises(ValueError, match="x and y .* sign kernel"):
+                run_test(x, y, "sign", "plain", NullDrawConfig(draws=100))
+
+    @pytest.mark.parametrize("n1, n2, p", [(8, 9, 4), (5, 6, 40)])
+    def test_identity_data_either_overflow_by_name_or_stay_finite(self, n1, n2, p):
+        # a finite T bounds C, C^T C and C C^T, so no estimate check is needed
+        # beyond T's: scale the data by 2^k across the threshold, where T
+        # overflows, with p below and above n1 + n2
+        rng = np.random.default_rng(p)
+        x0 = rng.standard_normal((n1, p))
+        y0 = rng.standard_normal((n2, p)) + 0.5
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in np.arange(490.0, 515.0, 0.25):
+                x, y = x0 * 2.0**k, y0 * 2.0**k
+                try:
+                    est = estimate_plain(x, y, "identity")
+                except ValueError as err:
+                    assert "too large in magnitude for the identity kernel" in str(err)
+                    outcomes.add("raised")
+                else:
+                    assert np.isfinite(est).all()
+                    outcomes.add("finite")
+                for estimator in ("plain", "taper"):
+                    try:
+                        report = run_test(x, y, "identity", estimator, NullDrawConfig(draws=50))
+                    except ValueError as err:
+                        assert "too large in magnitude for the identity kernel" in str(err)
+                        continue
+                    fields = [report.statistic, report.cutoff, report.trace, report.top_eigenvalue]
+                    assert np.isfinite(fields).all()
+        assert outcomes == {"raised", "finite"}  # the scan crosses the threshold
 
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):

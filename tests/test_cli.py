@@ -95,6 +95,22 @@ class TestLoadMatrixCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a bad cell is found while reading, the header width only after
+            ("a,b\n1,2,3\nx,5,6\n", "line 3: non-numeric cell"),
+            ("\n  \n\n", "no data rows"),
+            ("a,b\n\n", "header row but no data rows"),
+        ],
+    )
+    def test_message_precedence(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_matrix_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_byte_order_mark_is_dropped(self, tmp_path):
         # a spreadsheet's UTF-8 export leads a headerless first row with one
         path = tmp_path / "bom.csv"
