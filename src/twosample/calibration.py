@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import covariance
+from ._blas import _one_blas_thread
 from .covariance import _apply_taper, _centred_factor, _is_real, _taper_bandwidth, eigenvalues_sym
 from .statistic import IDENTITY, _check_pair, _pass, _recentred_statistic
 
@@ -53,8 +54,10 @@ class TestReport:
 
     `cutoff` is the (1 - alpha) quantile of the M null draws V_j
     (`empirical_quantile`). The decision `reject` is the strict comparison
-    T > cutoff; the p-value (1 + #{V_j >= T}) / (M + 1) is reported
-    alongside and may disagree with the flag at ties.
+    T > cutoff; the p-value (1 + c) / (M + 1), c = #{V_j >= T}, is reported
+    alongside. With k = ceil((1 - alpha) M), `reject` holds when c <= M - k
+    and p_value <= alpha when c <= alpha (M + 1) - 1, so they disagree only
+    for an integer c with alpha (M + 1) - 1 < c <= M - k, where reject is True.
     `trace` and `top_eigenvalue` are the sum and the largest of the spectrum.
     `negative_eigenvalues` counts eigenvalues below -tau * |top_eigenvalue|
     with tau = 1e-10, so rounding noise around zero is not counted.
@@ -94,11 +97,9 @@ def simulate_null_draws(spectrum, config, rng):
     row by its place in a group of 4 rows counted from the top, so every
     block but the last is a multiple of 8 rows. numpy takes a one-row
     product by a dot, which rounds otherwise, so a lone last row joins the
-    block before it, which then has B + 1 rows: 9 when B = 8. So for k below
-    51200 a block's product is below the size (rows x k = 460800) at which
-    OpenBLAS 0.3.31 splits one over threads, and the draws do not depend on
-    the BLAS thread count, bar one draw (M = 1) over more than 10000
-    weights: a dot product, which OpenBLAS splits.
+    block before it, which then has B + 1 rows: 9 when B = 8. The blocks
+    run at one OpenBLAS thread (`_one_blas_thread`), so the draws do not
+    depend on the caller's BLAS thread count.
     """
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim not in (1, 2) or lam.size == 0:
@@ -111,15 +112,16 @@ def simulate_null_draws(spectrum, config, rng):
     b = min(_block_rows(k), m)
     buf = np.empty((b + 1, k))
     # no block starts at the last row, so a lone last row joins the one before
-    for start in range(0, max(m - 1, 1), b):
-        n = b if m - start > b + 1 else m - start
-        z = buf[:n]
-        rng.standard_normal(out=z)
-        z *= z
-        z -= 1.0
-        # column by column: one matrix product would round unlike the 1-d call
-        for row, col in zip(out, cols):
-            row[start : start + n] = z @ col
+    with _one_blas_thread():
+        for start in range(0, max(m - 1, 1), b):
+            n = b if m - start > b + 1 else m - start
+            z = buf[:n]
+            rng.standard_normal(out=z)
+            z *= z
+            z -= 1.0
+            # column by column: one matrix product would round unlike the 1-d call
+            for row, col in zip(out, cols):
+                row[start : start + n] = z @ col
     return out.T if lam.ndim == 2 else out[0]
 
 

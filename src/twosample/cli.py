@@ -147,10 +147,7 @@ def _cmd_blocks(args):
                     }
                     for item in reports
                 ],
-                "summary": {
-                    "mean_p_value": summary.mean_p_value,
-                    "histogram": list(summary.histogram),
-                },
+                "summary": dataclasses.asdict(summary),
             },
         )
     return 0

@@ -15,7 +15,7 @@ from . import calibration
 from ._blas import _one_blas_thread
 from .baselines import hotelling_t2
 from .calibration import NullDrawConfig
-from .config import HOTELLING, config_to_dict
+from .config import HOTELLING, ScenarioConfig, config_to_dict
 from .datagen import generate_scenario, shift_vector
 from .seeding import derive_seed, substream
 
@@ -43,6 +43,10 @@ class ResultRow:
 
 _CSV_NAMES = {"draws": "M", "replications": "R"}
 CSV_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(ResultRow))
+# the columns that repeat a scenario field, copied from the config into each row
+_SCENARIO_FIELDS = tuple(
+    f.name for f in fields(ResultRow) if f.name in {g.name for g in fields(ScenarioConfig)}
+)
 
 # workers must inherit the caller's state, which a forkserver or spawned
 # worker would not; where there is no fork, the default start method is used.
@@ -77,17 +81,7 @@ def _replicate(config, r):
 def _row(config, delta, count, seconds):
     frac = int(count) / config.replications
     return ResultRow(
-        scenario_id=config.scenario_id,
-        family=config.family,
-        cov_form=config.cov_form,
-        p=config.p,
-        n1=config.n1,
-        n2=config.n2,
-        kernel=config.kernel,
-        estimator=config.estimator,
-        alpha=config.alpha,
-        draws=config.draws,
-        replications=config.replications,
+        **{name: getattr(config, name) for name in _SCENARIO_FIELDS},
         delta=delta,
         reject_frac=frac,
         mcse=math.sqrt(frac * (1.0 - frac) / config.replications),

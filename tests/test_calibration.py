@@ -178,6 +178,20 @@ class TestSimulateNullDraws:
                 runs.append(simulate_null_draws(spectrum, config, np.random.default_rng(m)))
             assert np.array_equal(*runs), f"draws={m}"
 
+    @pytest.mark.parametrize("m, k", [(1, 20000), (9, 60000)])
+    def test_large_spectra_draws_do_not_depend_on_the_blas_thread_count(self, blas_threads, m, k):
+        # one draw over more than 10000 weights is a dot product, and 9 draws over
+        # 60000 are a product of 9 x 60000 >= 460800: OpenBLAS splits both over threads
+        setter, _ = blas_threads
+        spectrum = np.random.default_rng(k).standard_normal(k)
+        config = NullDrawConfig(draws=m)
+        for seed in range(5):
+            runs = []
+            for threads in (1, 2):
+                setter(threads)
+                runs.append(simulate_null_draws(spectrum, config, np.random.default_rng(seed)))
+            assert np.array_equal(*runs), f"seed={seed}"
+
     def test_working_memory_is_one_block(self):
         # one M x k matrix of normals at M = 10^4 and k = 1000 would take 80 MB
         spectrum = np.linspace(1.0, 0.0, 1000)
@@ -250,6 +264,21 @@ class TestRunTest:
                 report = run_test(x, y, "identity", estimator, config)
                 assert report.reject == (report.statistic > report.cutoff)
                 assert 1.0 / 401.0 <= report.p_value <= 1.0
+
+    @pytest.mark.parametrize("m, p_value", [(1000, 51 / 1001), (10**4, 501 / 10001)])
+    def test_reject_and_p_value_disagree_in_one_count_band(self, m, p_value):
+        # with c = #{V >= T} and k = ceil((1 - alpha) M), reject holds when c <= M - k
+        # and p_value <= alpha when c <= alpha (M + 1) - 1; a T between V_(k) and
+        # V_(k+1) has c = M - k, which at alpha = 0.05 lies in the band between them
+        spectrum = np.array([3.0, 1.0, 0.5])
+        config = NullDrawConfig(draws=m, seed=9)
+        # the draws that _calibrate makes, from the generator seeded with config.seed
+        v = np.sort(simulate_null_draws(spectrum, config, np.random.default_rng(config.seed)))
+        k = 19 * m // 20
+        [report] = calibration._calibrate([(spectrum, [(v[k - 1] + v[k]) / 2])], config)
+        assert report.cutoff == v[k - 1]
+        assert report.reject is True
+        assert report.p_value == p_value > config.alpha
 
     def test_taper_changes_the_reference(self):
         rng = np.random.default_rng(35)
