@@ -45,7 +45,7 @@ def pair_aggregates(x, y, kernel):
     each pair by w_ij = 1/||x_i - y_j||, from squared distances in Gram form,
     and takes sx = (W 1) o x - W y and sy = W^T x - (W^T 1) o y from two
     matrix products. Working memory is O((n1 + n2)^2 + (n1 + n2) p), plus
-    O(p) for each pair close enough to be summed directly (`_sign_sums`).
+    O(n2 p) for the near pairs, summed one row of x at a time (`_sign_sums`).
     """
     mx, my = _check_pair(x, y)
     _check_kernel(kernel)
@@ -107,36 +107,22 @@ def _sign_sums(mx, my, z):
     sx = w.sum(axis=1)[:, None] * zx - w @ zy
     sy = w.T @ zx - w.sum(axis=0)[:, None] * zy
     # its unit vector is added from the raw rows instead, which centring
-    # would round, prescaled so that its squared norm cannot overflow
+    # would round, prescaled so that its squared norm cannot overflow, one
+    # row of x at a time, so that at most n2 of them are held at once
     sumsq = float(near.size - np.count_nonzero(near))
     if near.any():
-        i, j = np.nonzero(near)
-        h = mx[i]
-        h -= my[j]
-        top = np.max(np.abs(h), axis=1)
-        keep = top > 0.0  # a tie x_i == y_j has kernel value 0
-        if not keep.all():
-            i, j, h, top = i[keep], j[keep], h[keep], top[keep]
-        h /= top[:, None]
-        h /= np.sqrt(np.einsum("ij,ij->i", h, h))[:, None]
-        _add_rows(sx, h, i)
-        _add_rows(sy, h, j)
-        sumsq += i.size
+        for i in np.flatnonzero(near.any(axis=1)):
+            j = np.flatnonzero(near[i])
+            h = mx[i] - my[j]
+            top = np.max(np.abs(h), axis=1)
+            keep = top > 0.0  # a tie x_i == y_j has kernel value 0
+            j, h, top = j[keep], h[keep], top[keep]
+            h /= top[:, None]
+            h /= np.sqrt(np.einsum("ij,ij->i", h, h))[:, None]
+            sx[i] += h.sum(axis=0)
+            sy[j] += h  # the j of one row are distinct
+            sumsq += j.size
     return sx.sum(axis=0), sx, sy, sumsq
-
-
-def _add_rows(out, rows, index):
-    """out[index[k]] += rows[k] for every k, one update per distinct index.
-
-    The rows of each index are summed first with np.add.reduceat over a
-    stable sort, which costs a fraction of np.add.at's scatter of every row.
-    """
-    if index.size == 0:
-        return
-    order = np.argsort(index, kind="stable")
-    index, rows = index[order], rows[order]
-    starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])
-    out[index[starts]] += np.add.reduceat(rows, starts, axis=0)
 
 
 def _statistic_from_aggregates(g, sx, sy, sumsq):

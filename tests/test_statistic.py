@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,12 +141,33 @@ class TestPairAggregatesAccuracy:
     @pytest.mark.parametrize("p", [1, 5, 100, 1000])
     def test_matches_row_loop(self, p, case, kernel):
         x, y = _accuracy_sample(case, p)
-        got = pair_aggregates(x, y, kernel)
-        want = _loop_aggregates(x, y, kernel)
-        for name, a, b in zip(("g", "sx", "sy", "sumsq"), got, want):
-            err = np.max(np.abs(np.subtract(a, b)))
-            assert np.isfinite(a).all()
-            assert err <= 1e-12 * np.max(np.abs(b)), name
+        _assert_matches_row_loop(pair_aggregates(x, y, kernel), x, y, kernel)
+
+    def test_near_pairs_take_bounded_memory(self):
+        # two unit-variance clusters 1e6 apart: the 100 * 150 pairs inside the
+        # cluster away from the centre are all near, and summed directly
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((200, 1000))
+        y = rng.standard_normal((300, 1000))
+        peaks = []
+        for shift in (0.0, 1e6):
+            xs, ys = x.copy(), y.copy()
+            xs[100:] += shift
+            ys[150:] += shift
+            tracemalloc.start()
+            got = pair_aggregates(xs, ys, SIGN)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+        _assert_matches_row_loop(got, xs, ys, SIGN)
+
+
+def _assert_matches_row_loop(got, x, y, kernel):
+    want = _loop_aggregates(x, y, kernel)
+    for name, a, b in zip(("g", "sx", "sy", "sumsq"), got, want):
+        err = np.max(np.abs(np.subtract(a, b)))
+        assert np.isfinite(a).all()
+        assert err <= 1e-12 * np.max(np.abs(b)), name
 
 
 _THREAD_PROBE = """
