@@ -17,6 +17,12 @@ class BaselineReport:
     p_value: float
 
 
+_OVERFLOW = (
+    "x and y are too large in magnitude for the Hotelling test: "
+    "its pooled covariance overflows; rescale the data"
+)
+
+
 def _check_hotelling_dims(p, n1, n2, where=""):
     """Hotelling's F reference needs p <= n1 + n2 - 2, so its degrees of freedom are positive."""
     if p > n1 + n2 - 2:
@@ -34,16 +40,23 @@ def hotelling_t2(x, y):
     n2 = my.shape[0]
     _check_hotelling_dims(p, n1, n2)
     n = n1 + n2
-    xc = mx - mx.mean(axis=0)
-    yc = my - my.mean(axis=0)
-    pooled = (xc.T @ xc + yc.T @ yc) / (n - 2)
-    try:
-        chol = np.linalg.cholesky(pooled)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError("pooled covariance is singular") from err
-    diff = mx.mean(axis=0) - my.mean(axis=0)
-    half = np.linalg.solve(chol, diff)  # t2 = (n1 n2 / n) ||L^-1 diff||^2
-    t2 = (n1 * n2 / n) * float(half @ half)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_x, mean_y = mx.mean(axis=0), my.mean(axis=0)
+        xc, yc = mx - mean_x, my - mean_y
+        pooled = (xc.T @ xc + yc.T @ yc) / (n - 2)
+        # an overflowed pooled matrix factors to an infinite diagonal
+        # without an error, and t2 would then read 0
+        if not np.isfinite(pooled).all():
+            raise ValueError(_OVERFLOW)
+        try:
+            chol = np.linalg.cholesky(pooled)
+        except np.linalg.LinAlgError as err:
+            raise np.linalg.LinAlgError("pooled covariance is singular") from err
+        # t2 = (n1 n2 / n) ||L^-1 (mean_x - mean_y)||^2
+        half = np.linalg.solve(chol, mean_x - mean_y)
+        t2 = (n1 * n2 / n) * float(half @ half)
+    if not math.isfinite(t2):
+        raise ValueError(_OVERFLOW)
     df1, df2 = p, n - p - 1
     f_stat = t2 * df2 / ((n - 2) * p)
     # survival form: evaluating I_x(b, a) at x = d2/(d2 + d1 f) avoids the

@@ -102,26 +102,24 @@ def _sign_sums(mx, my, z):
     d2 = scale - 2.0 * gram[:n1, n1:]
     # a near pair gets weight 0, because w x_i - w y_j would cancel too
     near = d2 <= _NEAR * scale
-    w = 1.0 / np.sqrt(np.where(near, 1.0, d2))
-    w[near] = 0.0
+    w = 1.0 / np.sqrt(np.where(near, np.inf, d2))  # 1/sqrt(inf) is +0.0
     sx = w.sum(axis=1)[:, None] * zx - w @ zy
     sy = w.T @ zx - w.sum(axis=0)[:, None] * zy
     # its unit vector is added from the raw rows instead, which centring
     # would round, prescaled so that its squared norm cannot overflow, one
     # row of x at a time, so that at most n2 of them are held at once
     sumsq = float(near.size - np.count_nonzero(near))
-    if near.any():
-        for i in np.flatnonzero(near.any(axis=1)):
-            j = np.flatnonzero(near[i])
-            h = mx[i] - my[j]
-            top = np.max(np.abs(h), axis=1)
-            keep = top > 0.0  # a tie x_i == y_j has kernel value 0
-            j, h, top = j[keep], h[keep], top[keep]
-            h /= top[:, None]
-            h /= np.sqrt(np.einsum("ij,ij->i", h, h))[:, None]
-            sx[i] += h.sum(axis=0)
-            sy[j] += h  # the j of one row are distinct
-            sumsq += j.size
+    for i in np.flatnonzero(near.any(axis=1)):
+        j = np.flatnonzero(near[i])
+        h = mx[i] - my[j]
+        top = np.max(np.abs(h), axis=1)
+        keep = top > 0.0  # a tie x_i == y_j has kernel value 0
+        j, h, top = j[keep], h[keep], top[keep]
+        h /= top[:, None]
+        h /= np.sqrt(np.einsum("ij,ij->i", h, h))[:, None]
+        sx[i] += h.sum(axis=0)
+        sy[j] += h  # the j of one row are distinct
+        sumsq += j.size
     return sx.sum(axis=0), sx, sy, sumsq
 
 

@@ -64,6 +64,18 @@ class TestHotelling:
         with pytest.raises(np.linalg.LinAlgError):
             hotelling_t2(x, y)
 
+    @pytest.mark.parametrize("scale, shift", [(1e160, 0.5e160), (1.0, 1e300)])
+    def test_overflowing_pooled_covariance_raises(self, scale, shift):
+        # entries near 1e160 overflow the pooled covariance, as do centred
+        # rows of a sample near 1e300, which keep about 4.5e284 of rounding
+        # error; Cholesky factors the inf matrix without an error, so t2
+        # would read 0 and p 1
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((20, 3)) * scale
+        y = rng.standard_normal((25, 3)) * scale + shift
+        with pytest.raises(ValueError, match="too large in magnitude for the Hotelling test"):
+            hotelling_t2(x, y)
+
 
 def _f_density(x, d1, d2):
     ln = (
