@@ -21,6 +21,10 @@ _OVERFLOW = (
     "x and y are too large in magnitude for the Hotelling test: "
     "its pooled covariance overflows; rescale the data"
 )
+_UNDERFLOW = (
+    "x and y are too small in magnitude for the Hotelling test: "
+    "its pooled covariance underflows; rescale the data"
+)
 
 
 def _check_hotelling_dims(p, n1, n2, where=""):
@@ -48,6 +52,11 @@ def hotelling_t2(x, y):
         # without an error, and t2 would then read 0
         if not np.isfinite(pooled).all():
             raise ValueError(_OVERFLOW)
+        # a subnormal (or zero) variance of a column that varies within a
+        # sample has lost its digits; one that varies in neither is singular
+        varies = (mx != mx[0]).any(axis=0) | (my != my[0]).any(axis=0)
+        if (varies & (np.diag(pooled) < np.finfo(float).tiny)).any():
+            raise ValueError(_UNDERFLOW)
         try:
             chol = np.linalg.cholesky(pooled)
         except np.linalg.LinAlgError as err:

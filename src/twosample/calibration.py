@@ -16,7 +16,6 @@ PLAIN = "plain"
 TAPER = "taper"
 ESTIMATORS = (PLAIN, TAPER)
 _NEGATIVE_RTOL = 1e-10  # tau of TestReport.negative_eigenvalues
-_MIN_ROWS = 2  # per sample: the statistic sums over pairs of distinct rows
 
 
 def _check_int(name, value, low=None):
@@ -190,10 +189,6 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     mx, my0 = _check_pair(x, y0)
-    if min(mx.shape[0], my0.shape[0]) < _MIN_ROWS:
-        raise ValueError(
-            f"x and y need at least two rows each: x has {mx.shape[0]}, y has {my0.shape[0]}"
-        )
     if shifts is None:
         shifts = [np.zeros(mx.shape[1])]
     if kernel == IDENTITY:

@@ -4,10 +4,10 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 from .baselines import _check_hotelling_dims
-from .calibration import _MIN_ROWS, DEFAULT_SEED, ESTIMATORS, PLAIN, NullDrawConfig, _check_int
+from .calibration import DEFAULT_SEED, ESTIMATORS, PLAIN, NullDrawConfig, _check_int
 from .covariance import _BETA, _is_real, _taper_bandwidth
 from .datagen import parse_family, scenario_sigma, shift_vector
-from .statistic import SIGN, _check_kernel
+from .statistic import _MIN_ROWS, SIGN, _check_kernel
 
 HOTELLING = "hotelling"
 ESTIMATOR_CHOICES = ESTIMATORS + (HOTELLING,)

@@ -5,6 +5,7 @@ import numpy as np
 IDENTITY = "identity"
 SIGN = "sign"
 KERNELS = (IDENTITY, SIGN)
+_MIN_ROWS = 2  # per sample: the statistic sums over pairs of distinct rows
 
 
 def _as_sample(a, name):
@@ -67,6 +68,13 @@ def pair_aggregates(x, y, kernel):
 
 def _identity_sums(zx, zy, e):
     """g = n2 X - n1 Y, sx_i = n2 x_i - Y, sy_j = X - n1 y_j, for z = 2^-e data."""
+    # the sums of squares are 2^2e times values of order 1; below this 2e,
+    # those within 2^-52 of that order would be subnormal and lose digits
+    if 2 * e < np.finfo(float).minexp + np.finfo(float).nmant:
+        raise ValueError(
+            "x and y are too small in magnitude for the identity kernel: "
+            "its pair sums underflow; rescale the data"
+        )
     n1, n2 = zx.shape[0], zy.shape[0]
     sum_x, sum_y = zx.sum(axis=0), zy.sum(axis=0)
     sumsq = (
@@ -108,8 +116,10 @@ def _sign_sums(mx, my, z):
     # its unit vector is added from the raw rows instead, which centring
     # would round, prescaled so that its squared norm cannot overflow, one
     # row of x at a time, so that at most n2 of them are held at once
-    sumsq = float(near.size - np.count_nonzero(near))
-    for i in np.flatnonzero(near.any(axis=1)):
+    n_near = np.count_nonzero(near)
+    sumsq = float(near.size - n_near)
+    # the count, already taken, skips the scan of an all-False mask for near rows
+    for i in np.flatnonzero(near.any(axis=1)) if n_near else ():
         j = np.flatnonzero(near[i])
         h = mx[i] - my[j]
         top = np.max(np.abs(h), axis=1)
@@ -123,20 +133,6 @@ def _sign_sums(mx, my, z):
     return sx.sum(axis=0), sx, sy, sumsq
 
 
-def _statistic_from_aggregates(g, sx, sy, sumsq):
-    n1, n2 = sx.shape[0], sy.shape[0]
-    if n1 < 2 or n2 < 2:
-        return 0.0  # the off-diagonal index sets are empty
-    n = n1 + n2
-    total = (
-        float(g @ g)
-        - float(np.einsum("ij,ij->", sx, sx))
-        - float(np.einsum("ij,ij->", sy, sy))
-        + sumsq
-    )
-    return total / (n * n1 * n2)
-
-
 def _finite(stat, kernel):
     """stat, or a ValueError naming x, y and the kernel whose pair sums overflowed."""
     if not np.isfinite(stat):
@@ -148,24 +144,34 @@ def _finite(stat, kernel):
 
 
 def _pass(x, y, kernel):
-    """One pair pass, (g, sx, sy, T), where huge data that overflow T raise (`_finite`).
+    """One pair pass, (g, sx, sy, T), with T in the four-term norm form
+    (||g||^2 - sum_i ||sx_i||^2 - sum_j ||sy_j||^2 + sum_ij ||h_ij||^2) / (n n1 n2).
 
-    A finite T bounds C, C^T C and C C^T (`covariance._centred_factor`):
-    its terms include ||g||^2, sum ||sx_i||^2 and sum ||sy_j||^2.
+    x or y of fewer than `_MIN_ROWS` rows raise, as do huge data that
+    overflow T (`_finite`). A finite T bounds C, C^T C and C C^T
+    (`covariance._centred_factor`), as its terms do.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         # a module global, so a wrapper set on statistic.pair_aggregates sees the pass
         g, sx, sy, sumsq = pair_aggregates(x, y, kernel)
-        stat = _statistic_from_aggregates(g, sx, sy, sumsq)
+        n1, n2 = sx.shape[0], sy.shape[0]
+        if min(n1, n2) < _MIN_ROWS:
+            raise ValueError(f"x and y need at least two rows each: x has {n1}, y has {n2}")
+        total = (
+            float(g @ g)
+            - float(np.einsum("ij,ij->", sx, sx))
+            - float(np.einsum("ij,ij->", sy, sy))
+            + sumsq
+        )
+        stat = total / ((n1 + n2) * n1 * n2)
     return g, sx, sy, _finite(stat, kernel)
 
 
 def compute_statistic(x, y, kernel):
     """Two-sample statistic T over all pairs with distinct x-rows and y-rows.
 
-    Evaluated in the four-term norm form
-    (||g||^2 - sum_i ||sx_i||^2 - sum_j ||sy_j||^2 + sum_ij ||h_ij||^2) / (n n1 n2),
-    which never materializes the n1*n2 kernel vectors at once.
+    Evaluated from the sums of one pair pass (`_pass`), which never
+    materializes the n1*n2 kernel vectors at once.
     """
     return _pass(x, y, kernel)[3]
 

@@ -76,6 +76,24 @@ class TestHotelling:
         with pytest.raises(ValueError, match="too large in magnitude for the Hotelling test"):
             hotelling_t2(x, y)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200])
+    def test_underflowing_pooled_covariance_raises(self, scale):
+        # at 1e-160 the pooled variances are subnormal and t2 read 28.9174
+        # for 28.9251; at 1e-200 they are 0, which Cholesky called singular
+        x, y = _small_shift_pair()
+        with pytest.raises(ValueError, match="too small in magnitude for the Hotelling test"):
+            hotelling_t2(x * scale, y * scale)
+
+    def test_small_data_keep_t2(self):
+        x, y = _small_shift_pair()
+        base = hotelling_t2(x, y).t2
+        assert abs(hotelling_t2(x * 1e-100, y * 1e-100).t2 - base) <= 1e-12 * base
+
+
+def _small_shift_pair():
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((20, 4)), rng.standard_normal((25, 4)) + 0.8
+
 
 def _f_density(x, d1, d2):
     ln = (

@@ -413,6 +413,19 @@ class TestRunTest:
             with pytest.raises(ValueError, match="x and y .* sign kernel"):
                 run_test(x, y, "sign", "plain", NullDrawConfig(draws=100))
 
+    def test_underflowing_identity_kernel_names_the_input(self):
+        # at 1e-165 the pair sums of squares flush to 0, and the test read
+        # statistic 0, cutoff 0, p-value 1
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((20, 4))
+        y = rng.standard_normal((25, 4)) + 0.8
+        for entry in (run_test, compute_statistic, estimate_plain):
+            with pytest.raises(ValueError, match="x and y .* small .* identity kernel"):
+                entry(x * 1e-165, y * 1e-165, "identity")
+        # the sign kernel is scale-free
+        base = compute_statistic(x, y, "sign")
+        assert abs(compute_statistic(x * 1e-165, y * 1e-165, "sign") - base) <= 1e-12 * base
+
     @pytest.mark.parametrize("n1, n2, p", [(8, 9, 4), (5, 6, 40)])
     def test_identity_data_either_overflow_by_name_or_stay_finite(self, n1, n2, p):
         # a finite T bounds C, C^T C and C C^T, so no estimate check is needed
@@ -443,6 +456,31 @@ class TestRunTest:
                     fields = [report.statistic, report.cutoff, report.trace, report.top_eigenvalue]
                     assert np.isfinite(fields).all()
         assert outcomes == {"raised", "finite"}  # the scan crosses the threshold
+        # at the low end, where the pair sums of squares would underflow, the
+        # data either raise by name or give 2^2k times the unit-scale report
+        config = NullDrawConfig(draws=50)
+        unit = {e: run_test(x0, y0, "identity", e, config) for e in ("plain", "taper")}
+        outcomes = set()
+        for k in range(-560, -479):
+            for estimator, want in unit.items():
+                try:
+                    report = run_test(x0 * 2.0**k, y0 * 2.0**k, "identity", estimator, config)
+                except ValueError as err:
+                    assert "too small in magnitude for the identity kernel" in str(err)
+                    outcomes.add("raised")
+                    continue
+                for name in ("statistic", "cutoff", "trace", "top_eigenvalue"):
+                    got = np.ldexp(getattr(report, name), -2 * k)
+                    assert abs(got - getattr(want, name)) <= 1e-12 * abs(getattr(want, name))
+                outcomes.add("scaled")
+        assert outcomes == {"raised", "scaled"}
+
+    @pytest.mark.parametrize("entry", [run_test, compute_statistic, estimate_plain])
+    def test_one_row_sample_names_the_input(self, entry):
+        # every function that computes T applies the one rule of its pair pass
+        with pytest.raises(ValueError) as err:
+            entry(np.zeros((1, 3)), np.ones((4, 3)), "identity")
+        assert str(err.value) == "x and y need at least two rows each: x has 1, y has 4"
 
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):

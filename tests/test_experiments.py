@@ -510,6 +510,15 @@ class TestBlasThreads:
         assert experiments._CONTEXT.get_start_method() == "fork"
         assert multiprocessing.active_children() == []
 
+    def test_spawned_workers_give_the_rows_of_one_thread(self, monkeypatch):
+        # where there is no fork, the workers start from a fresh import
+        monkeypatch.setattr(experiments, "_CONTEXT", multiprocessing.get_context("spawn"))
+        config = _config(deltas=(0.0, 1.0), replications=4)
+        pooled = run_power_curve(config, threads=2)
+        serial = run_power_curve(config, threads=1)
+        assert [_strip_time(r) for r in pooled] == [_strip_time(r) for r in serial]
+        assert multiprocessing.active_children() == []
+
     def test_one_thread_already_sets_nothing(self, monkeypatch):
         # a set in a forked worker restarts OpenBLAS's thread pool, whose idle
         # threads spin on the cores the other workers need

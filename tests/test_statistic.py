@@ -14,7 +14,7 @@ from twosample import (
     compute_statistic,
     pair_aggregates,
 )
-from twosample.statistic import _recentred_statistic, _statistic_from_aggregates
+from twosample.statistic import _pass, _recentred_statistic
 
 from oracle import compute_statistic_oracle, unit
 
@@ -141,6 +141,11 @@ class TestPairAggregatesAccuracy:
     @pytest.mark.parametrize("p", [1, 5, 100, 1000])
     def test_matches_row_loop(self, p, case, kernel):
         x, y = _accuracy_sample(case, p)
+        if case == "tiny" and kernel == IDENTITY:
+            # its sum of squares, near 1e-400, would flush to 0 in both passes
+            with pytest.raises(ValueError, match="too small in magnitude for the identity kernel"):
+                pair_aggregates(x, y, kernel)
+            return
         _assert_matches_row_loop(pair_aggregates(x, y, kernel), x, y, kernel)
 
     def test_near_pairs_take_bounded_memory(self):
@@ -209,9 +214,12 @@ class TestComputeStatistic:
         # hand enumeration of the quadruple sum gives -4/16
         assert compute_statistic(X4, Y4, IDENTITY) == -0.25
 
-    def test_single_row_gives_zero(self):
-        assert compute_statistic(np.zeros((1, 3)), np.ones((4, 3)), IDENTITY) == 0.0
-        assert compute_statistic(np.zeros((4, 3)), np.ones((1, 3)), SIGN) == 0.0
+    def test_single_row_raises(self):
+        # the off-diagonal index sets are empty: T is undefined, not 0
+        with pytest.raises(ValueError, match="^x and y need .* x has 1, y has 4$"):
+            compute_statistic(np.zeros((1, 3)), np.ones((4, 3)), IDENTITY)
+        with pytest.raises(ValueError, match="^x and y need .* x has 4, y has 1$"):
+            compute_statistic(np.zeros((4, 3)), np.ones((1, 3)), SIGN)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -300,8 +308,7 @@ def _centered_enumeration(x, y, kernel, delta):
 
 def _recentred(x, y, kernel, delta):
     """T(delta) in closed form from one pair pass, as the replication path takes it."""
-    g, sx, sy, sumsq = pair_aggregates(x, y, kernel)
-    stat = _statistic_from_aggregates(g, sx, sy, sumsq)
+    g, sx, sy, stat = _pass(x, y, kernel)
     return _recentred_statistic(stat, g, sx.shape[0], sy.shape[0], np.asarray(delta, dtype=float))
 
 
@@ -327,5 +334,6 @@ class TestRecentredStatistic:
             want = _centered_enumeration(x, y, kernel, delta)
             assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
-    def test_single_row_gives_zero(self):
-        assert _recentred(X4[:1], Y4, IDENTITY, [0.5]) == 0.0
+    def test_single_row_raises(self):
+        with pytest.raises(ValueError, match="^x and y need .* x has 1, y has 2$"):
+            _recentred(X4[:1], Y4, IDENTITY, [0.5])
