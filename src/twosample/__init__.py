@@ -10,7 +10,6 @@ from .calibration import (
     run_test,
     simulate_null_draws,
 )
-from .config import ScenarioConfig, config_from_dict, config_to_dict, load_configs
 from .covariance import eigenvalues_sym, estimate_plain, taper_weight
 from .datagen import (
     COV_FORMS,
@@ -22,6 +21,10 @@ from .datagen import (
 from .experiments import (
     CSV_COLUMNS,
     ResultRow,
+    ScenarioConfig,
+    config_from_dict,
+    config_to_dict,
+    load_configs,
     run_power_curve,
     run_power_curves,
     write_csv,
@@ -43,7 +46,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 __all__ = [
     "BaselineReport",

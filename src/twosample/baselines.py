@@ -52,10 +52,13 @@ def hotelling_t2(x, y):
         # without an error, and t2 would then read 0
         if not np.isfinite(pooled).all():
             raise ValueError(_OVERFLOW)
-        # a subnormal (or zero) variance of a column that varies within a
-        # sample has lost its digits; one that varies in neither is singular
+        # a column that varies in neither sample is singular, whatever the
+        # rounding of its centring; a subnormal (or zero) variance of one that
+        # varies has lost its digits
         varies = (mx != mx[0]).any(axis=0) | (my != my[0]).any(axis=0)
-        if (varies & (np.diag(pooled) < np.finfo(float).tiny)).any():
+        if not varies.all():
+            raise np.linalg.LinAlgError("pooled covariance is singular")
+        if (np.diag(pooled) < np.finfo(float).tiny).any():
             raise ValueError(_UNDERFLOW)
         try:
             chol = np.linalg.cholesky(pooled)

@@ -139,14 +139,13 @@ def empirical_quantile(values, level):
     return float(np.partition(v, k - 1)[k - 1])
 
 
-def _estimate(mx, my, kernel, estimator, beta):
+def _estimate(mx, my, kernel, estimator, k):
     """One pair pass (`_pass`): the grand sum g, the statistic and the spectrum
     of the estimate, from one centred factor C (`_centred_factor`): plain from
-    the smaller of C^T C and C C^T, tapered from the p x p C^T C."""
+    the smaller of C^T C and C C^T, tapered from the p x p C^T C at bandwidth k."""
     g, sx, sy, stat = _pass(mx, my, kernel)
     c = _centred_factor(g, sx, sy)
     if estimator == TAPER:
-        k = _taper_bandwidth(beta, mx.shape[0] + my.shape[0], mx.shape[1])
         est = _apply_taper(c.T @ c, k)
     else:
         est = c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T
@@ -189,14 +188,15 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     mx, my0 = _check_pair(x, y0)
+    k = _taper_bandwidth(beta, mx.shape[0] + my0.shape[0], mx.shape[1])
     if shifts is None:
         shifts = [np.zeros(mx.shape[1])]
     if kernel == IDENTITY:
-        g, stat, lam = _estimate(mx, my0, kernel, estimator, beta)
+        g, stat, lam = _estimate(mx, my0, kernel, estimator, k)
         laws = [(lam, [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts])]
     else:
         # a shift keeps the row counts, and pair_aggregates checks that y is finite
-        passes = [_estimate(mx, my0 + s, kernel, estimator, beta) for s in shifts]
+        passes = [_estimate(mx, my0 + s, kernel, estimator, k) for s in shifts]
         laws = [(lam, [stat]) for _, stat, lam in passes]
     return _calibrate(laws, config)
 

@@ -10,9 +10,8 @@ import sys
 import numpy as np
 
 from .calibration import DEFAULT_SEED, ESTIMATORS, PLAIN, NullDrawConfig, _check_int, run_test
-from .config import load_configs
 from .covariance import _BETA, _taper_bandwidth
-from .experiments import _write_json, run_power_curves, write_csv, write_manifest
+from .experiments import _write_json, load_configs, run_power_curves, write_csv, write_manifest
 from .realdata import block_summary, load_matrix_csv, run_realdata_blocks
 from .statistic import KERNELS, SIGN
 

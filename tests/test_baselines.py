@@ -55,14 +55,37 @@ class TestHotelling:
         with pytest.raises(ValueError, match=message):
             hotelling_t2(rng.standard_normal((4, 6)), rng.standard_normal((3, 6)))
 
-    def test_singular_pooled_covariance_raises(self):
-        rng = np.random.default_rng(11)
-        base = rng.standard_normal((10, 1))
-        x = np.hstack([base, base])  # duplicated column
-        other = rng.standard_normal((10, 1)) + 1.0
-        y = np.hstack([other, other])
-        with pytest.raises(np.linalg.LinAlgError):
+    @pytest.mark.parametrize(
+        "x_value, y_value",
+        [(None, None), (0.3, 0.3), (0.3, 0.7)],
+        ids=["duplicated-column", "constant-equal", "constant-unequal"],
+    )
+    def test_singular_pooled_covariance_raises(self, x_value, y_value):
+        if x_value is None:
+            rng = np.random.default_rng(11)
+            base = rng.standard_normal((10, 1))
+            x = np.hstack([base, base])  # duplicated column
+            other = rng.standard_normal((10, 1)) + 1.0
+            y = np.hstack([other, other])
+        else:
+            # column 1 constant within each sample: the mean of x's 0.3s is
+            # 0.3 - 5.6e-17, so centring leaves a variance of about 1e-33
+            # that Cholesky accepts, and t2 would read 6.70 or 5.9e31
+            rng = np.random.default_rng(0)
+            x = rng.standard_normal((20, 3))
+            y = rng.standard_normal((25, 3))
+            x[:, 1], y[:, 1] = x_value, y_value
+        with pytest.raises(np.linalg.LinAlgError, match="^pooled covariance is singular$"):
             hotelling_t2(x, y)
+
+    def test_column_constant_in_one_sample_keeps_t2(self):
+        # the column varies in y, so the pooled covariance is not singular
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((20, 3))
+        y = rng.standard_normal((25, 3))
+        x[:, 1] = 0.3
+        report = hotelling_t2(x, y)
+        assert math.isfinite(report.t2) and 0.0 < report.p_value < 1.0
 
     @pytest.mark.parametrize("scale, shift", [(1e160, 0.5e160), (1.0, 1e300)])
     def test_overflowing_pooled_covariance_raises(self, scale, shift):

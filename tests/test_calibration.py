@@ -290,21 +290,41 @@ class TestRunTest:
         assert plain.statistic == tapered.statistic
         assert plain.cutoff != tapered.cutoff
 
+    @staticmethod
+    def _counting_passes(monkeypatch):
+        """The argument tuples of every pair pass from here on."""
+        calls = []
+        original = statistic.pair_aggregates
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(statistic, "pair_aggregates", counting)
+        return calls
+
+    # beta is checked for either estimator, before the first pair pass
+    @pytest.mark.parametrize("estimator", ["plain", "taper"])
     @pytest.mark.parametrize("beta", ["x", True])
-    def test_taper_beta_must_be_a_number(self, beta):
+    def test_taper_beta_must_be_a_number(self, monkeypatch, beta, estimator):
         rng = np.random.default_rng(36)
         x = rng.standard_normal((8, 4))
         y = rng.standard_normal((9, 4))
+        calls = self._counting_passes(monkeypatch)
         with pytest.raises(ValueError, match=f"^beta must be a number, got {beta!r}$"):
-            run_test(x, y, "sign", "taper", NullDrawConfig(draws=50), beta=beta)
+            run_test(x, y, "sign", estimator, NullDrawConfig(draws=50), beta=beta)
+        assert calls == []
 
-    def test_taper_beta_must_be_finite(self):
+    @pytest.mark.parametrize("estimator", ["plain", "taper"])
+    def test_taper_beta_must_be_finite(self, monkeypatch, estimator):
         # n^(1/(2 beta + 2)) = 1 at beta = inf would taper to the diagonal alone
         rng = np.random.default_rng(36)
         x = rng.standard_normal((8, 4))
         y = rng.standard_normal((9, 4))
+        calls = self._counting_passes(monkeypatch)
         with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
-            run_test(x, y, "sign", "taper", NullDrawConfig(draws=50), beta=float("inf"))
+            run_test(x, y, "sign", estimator, NullDrawConfig(draws=50), beta=float("inf"))
+        assert calls == []
 
     @pytest.mark.parametrize("kernel", ["identity", "sign"])
     @pytest.mark.parametrize("p", [1, 2])
@@ -334,14 +354,7 @@ class TestRunTest:
         rng = np.random.default_rng(45)
         x = rng.standard_normal((9, 6))
         y = rng.standard_normal((11, 6)) + 0.2
-        calls = []
-        original = statistic.pair_aggregates
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(statistic, "pair_aggregates", counting)
+        calls = self._counting_passes(monkeypatch)
         report = run_test(x, y, "sign", estimator, NullDrawConfig(draws=300, seed=8))
         assert len(calls) == 1
         monkeypatch.undo()
