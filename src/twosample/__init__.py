@@ -3,14 +3,13 @@
 from .baselines import BaselineReport, hotelling_t2
 from .calibration import (
     DEFAULT_SEED,
-    ESTIMATORS,
     NullDrawConfig,
     TestReport,
     empirical_quantile,
     run_test,
     simulate_null_draws,
 )
-from .covariance import eigenvalues_sym, estimate_plain, taper_weight
+from .covariance import ESTIMATORS, eigenvalues_sym, estimate_plain, taper_weight
 from .datagen import (
     COV_FORMS,
     generate_scenario,
@@ -46,7 +45,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"
 
 __all__ = [
     "BaselineReport",

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statistic import _check_pair
+from .statistic import _check_pair, _varies
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,10 @@ class BaselineReport:
 _OVERFLOW = (
     "x and y are too large in magnitude for the Hotelling test: "
     "its pooled covariance overflows; rescale the data"
+)
+_T2_OVERFLOW = (
+    "x and y are too far apart for the Hotelling test: its T^2 overflows, "
+    "as the mean difference is too large against the pooled covariance"
 )
 _UNDERFLOW = (
     "x and y are too small in magnitude for the Hotelling test: "
@@ -55,8 +59,7 @@ def hotelling_t2(x, y):
         # a column that varies in neither sample is singular, whatever the
         # rounding of its centring; a subnormal (or zero) variance of one that
         # varies has lost its digits
-        varies = (mx != mx[0]).any(axis=0) | (my != my[0]).any(axis=0)
-        if not varies.all():
+        if not _varies(mx, my).all():
             raise np.linalg.LinAlgError("pooled covariance is singular")
         if (np.diag(pooled) < np.finfo(float).tiny).any():
             raise ValueError(_UNDERFLOW)
@@ -68,7 +71,7 @@ def hotelling_t2(x, y):
         half = np.linalg.solve(chol, mean_x - mean_y)
         t2 = (n1 * n2 / n) * float(half @ half)
     if not math.isfinite(t2):
-        raise ValueError(_OVERFLOW)
+        raise ValueError(_T2_OVERFLOW)
     df1, df2 = p, n - p - 1
     f_stat = t2 * df2 / ((n - 2) * p)
     # survival form: evaluating I_x(b, a) at x = d2/(d2 + d1 f) avoids the

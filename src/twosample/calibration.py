@@ -6,24 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import covariance
 from ._blas import _one_blas_thread
-from .covariance import _apply_taper, _centred_factor, _is_real, _taper_bandwidth, eigenvalues_sym
-from .statistic import IDENTITY, _check_pair, _pass, _recentred_statistic
+from .covariance import _BETA, ESTIMATORS, PLAIN, _estimate, _taper_bandwidth, eigenvalues_sym
+from .statistic import IDENTITY, _check_int, _check_pair, _check_varies, _is_real, _recentred_statistic
 
 DEFAULT_SEED = 12345
-PLAIN = "plain"
-TAPER = "taper"
-ESTIMATORS = (PLAIN, TAPER)
 _NEGATIVE_RTOL = 1e-10  # tau of TestReport.negative_eigenvalues
-
-
-def _check_int(name, value, low=None):
-    """Reject a count that is not an int (a bool included) or is below low, naming it."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -139,19 +127,6 @@ def empirical_quantile(values, level):
     return float(np.partition(v, k - 1)[k - 1])
 
 
-def _estimate(mx, my, kernel, estimator, k):
-    """One pair pass (`_pass`): the grand sum g, the statistic and the spectrum
-    of the estimate, from one centred factor C (`_centred_factor`): plain from
-    the smaller of C^T C and C C^T, tapered from the p x p C^T C at bandwidth k."""
-    g, sx, sy, stat = _pass(mx, my, kernel)
-    c = _centred_factor(g, sx, sy)
-    if estimator == TAPER:
-        est = _apply_taper(c.T @ c, k)
-    else:
-        est = c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T
-    return g, stat, eigenvalues_sym(est)
-
-
 def _calibrate(laws, config):
     """The TestReports of every statistic against the null law of its spectrum.
 
@@ -189,19 +164,22 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     mx, my0 = _check_pair(x, y0)
     k = _taper_bandwidth(beta, mx.shape[0] + my0.shape[0], mx.shape[1])
+    _check_varies(mx, my0)  # a shift keeps a constant y constant
     if shifts is None:
         shifts = [np.zeros(mx.shape[1])]
     if kernel == IDENTITY:
-        g, stat, lam = _estimate(mx, my0, kernel, estimator, k)
-        laws = [(lam, [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts])]
+        g, stat, est = _estimate(mx, my0, kernel, estimator, k)
+        stats = [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts]
+        laws = [(eigenvalues_sym(est), stats)]
     else:
-        # a shift keeps the row counts, and pair_aggregates checks that y is finite
-        passes = [_estimate(mx, my0 + s, kernel, estimator, k) for s in shifts]
-        laws = [(lam, [stat]) for _, stat, lam in passes]
+        # a shift keeps the row counts, and pair_aggregates checks that y is finite;
+        # each spectrum is taken before the next estimate is formed
+        passes = (_estimate(mx, my0 + s, kernel, estimator, k) for s in shifts)
+        laws = [(eigenvalues_sym(est), [stat]) for _, stat, est in passes]
     return _calibrate(laws, config)
 
 
-def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=covariance._BETA):
+def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=_BETA):
     """Full test: statistic, spectrum estimate, null draws, cutoff, decision.
 
     The one-shift case of the replication path (`_shift_tests`). The

@@ -9,11 +9,11 @@ import sys
 
 import numpy as np
 
-from .calibration import DEFAULT_SEED, ESTIMATORS, PLAIN, NullDrawConfig, _check_int, run_test
-from .covariance import _BETA, _taper_bandwidth
+from .calibration import DEFAULT_SEED, NullDrawConfig, run_test
+from .covariance import _BETA, ESTIMATORS, PLAIN, _taper_bandwidth
 from .experiments import _write_json, load_configs, run_power_curves, write_csv, write_manifest
 from .realdata import block_summary, load_matrix_csv, run_realdata_blocks
-from .statistic import KERNELS, SIGN
+from .statistic import KERNELS, SIGN, _check_int
 
 
 def _report_fields(report, draws):

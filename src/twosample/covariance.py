@@ -2,8 +2,11 @@
 
 import numpy as np
 
-from .statistic import _pass
+from .statistic import _is_real, _pass
 
+PLAIN = "plain"
+TAPER = "taper"
+ESTIMATORS = (PLAIN, TAPER)
 _BETA = 0.25  # the default taper exponent beta of `_taper_bandwidth`'s callers
 
 
@@ -33,17 +36,6 @@ def _centred_factor(g, sx, sy):
     """
     n1, n2 = sx.shape[0], sy.shape[0]
     return np.vstack([sx - g / n1, sy - g / n2]) / np.sqrt((n1 + n2) * n1 * n2)
-
-
-def _is_real(value):
-    """An int or a float, not a bool; an int too large for a finite float is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
 
 
 def _taper_bandwidth(beta, n, p):
@@ -79,6 +71,19 @@ def _apply_taper(est, k):
     weights = np.array(half[:0:-1] + half)  # one per offset j-i, from 1-p to p-1
     # row i of the reversed windows is weights[p-1-i : 2p-1-i], the offsets j-i of that row
     return est * np.lib.stride_tricks.sliding_window_view(weights, p)[::-1]
+
+
+def _estimate(mx, my, kernel, estimator, k):
+    """One pair pass (`_pass`): the grand sum g, the statistic and the estimate,
+    from one centred factor C (`_centred_factor`): plain as the smaller of
+    C^T C and C C^T, tapered as the p x p C^T C at bandwidth k."""
+    g, sx, sy, stat = _pass(mx, my, kernel)
+    c = _centred_factor(g, sx, sy)
+    if estimator == TAPER:
+        est = _apply_taper(c.T @ c, k)
+    else:
+        est = c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T
+    return g, stat, est
 
 
 def eigenvalues_sym(m):

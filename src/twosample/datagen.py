@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from ._blas import _one_blas_thread
-from .calibration import _check_int
+from .statistic import _check_int, _is_real
 
 GAUSSIAN = "gaussian"
 STUDENT_T = "t"
@@ -20,6 +20,7 @@ def scenario_sigma(cov_form, p):
     """Covariance matrix for a named scenario form at its fixed correlation."""
     if cov_form not in COV_FORMS:
         raise ValueError(f"unknown covariance form {cov_form!r}; expected one of {COV_FORMS}")
+    _check_int("p", p, 1)
     rho = _FORM_RHO[cov_form]
     if cov_form == "equicorr":
         sigma = np.full((p, p), rho)
@@ -35,7 +36,7 @@ def scenario_sigma(cov_form, p):
 def shift_vector(p, delta):
     """delta times the unit vector along (1, 2, ..., p), for a finite delta >= 0."""
     _check_int("p", p, 1)
-    if not (math.isfinite(delta) and delta >= 0):
+    if not (_is_real(delta) and math.isfinite(delta) and delta >= 0):
         raise ValueError(f"deltas must be finite and nonnegative, got {delta!r}")
     v = np.arange(1, p + 1, dtype=float)
     return (delta / np.linalg.norm(v)) * v
@@ -75,11 +76,8 @@ def _factor(cov_form, p):
     """The read-only Cholesky factor of scenario_sigma(cov_form, p).
 
     One factor is kept at a time, so a run over one design factors it once.
-    It is taken at one BLAS thread, as a run is, since at large p its last
-    bits depend on the thread count.
     """
-    with _one_blas_thread():
-        chol = np.linalg.cholesky(scenario_sigma(cov_form, p))
+    chol = np.linalg.cholesky(scenario_sigma(cov_form, p))
     chol.flags.writeable = False
     return chol
 
@@ -90,12 +88,14 @@ def generate_scenario(config, rng):
     x is sampled at the origin and y at shift_vector(p, delta), sharing the
     family and one Cholesky factor of the covariance form, which is reused
     while the form and p stay the same. x is drawn before y from the same
-    generator.
+    generator. The factor and both draws run at one BLAS thread, since at
+    large p their last bits depend on the thread count.
     """
     if len(config.deltas) != 1:
         raise ValueError("generate_scenario needs a single-delta config; split the grid first")
     _, nu = parse_family(config.family)
-    chol = _factor(config.cov_form, config.p)
-    x = _sample(np.zeros(config.p), chol, nu, config.n1, rng)
-    y = _sample(shift_vector(config.p, config.deltas[0]), chol, nu, config.n2, rng)
+    with _one_blas_thread():
+        chol = _factor(config.cov_form, config.p)
+        x = _sample(np.zeros(config.p), chol, nu, config.n1, rng)
+        y = _sample(shift_vector(config.p, config.deltas[0]), chol, nu, config.n2, rng)
     return x, y

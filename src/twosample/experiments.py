@@ -14,11 +14,11 @@ import numpy as np
 from . import calibration
 from ._blas import _one_blas_thread
 from .baselines import _check_hotelling_dims, hotelling_t2
-from .calibration import DEFAULT_SEED, ESTIMATORS, PLAIN, NullDrawConfig, _check_int
-from .covariance import _BETA, _is_real, _taper_bandwidth
+from .calibration import DEFAULT_SEED, NullDrawConfig
+from .covariance import _BETA, ESTIMATORS, PLAIN, _taper_bandwidth
 from .datagen import generate_scenario, parse_family, scenario_sigma, shift_vector
 from .seeding import derive_seed, substream
-from .statistic import _MIN_ROWS, SIGN, _check_kernel
+from .statistic import _MIN_ROWS, SIGN, _check_int, _check_kernel, _is_real
 
 HOTELLING = "hotelling"
 ESTIMATOR_CHOICES = ESTIMATORS + (HOTELLING,)

@@ -6,10 +6,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import PLAIN, NullDrawConfig, TestReport, _check_int, run_test
-from .covariance import _BETA
+from .calibration import NullDrawConfig, TestReport, run_test
+from .covariance import _BETA, PLAIN
 from .seeding import derive_seed
-from .statistic import SIGN, _check_pair
+from .statistic import SIGN, _check_int, _check_pair, _check_varies
 
 
 def _is_number(cell):
@@ -88,9 +88,11 @@ def run_realdata_blocks(x, y, width, kernel=SIGN, estimator=PLAIN, config=None, 
     blocks = cols // width
     if blocks == 0:
         raise ValueError(f"width {width} exceeds the {cols} available columns")
+    spans = [(b * width, (b + 1) * width) for b in range(blocks)]
+    for b, (lo, hi) in enumerate(spans):  # before any block's pair pass
+        _check_varies(mx[:, lo:hi], my[:, lo:hi], f"block {b}, columns [{lo}, {hi}): ")
     reports = []
-    for b in range(blocks):
-        lo, hi = b * width, (b + 1) * width
+    for b, (lo, hi) in enumerate(spans):
         block_config = replace(config, seed=derive_seed(config.seed, b))
         result = run_test(mx[:, lo:hi], my[:, lo:hi], kernel, estimator, block_config, beta=beta)
         reports.append(BlockReport(index=b, start=lo, stop=hi, report=result))

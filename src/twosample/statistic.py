@@ -8,6 +8,25 @@ KERNELS = (IDENTITY, SIGN)
 _MIN_ROWS = 2  # per sample: the statistic sums over pairs of distinct rows
 
 
+def _is_real(value):
+    """An int or a float, not a bool; an int too large for a finite float is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _check_int(name, value, low=None):
+    """Reject a count that is not an int (a bool included) or is below low, naming it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 def _as_sample(a, name):
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
@@ -25,6 +44,23 @@ def _check_pair(x, y):
             f"dimension mismatch: x has {mx.shape[1]} columns, y has {my.shape[1]}"
         )
     return mx, my
+
+
+def _varies(mx, my):
+    """Per column, whether it varies within x or within y, by exact comparison with row 0."""
+    return (mx != mx[0]).any(axis=0) | (my != my[0]).any(axis=0)
+
+
+def _check_varies(mx, my, where=""):
+    """Reject x and y that are each constant, whose kernel covariance estimate is 0.
+
+    A sample of fewer than `_MIN_ROWS` rows is left to the two-rows rule of `_pass`.
+    """
+    if min(len(mx), len(my)) >= _MIN_ROWS and not _varies(mx, my).any():
+        raise ValueError(
+            f"{where}x and y are each constant: every row of x equals x[0] and every row "
+            "of y equals y[0], so the covariance estimate is 0 and the test has no null law"
+        )
 
 
 def _check_kernel(kernel):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twosample import datagen
+from twosample import datagen, statistic
 from twosample._blas import _openblas_threads
 
 
@@ -41,3 +41,17 @@ def cholesky_calls(monkeypatch):
     datagen._factor.cache_clear()
     yield calls
     datagen._factor.cache_clear()
+
+
+@pytest.fixture
+def pair_passes(monkeypatch):
+    """The argument tuples of every pair pass made during the test."""
+    calls = []
+    original = statistic.pair_aggregates
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(statistic, "pair_aggregates", counting)
+    return calls

@@ -99,6 +99,19 @@ class TestHotelling:
         with pytest.raises(ValueError, match="too large in magnitude for the Hotelling test"):
             hotelling_t2(x, y)
 
+    def test_overflowing_t2_names_it(self):
+        # the pooled covariance is about 1e-300 and finite; T^2 is
+        # scale-invariant, so no rescaling of the data can help
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((20, 1)) * 1e-150
+        y = rng.standard_normal((25, 1)) * 1e-150 + 1e150
+        message = (
+            "^x and y are too far apart for the Hotelling test: its T\\^2 overflows, "
+            "as the mean difference is too large against the pooled covariance$"
+        )
+        with pytest.raises(ValueError, match=message):
+            hotelling_t2(x, y)
+
     @pytest.mark.parametrize("scale", [1e-160, 1e-200])
     def test_underflowing_pooled_covariance_raises(self, scale):
         # at 1e-160 the pooled variances are subnormal and t2 read 28.9174

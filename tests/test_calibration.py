@@ -237,15 +237,21 @@ class TestEmpiricalQuantile:
 
 
 class TestRunTest:
-    def test_degenerate_constant_samples(self):
-        x = np.tile([1.5, -2.0, 0.0], (3, 1))
-        y = np.tile([1.5, -2.0, 0.0], (4, 1))
-        report = run_test(x, y, "identity", "plain", NullDrawConfig(draws=100, seed=4))
-        assert report.statistic == 0.0
-        assert report.cutoff == 0.0
-        assert report.reject is False
-        assert report.p_value == 1.0
-        assert report.trace == 0.0
+    @pytest.mark.parametrize("estimator", ["plain", "taper"])
+    @pytest.mark.parametrize("kernel", ["identity", "sign"])
+    @pytest.mark.parametrize("y_row", [[1.5, -2.0, 0.0], [2.0, 2.0, 2.0]])
+    def test_degenerate_constant_samples(self, pair_passes, kernel, estimator, y_row):
+        # C = 0 for both kernels: the cutoff came out 0 or rounding noise, so
+        # equal constants gave p = 1 and unequal ones a rejection
+        x = np.tile([1.5, -2.0, 0.0], (20, 1))
+        y = np.tile(y_row, (25, 1))
+        message = (
+            "^x and y are each constant: every row of x equals x\\[0\\] and every row of y "
+            "equals y\\[0\\], so the covariance estimate is 0 and the test has no null law$"
+        )
+        with pytest.raises(ValueError, match=message):
+            run_test(x, y, kernel, estimator, NullDrawConfig(draws=100, seed=4))
+        assert pair_passes == []
 
     def test_deterministic_reports(self):
         rng = np.random.default_rng(15)
@@ -290,41 +296,26 @@ class TestRunTest:
         assert plain.statistic == tapered.statistic
         assert plain.cutoff != tapered.cutoff
 
-    @staticmethod
-    def _counting_passes(monkeypatch):
-        """The argument tuples of every pair pass from here on."""
-        calls = []
-        original = statistic.pair_aggregates
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(statistic, "pair_aggregates", counting)
-        return calls
-
     # beta is checked for either estimator, before the first pair pass
     @pytest.mark.parametrize("estimator", ["plain", "taper"])
     @pytest.mark.parametrize("beta", ["x", True])
-    def test_taper_beta_must_be_a_number(self, monkeypatch, beta, estimator):
+    def test_taper_beta_must_be_a_number(self, pair_passes, beta, estimator):
         rng = np.random.default_rng(36)
         x = rng.standard_normal((8, 4))
         y = rng.standard_normal((9, 4))
-        calls = self._counting_passes(monkeypatch)
         with pytest.raises(ValueError, match=f"^beta must be a number, got {beta!r}$"):
             run_test(x, y, "sign", estimator, NullDrawConfig(draws=50), beta=beta)
-        assert calls == []
+        assert pair_passes == []
 
     @pytest.mark.parametrize("estimator", ["plain", "taper"])
-    def test_taper_beta_must_be_finite(self, monkeypatch, estimator):
+    def test_taper_beta_must_be_finite(self, pair_passes, estimator):
         # n^(1/(2 beta + 2)) = 1 at beta = inf would taper to the diagonal alone
         rng = np.random.default_rng(36)
         x = rng.standard_normal((8, 4))
         y = rng.standard_normal((9, 4))
-        calls = self._counting_passes(monkeypatch)
         with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
             run_test(x, y, "sign", estimator, NullDrawConfig(draws=50), beta=float("inf"))
-        assert calls == []
+        assert pair_passes == []
 
     @pytest.mark.parametrize("kernel", ["identity", "sign"])
     @pytest.mark.parametrize("p", [1, 2])
@@ -350,13 +341,12 @@ class TestRunTest:
         assert far.top_eigenvalue == pytest.approx(near.top_eigenvalue, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("estimator", ["plain", "taper"])
-    def test_one_pair_pass_per_test(self, monkeypatch, estimator):
+    def test_one_pair_pass_per_test(self, monkeypatch, pair_passes, estimator):
         rng = np.random.default_rng(45)
         x = rng.standard_normal((9, 6))
         y = rng.standard_normal((11, 6)) + 0.2
-        calls = self._counting_passes(monkeypatch)
         report = run_test(x, y, "sign", estimator, NullDrawConfig(draws=300, seed=8))
-        assert len(calls) == 1
+        assert len(pair_passes) == 1
         monkeypatch.undo()
         # the one pass gives what the public helpers get from passes of their own
         assert report.statistic == compute_statistic(x, y, "sign")

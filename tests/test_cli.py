@@ -173,6 +173,15 @@ class TestRunRealdataBlocks:
         with pytest.raises(ValueError, match=f"^width must be an integer, got {width!r}$"):
             run_realdata_blocks(x, y, width, config=NullDrawConfig(draws=200, seed=5))
 
+    def test_constant_block_names_its_columns(self, pair_passes):
+        # block 1 is constant in each sample; it used to reject without a word
+        rng = np.random.default_rng(41)
+        x, y = rng.standard_normal((20, 6)), rng.standard_normal((25, 6))
+        x[:, 3:], y[:, 3:] = 1.0, 2.0
+        with pytest.raises(ValueError, match=r"^block 1, columns \[3, 6\): x and y are each constant"):
+            run_realdata_blocks(x, y, 3, config=NullDrawConfig(draws=200, seed=5))
+        assert pair_passes == []  # checked before block 0's pair pass
+
     def test_block_reports_do_not_depend_on_other_blocks(self, sample_pair):
         # block b is keyed by (seed, b), so a standalone run reproduces it
         x, y, _, _ = sample_pair
@@ -283,6 +292,18 @@ class TestCliTest:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: x and y need at least two rows each: x has 1, y has 3\n"
+
+    @pytest.mark.parametrize("command", [["test"], ["blocks", "--width", "2"]])
+    def test_constant_samples_exit_1(self, tmp_path, capsys, command):
+        ones = tmp_path / "ones.csv"
+        ones.write_text("1,1\n" * 20)
+        twos = tmp_path / "twos.csv"
+        twos.write_text("2,2\n" * 25)
+        out = tmp_path / "report.json"
+        code = main([*command, "--x", str(ones), "--y", str(twos), "--json", str(out)])
+        assert code == 1
+        assert "x and y are each constant" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         good = tmp_path / "good.csv"

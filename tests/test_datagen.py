@@ -13,6 +13,7 @@ from twosample import (
     shift_vector,
 )
 from twosample import datagen
+from twosample._blas import _one_blas_thread
 from twosample.datagen import _sample
 
 
@@ -32,6 +33,16 @@ class TestScenarioSigma:
     def test_unknown_form(self):
         with pytest.raises(ValueError, match="toeplitz"):
             scenario_sigma("toeplitz", 3)
+
+    @pytest.mark.parametrize(
+        "cov_form, p, message",
+        [("ar", 2.5, "p must be an integer, got 2.5"), ("identity", 0, "p must be at least 1, got 0")],
+        ids=["ar-2.5", "identity-0"],
+    )
+    def test_p_must_be_a_positive_integer(self, cov_form, p, message):
+        with pytest.raises(ValueError) as err:
+            scenario_sigma(cov_form, p)
+        assert str(err.value) == message
 
     def test_all_forms_factor_at_large_p(self):
         # every named design must admit a Cholesky factorization up to p=2000
@@ -93,9 +104,10 @@ class TestShiftVector:
             shift_vector(0, 1.0)
         with pytest.raises(ValueError):
             shift_vector(3, -0.5)
-        for delta in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError):
+        for delta in (float("nan"), float("inf"), float("-inf"), True, "x"):
+            with pytest.raises(ValueError) as err:
                 shift_vector(3, delta)
+            assert str(err.value) == f"deltas must be finite and nonnegative, got {delta!r}"
 
 
 class TestSample:
@@ -201,6 +213,16 @@ class TestGenerateScenario:
         cold = generate_scenario(config, np.random.default_rng(29))
         warm = generate_scenario(config, np.random.default_rng(29))
         assert np.array_equal(cold[0], warm[0]) and np.array_equal(cold[1], warm[1])
+
+    @pytest.mark.parametrize("cov_form", ["equicorr", "ar"])
+    def test_draws_do_not_depend_on_the_callers_blas_threads(self, blas_at_two_threads, cov_form):
+        # at p=300 the product noise L^T splits over two threads in its last bits
+        config = _scenario(cov_form=cov_form, p=300, n1=20, n2=20, deltas=(0.5,))
+        drawn = generate_scenario(config, np.random.default_rng(8))
+        assert blas_at_two_threads() == 2
+        with _one_blas_thread():
+            one_thread = generate_scenario(config, np.random.default_rng(8))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(drawn, one_thread))
 
     def test_multi_delta_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,12 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             _kernel(IDENTITY, [np.inf], [0.0])
 
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones((0, 3)), np.ones((3, 0))])
+    def test_sample_must_be_a_nonempty_matrix(self, x):
+        with pytest.raises(ValueError) as err:
+            pair_aggregates(x, np.ones((4, 3)), SIGN)
+        assert str(err.value) == "x must be a 2-d array with at least one row and one column"
+
     def test_unknown_kernel_raises(self):
         with pytest.raises(ValueError):
             _kernel("rbf", [1.0], [0.0])
