@@ -8,7 +8,8 @@ import numpy as np
 
 from ._blas import _one_blas_thread
 from .covariance import _BETA, ESTIMATORS, PLAIN, _estimate, _taper_bandwidth, eigenvalues_sym
-from .statistic import IDENTITY, _check_int, _check_pair, _check_varies, _is_real, _recentred_statistic
+from .statistic import IDENTITY, _check_choice, _check_int, _check_pair, _check_varies, _is_real
+from .statistic import _number, _recentred_statistic
 
 DEFAULT_SEED = 12345
 _NEGATIVE_RTOL = 1e-10  # tau of TestReport.negative_eigenvalues
@@ -23,16 +24,18 @@ class NullDrawConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        _check_int("draws", self.draws, 1)
+        # kept as Python numbers; alpha before its range checks, so they run in float64
+        object.__setattr__(self, "draws", _check_int("draws", self.draws, 1))
         if not _is_real(self.alpha):
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", _number(self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be strictly between 0 and 1, got {self.alpha}")
         if not 1.0 - self.alpha < 1.0:  # the level of `empirical_quantile` must stay below 1
             raise ValueError(
                 f"alpha must be above 2**-54, or 1 - alpha rounds to 1, got {self.alpha}"
             )
-        _check_int("seed", self.seed, 0)
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -160,8 +163,7 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     one calibration serve every shift, and T comes from `_recentred_statistic`,
     equal to a separate test's up to rounding and exactly at s = 0.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    _check_choice("estimator", estimator, ESTIMATORS)
     mx, my0 = _check_pair(x, y0)
     k = _taper_bandwidth(beta, mx.shape[0] + my0.shape[0], mx.shape[1])
     _check_varies(mx, my0)  # a shift keeps a constant y constant

@@ -43,7 +43,7 @@ def _taper_bandwidth(beta, n, p):
     if not _is_real(beta):
         raise ValueError(f"beta must be a number, got {beta!r}")
     if not 0 < beta < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"beta must be {'finite' if beta > 0 else 'positive'}, got {beta}")
+        raise ValueError(f"beta must be {'positive' if beta <= 0 else 'finite'}, got {beta}")
     return min(float(n) ** (1.0 / (2.0 * float(beta) + 2.0)), float(p))
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from ._blas import _one_blas_thread
-from .statistic import _check_int, _is_real
+from .statistic import _check_choice, _check_int, _is_real
 
 GAUSSIAN = "gaussian"
 STUDENT_T = "t"
@@ -18,8 +18,7 @@ COV_FORMS = tuple(_FORM_RHO)
 
 def scenario_sigma(cov_form, p):
     """Covariance matrix for a named scenario form at its fixed correlation."""
-    if cov_form not in COV_FORMS:
-        raise ValueError(f"unknown covariance form {cov_form!r}; expected one of {COV_FORMS}")
+    _check_choice("covariance form", cov_form, COV_FORMS)
     _check_int("p", p, 1)
     rho = _FORM_RHO[cov_form]
     if cov_form == "equicorr":

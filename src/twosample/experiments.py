@@ -18,7 +18,7 @@ from .calibration import DEFAULT_SEED, NullDrawConfig
 from .covariance import _BETA, ESTIMATORS, PLAIN, _taper_bandwidth
 from .datagen import generate_scenario, parse_family, scenario_sigma, shift_vector
 from .seeding import derive_seed, substream
-from .statistic import _MIN_ROWS, SIGN, _check_int, _check_kernel, _is_real
+from .statistic import _MIN_ROWS, KERNELS, SIGN, _check_choice, _check_int, _is_real, _number
 
 HOTELLING = "hotelling"
 ESTIMATOR_CHOICES = ESTIMATORS + (HOTELLING,)
@@ -59,9 +59,10 @@ class ScenarioConfig:
         # the form, each delta and the kernel follow the rules of the code that uses them
         scenario_sigma(self.cov_form, 1)
         rows = 1 if self.estimator == HOTELLING else _MIN_ROWS  # hotelling: see its p rule below
+        # a numpy number is kept as the Python number it equals, which a manifest can write
         for name, low in (("p", 1), ("n1", rows), ("n2", rows), ("replications", 1)):
-            _check_int(name, getattr(self, name), low)
-        _check_int("seed", self.seed)
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed))
         if not isinstance(self.deltas, (list, tuple)) or not all(map(_is_real, self.deltas)):
             raise ValueError(f"deltas must be a list of numbers, got {self.deltas!r}")
         grid = tuple(float(d) for d in self.deltas)
@@ -70,16 +71,15 @@ class ScenarioConfig:
         for d in grid:
             shift_vector(1, d)
         object.__setattr__(self, "deltas", grid)
-        _check_kernel(self.kernel)
-        if self.estimator not in ESTIMATOR_CHOICES:
-            raise ValueError(
-                f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_CHOICES}"
-            )
+        _check_choice("kernel", self.kernel, KERNELS)
+        _check_choice("estimator", self.estimator, ESTIMATOR_CHOICES)
         if self.estimator == HOTELLING:
             _check_hotelling_dims(self.p, self.n1, self.n2, f"scenario {self.scenario_id!r}: ")
-        # beta, draws and alpha follow the rules of the tests that use them
+        # beta, draws and alpha follow the rules of the tests that use them, and are kept alike
         _taper_bandwidth(self.beta, self.n1 + self.n2, self.p)
         NullDrawConfig(self.draws, self.alpha)
+        for name in ("draws", "alpha", "beta"):
+            object.__setattr__(self, name, _number(getattr(self, name)))
 
 
 def config_to_dict(config):
@@ -255,6 +255,8 @@ def run_power_curves(configs, threads=1):
     The whole run, its yields included, holds OpenBLAS at one thread
     (`_one_blas_thread`, process-wide: caller BLAS work between yields too),
     so no row depends on the caller's BLAS count, unless two runs overlap.
+    It spans the yields since a restore between configs would leave the
+    caller's OpenBLAS pool threads spinning beside the workers.
     The run uses W = min(threads, the largest R) processes: the caller and
     W - 1 workers, forked once per run (a worker beyond the largest R
     would have nothing to run). Of each config, process w runs its share

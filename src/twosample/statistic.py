@@ -1,5 +1,7 @@
 """Two-sample kernel U-statistic with identity and spatial-sign kernels."""
 
+import numbers
+
 import numpy as np
 
 IDENTITY = "identity"
@@ -9,8 +11,8 @@ _MIN_ROWS = 2  # per sample: the statistic sums over pairs of distinct rows
 
 
 def _is_real(value):
-    """An int or a float, not a bool; an int too large for a finite float is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A real number (numpy's too), not a bool; an int too large for a finite float is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     try:
         float(value)
@@ -20,11 +22,18 @@ def _is_real(value):
 
 
 def _check_int(name, value, low=None):
-    """Reject a count that is not an int (a bool included) or is below low, naming it."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """value as a Python int; reject a non-integer (a bool included) or one below low, naming it."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
     if low is not None and value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def _number(value):
+    """A real number as the Python int or float it equals, as JSON and repr write it."""
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 def _as_sample(a, name):
@@ -63,9 +72,9 @@ def _check_varies(mx, my, where=""):
         )
 
 
-def _check_kernel(kernel):
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+def _check_choice(what, value, choices):
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
 
 
 def pair_aggregates(x, y, kernel):
@@ -85,7 +94,7 @@ def pair_aggregates(x, y, kernel):
     O(n2 p) for the near pairs, summed one row of x at a time (`_sign_sums`).
     """
     mx, my = _check_pair(x, y)
-    _check_kernel(kernel)
+    _check_choice("kernel", kernel, KERNELS)
     # a data row subtracts exactly from the entries near its own, where a
     # mean would round them. The x row nearest the mean of x keeps a far-out
     # x[0] from making many pairs near; it is found from differences to x[0],

@@ -7,7 +7,7 @@ the blocked draws of `twosample.calibration` are checked against these.
 
 import numpy as np
 
-from twosample.statistic import IDENTITY, _check_kernel, _check_pair
+from twosample.statistic import IDENTITY, KERNELS, _check_choice, _check_pair
 
 
 def unit(d):
@@ -26,7 +26,7 @@ def compute_statistic_oracle(x, y, kernel):
     Cost is O(n1^2 n2^2 p); intended for n1 * n2 up to about 100.
     """
     mx, my = _check_pair(x, y)
-    _check_kernel(kernel)
+    _check_choice("kernel", kernel, KERNELS)
     n1, p = mx.shape
     n2 = my.shape[0]
     n = n1 + n2

@@ -41,22 +41,35 @@ class TestNullDrawConfig:
         with pytest.raises(ValueError):
             NullDrawConfig(alpha=1.0)
 
-    @pytest.mark.parametrize("draws", [10.5, True, "100"])
+    @pytest.mark.parametrize("draws", [10.5, True, np.bool_(True), "100"])
     def test_draws_must_be_an_integer(self, draws):
         with pytest.raises(ValueError, match=f"^draws must be an integer, got {draws!r}$"):
             NullDrawConfig(draws=draws)
 
-    @pytest.mark.parametrize("seed", [1.7, True, "7"])
+    @pytest.mark.parametrize("seed", [1.7, True, np.bool_(True), "7"])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
             NullDrawConfig(seed=seed)
+
+    def test_numpy_scalars_are_kept_as_python_numbers(self):
+        # so a config repr, a manifest and the quantile's Fraction see plain numbers
+        config = NullDrawConfig(np.int64(100), np.float32(0.25), np.uint32(7))
+        assert config == NullDrawConfig(100, 0.25, 7)
+        assert repr(config) == repr(NullDrawConfig(100, 0.25, 7))
+        assert [type(v) for v in (config.draws, config.alpha, config.seed)] == [int, float, int]
+
+    def test_numpy_alpha_range_is_checked_in_float64(self):
+        # in float32, 1 - 1e-10 rounds to 1; its float64 value does not
+        assert NullDrawConfig(alpha=np.float32(1e-10)).alpha == float(np.float32(1e-10))
 
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
             NullDrawConfig(seed=-1)
         assert NullDrawConfig(seed=0).seed == 0
 
-    @pytest.mark.parametrize("alpha", ["0.5", True, pytest.param(10**400, id="beyond-float")])
+    @pytest.mark.parametrize(
+        "alpha", ["0.5", True, np.bool_(True), pytest.param(10**400, id="beyond-float")]
+    )
     def test_alpha_must_be_a_number(self, alpha):
         with pytest.raises(ValueError, match=f"^alpha must be a number, got {alpha!r}$"):
             NullDrawConfig(alpha=alpha)

@@ -644,6 +644,7 @@ def test_out_of_range_numeric_flag_is_a_usage_error(tmp_path, capsys, argv):
         (["test", "--seed", "-1"], "argument --seed: seed must be at least 0, got -1"),
         (["test", "--beta", "-1"], "argument --beta: beta must be positive, got -1.0"),
         (["test", "--beta", "inf"], "argument --beta: beta must be finite, got inf"),
+        (["test", "--beta", "nan"], "argument --beta: beta must be finite, got nan"),
         (["blocks", "--width", "0"], "argument --width: width must be at least 1, got 0"),
         (["simulate", "--threads", "0"], "argument --threads: threads must be at least 1, got 0"),
     ],

@@ -135,7 +135,7 @@ class TestTaper:
             _taper_bandwidth(float("inf"), 90, 10)
         with pytest.raises(ValueError, match="^beta must be positive, got -inf$"):
             _taper_bandwidth(float("-inf"), 90, 10)
-        with pytest.raises(ValueError, match="^beta must be positive, got nan$"):
+        with pytest.raises(ValueError, match="^beta must be finite, got nan$"):
             _taper_bandwidth(float("nan"), 90, 10)
         with pytest.raises(ValueError):
             taper_weight(0, 1, 0.0)

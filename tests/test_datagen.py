@@ -99,12 +99,16 @@ class TestShiftVector:
             for delta in (0.1, 1.0, 17.5):
                 assert abs(np.linalg.norm(shift_vector(p, delta)) - delta) <= 1e-12 * delta
 
+    def test_numpy_scalars_are_numbers(self):
+        assert np.array_equal(shift_vector(3, np.float32(0.5)), shift_vector(3, 0.5))
+        assert np.array_equal(shift_vector(np.int64(3), 0.5), shift_vector(3, 0.5))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             shift_vector(0, 1.0)
         with pytest.raises(ValueError):
             shift_vector(3, -0.5)
-        for delta in (float("nan"), float("inf"), float("-inf"), True, "x"):
+        for delta in (float("nan"), float("inf"), float("-inf"), True, np.bool_(True), "x"):
             with pytest.raises(ValueError) as err:
                 shift_vector(3, delta)
             assert str(err.value) == f"deltas must be finite and nonnegative, got {delta!r}"

@@ -145,6 +145,7 @@ class TestScenarioConfig:
             ("p", 3.5),
             ("p", "5"),
             ("n1", True),
+            ("n1", np.bool_(True)),
             ("n2", None),
             ("draws", 10.5),
             ("replications", 2.5),
@@ -155,10 +156,27 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             _config(**{field: value})
 
-    @pytest.mark.parametrize("field, value", [("alpha", "0.05"), ("beta", True)])
+    @pytest.mark.parametrize(
+        "field, value", [("alpha", "0.05"), ("beta", True), ("alpha", np.bool_(True))]
+    )
     def test_levels_must_be_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be a number"):
             _config(**{field: value})
+
+    def test_numpy_scalars_write_the_manifest_of_python_numbers(self, tmp_path):
+        numeric = dict(p=3, n1=15, n2=15, draws=50, replications=4, seed=20250819)
+        python = _config(**numeric, alpha=0.125, beta=0.5)
+        config = _config(
+            **{name: np.int64(value) for name, value in numeric.items()},
+            alpha=np.float32(0.125),
+            beta=np.float32(0.5),
+        )
+        assert config == python and repr(config) == repr(python)
+        write_manifest(config, tmp_path / "numpy.json")
+        write_manifest(python, tmp_path / "python.json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+        rows = [_strip_time(row) for row in run_power_curve(config)]
+        assert rows == [_strip_time(row) for row in run_power_curve(python)]
 
     @pytest.mark.parametrize("deltas", [0.5, "1", ["1"], [0.0, True], None])
     def test_deltas_must_be_a_list_of_numbers(self, deltas):
@@ -527,6 +545,20 @@ class TestBlasThreads:
         datagen._factor.cache_clear()
         run_power_curve(_config(cov_form="ar", replications=4), threads=1)
         assert datagen._factor.cache_info().misses == 1 and sets == []
+
+    def test_one_set_and_one_restore_per_run(self, monkeypatch):
+        # a restore between configs, with a set for the next, would leave
+        # OpenBLAS's pool threads spinning on the cores the workers need
+        count, sets = [2], []
+
+        def setter(n):
+            sets.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(_blas, "_openblas_threads", lambda: (setter, lambda: count[0]))
+        configs = [_config(scenario_id=f"c{i}", replications=4) for i in range(3)]
+        assert len(list(run_power_curves(configs))) == 3
+        assert sets == [1, 2] and count == [2]
 
     def test_no_blas_setter_changes_no_rows(self, monkeypatch):
         monkeypatch.setattr(_blas, "_openblas_threads", lambda: None)

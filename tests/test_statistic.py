@@ -79,6 +79,49 @@ class TestKernelEval:
             _kernel("rbf", [1.0], [0.0])
 
 
+_KERNEL_MESSAGE = "unknown kernel 'rbf'; expected one of ('identity', 'sign')"
+_ESTIMATOR_MESSAGE = "unknown estimator 'ridge'; expected one of ('plain', 'taper')"
+_FORM_MESSAGE = "unknown covariance form 'wishart'; expected one of ('equicorr', 'identity', 'ar')"
+
+
+def _scenario(**overrides):
+    base = dict(scenario_id="s", family="gaussian", cov_form="identity", p=3, n1=5, n2=5)
+    return twosample.ScenarioConfig(**{**base, **overrides})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda x, y: pair_aggregates(x, y, "rbf"), _KERNEL_MESSAGE, id="kernel-pass"),
+        pytest.param(
+            lambda x, y: twosample.run_test(x, y, "rbf"), _KERNEL_MESSAGE, id="kernel-test"
+        ),
+        pytest.param(lambda x, y: _scenario(kernel="rbf"), _KERNEL_MESSAGE, id="kernel-scenario"),
+        pytest.param(
+            lambda x, y: twosample.run_test(x, y, SIGN, "ridge"),
+            _ESTIMATOR_MESSAGE,
+            id="estimator-test",
+        ),
+        pytest.param(
+            lambda x, y: _scenario(estimator="ridge"),
+            "unknown estimator 'ridge'; expected one of ('plain', 'taper', 'hotelling')",
+            id="estimator-scenario",
+        ),
+        pytest.param(
+            lambda x, y: twosample.scenario_sigma("wishart", 3), _FORM_MESSAGE, id="form-sigma"
+        ),
+        pytest.param(lambda x, y: _scenario(cov_form="wishart"), _FORM_MESSAGE, id="form-scenario"),
+    ],
+)
+def test_unknown_choice_names_it_and_the_choices(call, message):
+    # one check, `statistic._check_choice`, words every refusal of a kernel,
+    # an estimator or a covariance form
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError) as err:
+        call(rng.standard_normal((6, 3)), rng.standard_normal((7, 3)))
+    assert str(err.value) == message
+
+
 def _sign_rows(h):
     """Normalize the rows of h to unit length; exactly-zero rows stay zero."""
     nsq = np.einsum("ij,ij->i", h, h)
