@@ -9,7 +9,7 @@ import numpy as np
 from ._blas import _one_blas_thread
 from .covariance import _BETA, ESTIMATORS, PLAIN, _estimate, _taper_bandwidth, eigenvalues_sym
 from .statistic import IDENTITY, _check_choice, _check_int, _check_pair, _check_varies, _is_real
-from .statistic import _number, _recentred_statistic
+from .statistic import KERNELS, _number, _recentred_statistic
 
 DEFAULT_SEED = 12345
 _NEGATIVE_RTOL = 1e-10  # tau of TestReport.negative_eigenvalues
@@ -169,6 +169,7 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     _check_varies(mx, my0)  # a shift keeps a constant y constant
     if shifts is None:
         shifts = [np.zeros(mx.shape[1])]
+    _check_choice("kernel", kernel, KERNELS)  # before the branch, which compares by ==
     if kernel == IDENTITY:
         g, stat, est = _estimate(mx, my0, kernel, estimator, k)
         stats = [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts]

@@ -1,11 +1,9 @@
 """Covariance structures, shift vectors, and elliptical samplers for simulations."""
 
-import functools
 import math
 
 import numpy as np
 
-from ._blas import _one_blas_thread
 from .statistic import _check_choice, _check_int, _is_real
 
 GAUSSIAN = "gaussian"
@@ -34,28 +32,76 @@ def scenario_sigma(cov_form, p):
 
 def shift_vector(p, delta):
     """delta times the unit vector along (1, 2, ..., p), for a finite delta >= 0."""
-    _check_int("p", p, 1)
+    p = _check_int("p", p, 1)
     if not (_is_real(delta) and math.isfinite(delta) and delta >= 0):
         raise ValueError(f"deltas must be finite and nonnegative, got {delta!r}")
     v = np.arange(1, p + 1, dtype=float)
-    return (delta / np.linalg.norm(v)) * v
+    # |v|^2 = p(p+1)(2p+1)/6, exact in Python ints, so the norm takes no BLAS call
+    return (float(delta) / math.sqrt(p * (p + 1) * (2 * p + 1) // 6)) * v
 
 
-def _sample(loc, chol, nu, n, rng):
-    """Draw n rows at location loc with scatter chol chol^T; t(nu) unless nu is None.
+# columns per block of the ar recursion; rho^-64 stays finite for any rho >= 1e-4
+_AR_BLOCK = 64
 
-    Draw order is fixed: the p normals of row r come before anything of row
-    r+1, and for the t family the nu chi-square normals of row r follow its
-    p Gaussian normals.
+
+def _correlator(cov_form, p):
+    """The map z -> z Lᵀ on rows of z, L the Cholesky factor of scenario_sigma(cov_form, p).
+
+    Each form's L has a closed form, applied in O(n p) without a p x p
+    matrix or BLAS, so its bits do not depend on the BLAS thread count.
+    """
+    rho = _FORM_RHO[cov_form]
+    if cov_form == "identity":
+        return lambda z: z
+    if cov_form == "equicorr":
+        # after j columns the Schur complement is a I + r_j 1 1ᵀ, with
+        # 1/r_j = 1/rho + j/a; so L_jj = sqrt(a + r_j), and r_j / L_jj below it
+        a = 1.0 - rho
+        r = rho * a / (a + rho * np.arange(p))
+        diag = np.sqrt(a + r)
+        below = r[:-1] / diag[:-1]
+
+        def equicorr(z):
+            x = z * diag
+            x[:, 1:] += np.add.accumulate(z[:, :-1] * below, axis=1)
+            return x
+
+        return equicorr
+    # ar: x_0 = z_0 and x_i = rho x_{i-1} + s z_i, s = sqrt(1 - rho^2). After
+    # column k, x_{k+t} = rho^t (x_k + s sum_{u<=t} rho^-u z_{k+u}): one
+    # cumulative sum per block of columns, each term back at unit scale
+    t = np.arange(1, _AR_BLOCK + 1)
+    up = math.sqrt(1.0 - rho * rho) * rho**-t
+    down = rho**t
+
+    def ar(z):
+        x = np.empty_like(z)
+        x[:, 0] = z[:, 0]
+        for k in range(1, p, _AR_BLOCK):
+            block = x[:, k : k + _AR_BLOCK]
+            b = block.shape[1]
+            np.add.accumulate(z[:, k : k + b] * up[:b], axis=1, out=block)
+            block += x[:, k - 1 : k]
+            block *= down[:b]
+        return x
+
+    return ar
+
+
+def _sample(loc, correlate, nu, n, rng):
+    """Draw n rows at location loc with noise correlate(z); t(nu) unless nu is None.
+
+    `correlate` maps standard normal rows z to z Lᵀ (`_correlator`), so the
+    rows have scatter L Lᵀ. Draw order is fixed: the p normals of row r come
+    before anything of row r+1, and for the t family the nu chi-square
+    normals of row r follow its p Gaussian normals.
     """
     p = loc.size
     if nu is None:
-        z = rng.standard_normal((n, p))
-        return loc + z @ chol.T
+        return loc + correlate(rng.standard_normal((n, p)))
     draw = rng.standard_normal((n, p + nu))
-    z = draw[:, :p]
     w = np.einsum("ij,ij->i", draw[:, p:], draw[:, p:])  # chi-square(nu) per row
-    return loc + (z @ chol.T) / np.sqrt(w / nu)[:, None]
+    return loc + correlate(draw[:, :p]) / np.sqrt(w / nu)[:, None]
 
 
 def parse_family(family):
@@ -70,31 +116,19 @@ def parse_family(family):
     raise ValueError(f"unknown family {family!r}; expected gaussian, cauchy, or t<k>")
 
 
-@functools.lru_cache(maxsize=1)
-def _factor(cov_form, p):
-    """The read-only Cholesky factor of scenario_sigma(cov_form, p).
-
-    One factor is kept at a time, so a run over one design factors it once.
-    """
-    chol = np.linalg.cholesky(scenario_sigma(cov_form, p))
-    chol.flags.writeable = False
-    return chol
-
-
 def generate_scenario(config, rng):
     """Draw (x, y) for a single-delta scenario.
 
     x is sampled at the origin and y at shift_vector(p, delta), sharing the
-    family and one Cholesky factor of the covariance form, which is reused
-    while the form and p stay the same. x is drawn before y from the same
-    generator. The factor and both draws run at one BLAS thread, since at
-    large p their last bits depend on the thread count.
+    family and the covariance form's closed-form Cholesky factor
+    (`_correlator`), built once for both. x is drawn before y from the same
+    generator. No step uses BLAS, so the data do not depend on its thread
+    count.
     """
     if len(config.deltas) != 1:
         raise ValueError("generate_scenario needs a single-delta config; split the grid first")
     _, nu = parse_family(config.family)
-    with _one_blas_thread():
-        chol = _factor(config.cov_form, config.p)
-        x = _sample(np.zeros(config.p), chol, nu, config.n1, rng)
-        y = _sample(shift_vector(config.p, config.deltas[0]), chol, nu, config.n2, rng)
+    correlate = _correlator(config.cov_form, config.p)
+    x = _sample(np.zeros(config.p), correlate, nu, config.n1, rng)
+    y = _sample(shift_vector(config.p, config.deltas[0]), correlate, nu, config.n2, rng)
     return x, y

@@ -73,7 +73,8 @@ def _check_varies(mx, my, where=""):
 
 
 def _check_choice(what, value, choices):
-    if value not in choices:
+    # `in` compares by ==, which a one-element numpy array would pass
+    if not isinstance(value, str) or value not in choices:
         raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
 
 

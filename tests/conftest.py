@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from twosample import datagen, statistic
+from twosample import statistic
 from twosample._blas import _openblas_threads
 
 
@@ -25,22 +24,6 @@ def blas_at_two_threads(blas_threads):
     setter, getter = blas_threads
     setter(2)
     return getter
-
-
-@pytest.fixture
-def cholesky_calls(monkeypatch):
-    """The shapes np.linalg.cholesky is called on, from an empty factor cache."""
-    calls = []
-    cholesky = np.linalg.cholesky
-
-    def counting(a):
-        calls.append(a.shape)
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    datagen._factor.cache_clear()
-    yield calls
-    datagen._factor.cache_clear()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,11 @@ from twosample import (
     ScenarioConfig,
     generate_scenario,
     parse_family,
-    run_power_curve,
     scenario_sigma,
     shift_vector,
 )
-from twosample import datagen
 from twosample._blas import _one_blas_thread
-from twosample.datagen import _sample
+from twosample.datagen import _correlator, _sample
 
 
 class TestScenarioSigma:
@@ -50,42 +49,6 @@ class TestScenarioSigma:
             np.linalg.cholesky(scenario_sigma(form, 2000))
 
 
-class TestFactor:
-    """One read-only factor per (cov_form, p) at a time, taken at one BLAS thread."""
-
-    def test_read_only_and_equal_to_a_fresh_factor(self):
-        chol = datagen._factor("ar", 50)
-        assert not chol.flags.writeable
-        with pytest.raises(ValueError):
-            chol[0, 0] = 2.0
-        assert np.array_equal(chol, np.linalg.cholesky(scenario_sigma("ar", 50)))
-
-    def test_run_factors_at_one_thread_whatever_the_callers_count(
-        self, monkeypatch, blas_threads
-    ):
-        # at p=300 OpenBLAS's factor can differ in its last bits between 1
-        # and 2 threads; a direct call at 2 threads and a run after it must
-        # both draw from the one-thread factor
-        factors = []
-
-        def spy(loc, chol, nu, n, rng):
-            factors.append(chol)
-            return _sample(loc, chol, nu, n, rng)
-
-        monkeypatch.setattr(datagen, "_sample", spy)
-        setter, getter = blas_threads
-        setter(2)
-        datagen._factor.cache_clear()
-        config = _scenario(cov_form="equicorr", p=300, n1=3, n2=2)
-        generate_scenario(config, np.random.default_rng(31))
-        run_power_curve(config, threads=1)
-        assert getter() == 2
-        setter(1)
-        one_thread = np.linalg.cholesky(scenario_sigma("equicorr", 300))
-        assert len(factors) == 4
-        assert all(f.tobytes() == one_thread.tobytes() for f in factors)
-
-
 class TestShiftVector:
     def test_exact_small_case(self):
         v = shift_vector(2, np.sqrt(5.0))
@@ -116,13 +79,14 @@ class TestShiftVector:
 
 class TestSample:
     def test_same_seed_same_sample(self):
-        a = _sample(np.zeros(3), np.eye(3), None, 8, np.random.default_rng(42))
-        b = _sample(np.zeros(3), np.eye(3), None, 8, np.random.default_rng(42))
+        identity = _correlator("identity", 3)
+        a = _sample(np.zeros(3), identity, None, 8, np.random.default_rng(42))
+        b = _sample(np.zeros(3), identity, None, 8, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_gaussian_mean_concentrates(self):
         loc = np.array([0.5, -1.0])
-        sample = _sample(loc, np.eye(2), None, 100_000, np.random.default_rng(7))
+        sample = _sample(loc, _correlator("ar", 2), None, 100_000, np.random.default_rng(7))
         assert np.abs(sample.mean(axis=0) - loc).max() < 0.02
 
 
@@ -203,21 +167,6 @@ class TestGenerateScenario:
         gaussian_part = raw[:, :3] @ np.linalg.cholesky(scenario_sigma("equicorr", 3)).T
         assert np.allclose(x, gaussian_part / np.sqrt(w / 4.0)[:, None], rtol=1e-12, atol=0)
 
-    def test_sigma_is_factored_once(self, cholesky_calls):
-        # the factor depends on the design alone, not on the family or shift
-        generate_scenario(_scenario(family="t4", cov_form="ar"), np.random.default_rng(5))
-        generate_scenario(_scenario(cov_form="ar", deltas=(2.0,)), np.random.default_rng(6))
-        assert cholesky_calls == [(5, 5)]
-        generate_scenario(_scenario(cov_form="ar", p=6), np.random.default_rng(7))
-        assert cholesky_calls == [(5, 5), (6, 6)]
-
-    def test_warm_factor_draws_the_cold_bits(self):
-        config = _scenario(family="t5", cov_form="equicorr", p=40)
-        datagen._factor.cache_clear()
-        cold = generate_scenario(config, np.random.default_rng(29))
-        warm = generate_scenario(config, np.random.default_rng(29))
-        assert np.array_equal(cold[0], warm[0]) and np.array_equal(cold[1], warm[1])
-
     @pytest.mark.parametrize("cov_form", ["equicorr", "ar"])
     def test_draws_do_not_depend_on_the_callers_blas_threads(self, blas_at_two_threads, cov_form):
         # at p=300 the product noise L^T splits over two threads in its last bits
@@ -245,3 +194,43 @@ class TestGenerateScenario:
         x0, y0 = generate_scenario(null, np.random.default_rng(23))
         assert np.array_equal(x, x0)
         assert np.array_equal(y, y0 + shift_vector(config.p, delta))
+
+
+class TestClosedFormFactor:
+    """generate_scenario against loc + z Lᵀ with the dense Cholesky factor L."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 100, 1000])
+    @pytest.mark.parametrize("cov_form", COV_FORMS)
+    @pytest.mark.parametrize("family", ["gaussian", "t5"])
+    def test_equals_the_dense_factor(self, family, cov_form, p):
+        # the closed forms sum in another order than a matrix product, so
+        # they agree to rounding; the identity form multiplies nothing
+        config = _scenario(family=family, cov_form=cov_form, p=p, n1=20, n2=30, deltas=(0.5,))
+        drawn = generate_scenario(config, np.random.default_rng(p))
+        _, nu = parse_family(family)
+        chol = np.linalg.cholesky(scenario_sigma(cov_form, p))
+        rng = np.random.default_rng(p)
+        for x, loc in zip(drawn, (np.zeros(p), shift_vector(p, 0.5))):
+            n = x.shape[0]
+            if nu is None:
+                z, scale = rng.standard_normal((n, p)), 1.0
+            else:
+                draw = rng.standard_normal((n, p + nu))
+                z, chi = draw[:, :p], draw[:, p:]
+                scale = np.sqrt(np.einsum("ij,ij->i", chi, chi) / nu)[:, None]
+            if cov_form == "identity":
+                assert x.tobytes() == (loc + z / scale).tobytes()
+            want = loc + (z @ chol.T) / scale
+            assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("cov_form", COV_FORMS)
+    def test_peak_memory_is_linear_in_p(self, cov_form):
+        # a p x p factor alone is 72 MB at p=3000; the data are 2.2 MB
+        config = _scenario(cov_form=cov_form, p=3000, n1=40, n2=50, deltas=(0.5,))
+        tracemalloc.start()
+        try:
+            generate_scenario(config, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -28,7 +28,7 @@ from twosample import (
     write_csv,
     write_manifest,
 )
-from twosample import _blas, calibration, datagen
+from twosample import _blas, calibration
 
 
 def _config(**overrides):
@@ -321,10 +321,6 @@ class TestRunPowerCurve:
         assert len({row.seconds for row in rows}) == 1
         assert rows[0].seconds >= 0.0
 
-    def test_serial_curve_factors_its_design_once(self, cholesky_calls):
-        run_power_curve(_config(cov_form="equicorr", deltas=(0.0, 1.0), replications=4))
-        assert cholesky_calls == [(3, 3)]
-
     def test_one_draw_per_replication_shared_by_the_processes(self, monkeypatch, tmp_path):
         draws = []
 
@@ -542,9 +538,8 @@ class TestBlasThreads:
         # threads spin on the cores the other workers need
         sets = []
         monkeypatch.setattr(_blas, "_openblas_threads", lambda: (sets.append, lambda: 1))
-        datagen._factor.cache_clear()
         run_power_curve(_config(cov_form="ar", replications=4), threads=1)
-        assert datagen._factor.cache_info().misses == 1 and sets == []
+        assert sets == []
 
     def test_one_set_and_one_restore_per_run(self, monkeypatch):
         # a restore between configs, with a set for the next, would leave

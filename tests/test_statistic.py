@@ -111,6 +111,33 @@ def _scenario(**overrides):
             lambda x, y: twosample.scenario_sigma("wishart", 3), _FORM_MESSAGE, id="form-sigma"
         ),
         pytest.param(lambda x, y: _scenario(cov_form="wishart"), _FORM_MESSAGE, id="form-scenario"),
+        # a choice is a str: an array holding one would pass an `in` test
+        pytest.param(
+            lambda x, y: twosample.run_test(x, y, np.array(["identity"])),
+            f"unknown kernel {np.array(['identity'])!r}; expected one of ('identity', 'sign')",
+            id="kernel-test-array",
+        ),
+        pytest.param(
+            lambda x, y: _scenario(kernel=np.array(["identity"])),
+            f"unknown kernel {np.array(['identity'])!r}; expected one of ('identity', 'sign')",
+            id="kernel-scenario-array",
+        ),
+        pytest.param(
+            lambda x, y: twosample.run_test(x, y, np.array(["identity", "sign"])),
+            f"unknown kernel {np.array(['identity', 'sign'])!r}; expected one of ('identity', 'sign')",
+            id="kernel-test-two-array",
+        ),
+        pytest.param(
+            lambda x, y: twosample.run_test(x, y, SIGN, np.array(["plain"])),
+            f"unknown estimator {np.array(['plain'])!r}; expected one of ('plain', 'taper')",
+            id="estimator-test-array",
+        ),
+        pytest.param(
+            lambda x, y: twosample.scenario_sigma(np.array(["ar"]), 3),
+            f"unknown covariance form {np.array(['ar'])!r}; "
+            "expected one of ('equicorr', 'identity', 'ar')",
+            id="form-sigma-array",
+        ),
     ],
 )
 def test_unknown_choice_names_it_and_the_choices(call, message):
