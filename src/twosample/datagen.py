@@ -48,7 +48,9 @@ def _correlator(cov_form, p):
     """The map z -> z Lᵀ on rows of z, L the Cholesky factor of scenario_sigma(cov_form, p).
 
     Each form's L has a closed form, applied in O(n p) without a p x p
-    matrix or BLAS, so its bits do not depend on the BLAS thread count.
+    matrix or BLAS, so its bits do not depend on the BLAS thread count. The
+    map overwrites z with z Lᵀ and returns it; its working memory beyond z
+    is at most one block of _AR_BLOCK + 1 columns.
     """
     rho = _FORM_RHO[cov_form]
     if cov_form == "identity":
@@ -59,12 +61,22 @@ def _correlator(cov_form, p):
         a = 1.0 - rho
         r = rho * a / (a + rho * np.arange(p))
         diag = np.sqrt(a + r)
-        below = r[:-1] / diag[:-1]
+        below = r / diag  # the last entry feeds only a sum that no column takes
 
         def equicorr(z):
-            x = z * diag
-            x[:, 1:] += np.add.accumulate(z[:, :-1] * below, axis=1)
-            return x
+            # x_j = diag_j z_j + S_{j-1}, S_j = sum_{i<=j} below_i z_i summed in
+            # column order. Column 0 of s carries S up to the block's first
+            # column; it starts at -0.0, which adds to any float exactly
+            s = np.full((z.shape[0], _AR_BLOCK + 1), -0.0)
+            for k in range(0, p, _AR_BLOCK):
+                block = z[:, k : k + _AR_BLOCK]
+                b = block.shape[1]
+                np.multiply(block, below[k : k + b], out=s[:, 1 : b + 1])
+                np.add.accumulate(s[:, : b + 1], axis=1, out=s[:, : b + 1])
+                block *= diag[k : k + b]
+                block += s[:, :b]
+                s[:, 0] = s[:, b]
+            return z
 
         return equicorr
     # ar: x_0 = z_0 and x_i = rho x_{i-1} + s z_i, s = sqrt(1 - rho^2). After
@@ -75,15 +87,15 @@ def _correlator(cov_form, p):
     down = rho**t
 
     def ar(z):
-        x = np.empty_like(z)
-        x[:, 0] = z[:, 0]
+        # block by block in place: column k - 1 already holds x_{k-1}
         for k in range(1, p, _AR_BLOCK):
-            block = x[:, k : k + _AR_BLOCK]
+            block = z[:, k : k + _AR_BLOCK]
             b = block.shape[1]
-            np.add.accumulate(z[:, k : k + b] * up[:b], axis=1, out=block)
-            block += x[:, k - 1 : k]
+            block *= up[:b]
+            np.add.accumulate(block, axis=1, out=block)
+            block += z[:, k - 1 : k]
             block *= down[:b]
-        return x
+        return z
 
     return ar
 
@@ -91,28 +103,39 @@ def _correlator(cov_form, p):
 def _sample(loc, correlate, nu, n, rng):
     """Draw n rows at location loc with noise correlate(z); t(nu) unless nu is None.
 
-    `correlate` maps standard normal rows z to z Lᵀ (`_correlator`), so the
-    rows have scatter L Lᵀ. Draw order is fixed: the p normals of row r come
-    before anything of row r+1, and for the t family the nu chi-square
-    normals of row r follow its p Gaussian normals.
+    `correlate` overwrites standard normal rows z with z Lᵀ (`_correlator`),
+    so the rows have scatter L Lᵀ. A Gaussian sample is the array its normals
+    were drawn into, with loc added in place; a t sample is one division of
+    the correlated normals into a fresh array. Draw order is fixed: the p
+    normals of row r come before anything of row r+1, and for the t family
+    the nu chi-square normals of row r follow its p Gaussian normals.
     """
     p = loc.size
     if nu is None:
-        return loc + correlate(rng.standard_normal((n, p)))
-    draw = rng.standard_normal((n, p + nu))
-    w = np.einsum("ij,ij->i", draw[:, p:], draw[:, p:])  # chi-square(nu) per row
-    return loc + correlate(draw[:, :p]) / np.sqrt(w / nu)[:, None]
+        x = correlate(rng.standard_normal((n, p)))
+    else:
+        draw = rng.standard_normal((n, p + nu))
+        w = np.einsum("ij,ij->i", draw[:, p:], draw[:, p:])  # chi-square(nu) per row
+        x = correlate(draw[:, :p]) / np.sqrt(w / nu)[:, None]
+    x += loc
+    return x
 
 
 def parse_family(family):
-    """Map a scenario family name to (family, nu): gaussian, cauchy, or t<k>."""
-    if family == GAUSSIAN:
-        return GAUSSIAN, None
-    if family == "cauchy":
-        return STUDENT_T, 1
-    nu = family[1:] if isinstance(family, str) and family.startswith(STUDENT_T) else ""
-    if nu.isdigit() and int(nu) >= 1:
-        return STUDENT_T, int(nu)
+    """Map a scenario family name to (family, nu): gaussian, cauchy, or t<k>.
+
+    The name is a str, and k is written in ASCII digits.
+    """
+    # == on a numpy array compares elementwise, so refuse a non-str first
+    if isinstance(family, str):
+        if family == GAUSSIAN:
+            return GAUSSIAN, None
+        if family == "cauchy":
+            return STUDENT_T, 1
+        nu = family[1:] if family.startswith(STUDENT_T) else ""
+        # str.isdigit also takes "²", which int() refuses, and non-ASCII digits
+        if nu.isascii() and nu.isdigit() and int(nu) >= 1:
+            return STUDENT_T, int(nu)
     raise ValueError(f"unknown family {family!r}; expected gaussian, cauchy, or t<k>")
 
 
@@ -122,8 +145,10 @@ def generate_scenario(config, rng):
     x is sampled at the origin and y at shift_vector(p, delta), sharing the
     family and the covariance form's closed-form Cholesky factor
     (`_correlator`), built once for both. x is drawn before y from the same
-    generator. No step uses BLAS, so the data do not depend on its thread
-    count.
+    generator. Each sample is built in place in the array its normals were
+    drawn into (a fresh array for the t family), so the working memory is
+    the output plus one block of columns. No step uses BLAS, so the data do
+    not depend on its thread count.
     """
     if len(config.deltas) != 1:
         raise ValueError("generate_scenario needs a single-delta config; split the grid first")

@@ -15,6 +15,8 @@ from twosample import (
 from twosample._blas import _one_blas_thread
 from twosample.datagen import _correlator, _sample
 
+from oracle import scenario_out_of_place
+
 
 class TestScenarioSigma:
     def test_equicorrelated(self):
@@ -103,6 +105,19 @@ class TestParseFamily:
         with pytest.raises(ValueError):
             parse_family("t0")
 
+    @pytest.mark.parametrize(
+        "family",
+        # == on an array compares elementwise; "²" and "٣" pass str.isdigit
+        [np.array(["gaussian"]), np.array(["gaussian", "t4"]), "t²", "t٣"],
+        ids=["one-array", "two-array", "superscript", "arabic-indic"],
+    )
+    def test_only_a_plain_name_is_a_family(self, family):
+        with pytest.raises(ValueError) as err:
+            parse_family(family)
+        assert str(err.value) == f"unknown family {family!r}; expected gaussian, cauchy, or t<k>"
+        with pytest.raises(ValueError, match="^unknown family"):
+            _scenario(family=family)
+
 
 def _scenario(**overrides):
     base = dict(
@@ -169,7 +184,8 @@ class TestGenerateScenario:
 
     @pytest.mark.parametrize("cov_form", ["equicorr", "ar"])
     def test_draws_do_not_depend_on_the_callers_blas_threads(self, blas_at_two_threads, cov_form):
-        # at p=300 the product noise L^T splits over two threads in its last bits
+        # the draw takes no BLAS call; were one added, OpenBLAS could split it
+        # over the caller's two threads and change the data in their last bits
         config = _scenario(cov_form=cov_form, p=300, n1=20, n2=20, deltas=(0.5,))
         drawn = generate_scenario(config, np.random.default_rng(8))
         assert blas_at_two_threads() == 2
@@ -234,3 +250,36 @@ class TestClosedFormFactor:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("cov_form", COV_FORMS)
+    def test_sample_is_built_in_the_buffer_of_its_normals(self, cov_form):
+        # beyond x and y (2.2 MB) the draw holds O(p) vectors and one block of
+        # _AR_BLOCK + 1 columns; a full-size temporary would add 0.96 MB
+        config = _scenario(cov_form=cov_form, p=3000, n1=40, n2=50, deltas=(0.5,))
+        rng = np.random.default_rng(3)  # made untraced: its first call may import numpy.random
+        tracemalloc.start()
+        try:
+            x, y = generate_scenario(config, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - (x.nbytes + y.nbytes) < 256 * 2**10
+
+
+class TestInPlaceSampler:
+    """generate_scenario against the out-of-place maps of `oracle`, bit for bit."""
+
+    # the equicorr blocks start at columns 0, 64, 128, ... and the ar blocks
+    # at 1, 65, 129, ...; these p end on, just before and just after each
+    @pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 129, 1000])
+    @pytest.mark.parametrize("cov_form", COV_FORMS)
+    @pytest.mark.parametrize("family", ["gaussian", "t5"])
+    def test_equals_the_out_of_place_maps(self, family, cov_form, p):
+        # the carried cumulative sum makes the same additions in the same
+        # order as one np.add.accumulate over all columns
+        config = _scenario(family=family, cov_form=cov_form, p=p, n1=20, n2=30, deltas=(0.5,))
+        drawn = generate_scenario(config, np.random.default_rng(p))
+        want = scenario_out_of_place(config, np.random.default_rng(p))
+        for a, b in zip(drawn, want):
+            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
