@@ -45,7 +45,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.32.0"
+__version__ = "0.33.0"
 
 __all__ = [
     "BaselineReport",

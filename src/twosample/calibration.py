@@ -156,7 +156,7 @@ def _calibrate(laws, config):
 def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     """The TestReport of the test of x against y0 + s, per shift s.
 
-    shifts=None tests y0 alone. All calibrations draw over one set of null
+    shifts=None tests y0 alone, as given. All calibrations draw over one set of null
     normals (`_calibrate`). The sign kernel makes one pair pass, one
     spectrum and one cutoff per shift. The identity kernel has h = x - y, so
     a shift of y recentres h and leaves the estimate as it is: one pass and
@@ -167,17 +167,17 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     mx, my0 = _check_pair(x, y0)
     k = _taper_bandwidth(beta, mx.shape[0] + my0.shape[0], mx.shape[1])
     _check_varies(mx, my0)  # a shift keeps a constant y constant
-    if shifts is None:
-        shifts = [np.zeros(mx.shape[1])]
     _check_choice("kernel", kernel, KERNELS)  # before the branch, which compares by ==
     if kernel == IDENTITY:
         g, stat, est = _estimate(mx, my0, kernel, estimator, k)
+        shifts = [np.zeros(mx.shape[1])] if shifts is None else shifts
         stats = [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts]
         laws = [(eigenvalues_sym(est), stats)]
     else:
         # a shift keeps the row counts, and pair_aggregates checks that y is finite;
         # each spectrum is taken before the next estimate is formed
-        passes = (_estimate(mx, my0 + s, kernel, estimator, k) for s in shifts)
+        ys = [my0] if shifts is None else (my0 + s for s in shifts)
+        passes = (_estimate(mx, y, kernel, estimator, k) for y in ys)
         laws = [(eigenvalues_sym(est), [stat]) for _, stat, est in passes]
     return _calibrate(laws, config)
 

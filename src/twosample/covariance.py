@@ -19,8 +19,7 @@ def estimate_plain(x, y, kernel):
     semidefinite with rank at most n1+n2-2; the computed eigenvalues beyond
     that rank are rounding noise of either sign.
     """
-    g, sx, sy, _ = _pass(x, y, kernel)
-    c = _centred_factor(g, sx, sy)
+    c = _centred_factor(*_pass(x, y, kernel)[:3])
     return c.T @ c
 
 
@@ -32,10 +31,15 @@ def _centred_factor(g, sx, sy):
     of the outer-product form. Centring first keeps the digits that form
     loses to cancellation when the mean is large against the spread.
     C^T C goes through syrk, so it is exactly symmetric; C C^T shares its
-    nonzero eigenvalues.
+    nonzero eigenvalues. sx and sy are stacked once, into C, then centred
+    and scaled in place.
     """
     n1, n2 = sx.shape[0], sy.shape[0]
-    return np.vstack([sx - g / n1, sy - g / n2]) / np.sqrt((n1 + n2) * n1 * n2)
+    c = np.vstack([sx, sy])
+    c[:n1] -= g / n1
+    c[n1:] -= g / n2
+    c /= np.sqrt((n1 + n2) * n1 * n2)
+    return c
 
 
 def _taper_bandwidth(beta, n, p):
@@ -60,7 +64,8 @@ def taper_weight(i, j, k):
 
 
 def _apply_taper(est, k):
-    """Multiply a p x p estimate elementwise by the `taper_weight`s at bandwidth k.
+    """Multiply a p x p estimate elementwise by the `taper_weight`s at bandwidth k,
+    in place, and return it.
 
     Entries at |i-j| >= k become 0. est must be exactly symmetric, as the
     C^T C of `_centred_factor` is; the weights are too, so the product
@@ -70,7 +75,8 @@ def _apply_taper(est, k):
     half = [taper_weight(0, d, k) for d in range(p)]
     weights = np.array(half[:0:-1] + half)  # one per offset j-i, from 1-p to p-1
     # row i of the reversed windows is weights[p-1-i : 2p-1-i], the offsets j-i of that row
-    return est * np.lib.stride_tricks.sliding_window_view(weights, p)[::-1]
+    est *= np.lib.stride_tricks.sliding_window_view(weights, p)[::-1]
+    return est
 
 
 def _estimate(mx, my, kernel, estimator, k):
@@ -79,6 +85,7 @@ def _estimate(mx, my, kernel, estimator, k):
     C^T C and C C^T, tapered as the p x p C^T C at bandwidth k."""
     g, sx, sy, stat = _pass(mx, my, kernel)
     c = _centred_factor(g, sx, sy)
+    del sx, sy
     if estimator == TAPER:
         est = _apply_taper(c.T @ c, k)
     else:

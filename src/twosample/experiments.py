@@ -16,7 +16,7 @@ from ._blas import _one_blas_thread
 from .baselines import _check_hotelling_dims, hotelling_t2
 from .calibration import DEFAULT_SEED, NullDrawConfig
 from .covariance import _BETA, ESTIMATORS, PLAIN, _taper_bandwidth
-from .datagen import generate_scenario, parse_family, scenario_sigma, shift_vector
+from .datagen import COV_FORMS, generate_scenario, parse_family, shift_vector
 from .seeding import derive_seed, substream
 from .statistic import _MIN_ROWS, KERNELS, SIGN, _check_choice, _check_int, _is_real, _number
 
@@ -57,7 +57,7 @@ class ScenarioConfig:
             raise ValueError(f"scenario_id {self.scenario_id!r} is not a plain file name")
         parse_family(self.family)
         # the form, each delta and the kernel follow the rules of the code that uses them
-        scenario_sigma(self.cov_form, 1)
+        _check_choice("covariance form", self.cov_form, COV_FORMS)
         rows = 1 if self.estimator == HOTELLING else _MIN_ROWS  # hotelling: see its p rule below
         # a numpy number is kept as the Python number it equals, which a manifest can write
         for name, low in (("p", 1), ("n1", rows), ("n2", rows), ("replications", 1)):

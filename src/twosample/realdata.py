@@ -82,7 +82,7 @@ def run_realdata_blocks(x, y, width, kernel=SIGN, estimator=PLAIN, config=None, 
     blocks run or in what order.
     """
     mx, my = _check_pair(x, y)
-    _check_int("width", width, 1)
+    width = _check_int("width", width, 1)  # a Python int, as the reports keep it
     config = NullDrawConfig() if config is None else config
     cols = mx.shape[1]
     blocks = cols // width

@@ -91,8 +91,14 @@ def pair_aggregates(x, y, kernel):
     have a closed form in the column sums X and Y. The sign kernel weights
     each pair by w_ij = 1/||x_i - y_j||, from squared distances in Gram form,
     and takes sx = (W 1) o x - W y and sy = W^T x - (W^T 1) o y from two
-    matrix products. Working memory is O((n1 + n2)^2 + (n1 + n2) p), plus
-    O(n2 p) for the near pairs, summed one row of x at a time (`_sign_sums`).
+    matrix products. Each result is written in place into a buffer already
+    held, with the operations of the out-of-place pass in the same order:
+    sx and sy over the centred rows, the weights over the squared
+    distances. Beside the (n1 + n2) x p rows, working memory is at most the
+    (n1 + n2)^2 Gram matrix and one n1 x n2 array, then two n1 x n2 arrays
+    and a boolean mask, then the weights, the mask and the two products,
+    another (n1 + n2) x p; plus O(n2 p) for the near pairs, summed one row
+    of x at a time (`_sign_sums`).
     """
     mx, my = _check_pair(x, y)
     _check_choice("kernel", kernel, KERNELS)
@@ -103,9 +109,11 @@ def pair_aggregates(x, y, kernel):
     dev = mx - mx[0]
     dev -= dev.mean(axis=0)
     centre = mx[np.argmin(np.einsum("ij,ij->i", dev, dev))]
-    z = np.vstack([mx, my]) - centre
-    e = int(np.frexp(np.max(np.abs(z)))[1])  # exact power-of-two scale
-    z = np.ldexp(z, -e)
+    del dev
+    z = np.vstack([mx, my])
+    z -= centre
+    e = int(np.frexp(max(z.max(), -z.min()))[1])  # exact power-of-two scale of max |z|
+    np.ldexp(z, -e, out=z)
     if kernel == IDENTITY:
         n1 = mx.shape[0]
         return _identity_sums(z[:n1], z[n1:], e)
@@ -113,7 +121,8 @@ def pair_aggregates(x, y, kernel):
 
 
 def _identity_sums(zx, zy, e):
-    """g = n2 X - n1 Y, sx_i = n2 x_i - Y, sy_j = X - n1 y_j, for z = 2^-e data."""
+    """g = n2 X - n1 Y, sx_i = n2 x_i - Y, sy_j = X - n1 y_j, for z = 2^-e data;
+    sx and sy are written over zx and zy."""
     # the sums of squares are 2^2e times values of order 1; below this 2e,
     # those within 2^-52 of that order would be subnormal and lose digits
     if 2 * e < np.finfo(float).minexp + np.finfo(float).nmant:
@@ -128,10 +137,14 @@ def _identity_sums(zx, zy, e):
         + n1 * float(np.einsum("ij,ij->", zy, zy))
         - 2.0 * float(np.einsum("i,i->", sum_x, sum_y))
     )
+    zx *= n2
+    zx -= sum_y
+    zy *= n1
+    np.subtract(sum_x, zy, out=zy)
     return (
         np.ldexp(n2 * sum_x - n1 * sum_y, e),
-        np.ldexp(n2 * zx - sum_y, e),
-        np.ldexp(sum_x - n1 * zy, e),
+        np.ldexp(zx, e, out=zx),
+        np.ldexp(zy, e, out=zy),
         float(np.ldexp(sumsq, 2 * e)),
     )
 
@@ -142,7 +155,8 @@ _NEAR = 1e-4
 
 
 def _sign_sums(mx, my, z):
-    """Unit-vector sums of the sign kernel; z holds the centred, scaled rows."""
+    """Unit-vector sums of the sign kernel; z holds the centred, scaled rows,
+    and sx and sy are written over them."""
     n1 = mx.shape[0]
     zx, zy = z[:n1], z[n1:]
     # all norms and cross products from one symmetric product, whose bits at
@@ -151,14 +165,28 @@ def _sign_sums(mx, my, z):
     # under the Haswell kernel at p = 1000, and at 200 + 300 rows, p = 300
     # on SkylakeX, so do all three products here (ROADMAP item 2)
     gram = z @ z.T
-    nsq = np.diag(gram)
+    nsq = np.diag(gram).copy()
+    # d2 = scale + (-2 gram) has the bits of scale - 2 gram; the Gram matrix
+    # is freed before scale is formed
+    d2 = gram[:n1, n1:] * -2.0
+    del gram
     scale = nsq[:n1, None] + nsq[None, n1:]
-    d2 = scale - 2.0 * gram[:n1, n1:]
+    d2 += scale
     # a near pair gets weight 0, because w x_i - w y_j would cancel too
-    near = d2 <= _NEAR * scale
-    w = 1.0 / np.sqrt(np.where(near, np.inf, d2))  # 1/sqrt(inf) is +0.0
-    sx = w.sum(axis=1)[:, None] * zx - w @ zy
-    sy = w.T @ zx - w.sum(axis=0)[:, None] * zy
+    scale *= _NEAR
+    near = d2 <= scale
+    del scale
+    d2[near] = np.inf
+    w = np.sqrt(d2, out=d2)
+    np.divide(1.0, w, out=w)  # 1/sqrt(inf) is +0.0
+    # both products read the centred rows before sx and sy overwrite them
+    wy, wx = w @ zy, w.T @ zx
+    zx *= w.sum(axis=1)[:, None]
+    zx -= wy
+    zy *= w.sum(axis=0)[:, None]
+    np.subtract(wx, zy, out=zy)
+    del wx, wy
+    sx, sy = zx, zy
     # its unit vector is added from the raw rows instead, which centring
     # would round, prescaled so that its squared norm cannot overflow, one
     # row of x at a time, so that at most n2 of them are held at once

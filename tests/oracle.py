@@ -1,10 +1,12 @@
 """Slow, literal references for the tests: the quadruple-sum statistic,
-the null draws from one matrix of normals, and the scenario data drawn
-through full-size temporaries.
+the null draws from one matrix of normals, the scenario data drawn
+through full-size temporaries, and the pair pass, centred factor and
+taper that build each result through temporaries.
 
 Not part of the package; the fast pair pass in `twosample.statistic`, the
-blocked draws of `twosample.calibration` and the in-place sampler of
-`twosample.datagen` are checked against these.
+blocked draws of `twosample.calibration`, the in-place sampler of
+`twosample.datagen` and the in-place pair pass and estimates of
+`twosample.statistic` and `twosample.covariance` are checked against these.
 """
 
 import math
@@ -12,7 +14,8 @@ import math
 import numpy as np
 
 from twosample.datagen import _AR_BLOCK, _FORM_RHO, parse_family, shift_vector
-from twosample.statistic import IDENTITY, KERNELS, _check_choice, _check_pair
+from twosample.covariance import TAPER, taper_weight
+from twosample.statistic import _NEAR, IDENTITY, KERNELS, _check_choice, _check_pair
 
 
 def unit(d):
@@ -118,3 +121,79 @@ def scenario_out_of_place(config, rng):
     x = sample_out_of_place(np.zeros(config.p), correlate, nu, config.n1, rng)
     y = sample_out_of_place(shift_vector(config.p, config.deltas[0]), correlate, nu, config.n2, rng)
     return x, y
+
+
+def pair_aggregates_out_of_place(x, y, kernel):
+    """`statistic.pair_aggregates` as of 0.32.0: each array through new temporaries."""
+    mx, my = _check_pair(x, y)
+    _check_choice("kernel", kernel, KERNELS)
+    dev = mx - mx[0]
+    dev -= dev.mean(axis=0)
+    centre = mx[np.argmin(np.einsum("ij,ij->i", dev, dev))]
+    z = np.vstack([mx, my]) - centre
+    e = int(np.frexp(np.max(np.abs(z)))[1])
+    z = np.ldexp(z, -e)
+    n1 = mx.shape[0]
+    zx, zy = z[:n1], z[n1:]
+    if kernel == IDENTITY:
+        if 2 * e < np.finfo(float).minexp + np.finfo(float).nmant:
+            raise ValueError(
+                "x and y are too small in magnitude for the identity kernel: "
+                "its pair sums underflow; rescale the data"
+            )
+        n2 = zy.shape[0]
+        sum_x, sum_y = zx.sum(axis=0), zy.sum(axis=0)
+        sumsq = (
+            n2 * float(np.einsum("ij,ij->", zx, zx))
+            + n1 * float(np.einsum("ij,ij->", zy, zy))
+            - 2.0 * float(np.einsum("i,i->", sum_x, sum_y))
+        )
+        return (
+            np.ldexp(n2 * sum_x - n1 * sum_y, e),
+            np.ldexp(n2 * zx - sum_y, e),
+            np.ldexp(sum_x - n1 * zy, e),
+            float(np.ldexp(sumsq, 2 * e)),
+        )
+    gram = z @ z.T
+    nsq = np.diag(gram)
+    scale = nsq[:n1, None] + nsq[None, n1:]
+    d2 = scale - 2.0 * gram[:n1, n1:]
+    near = d2 <= _NEAR * scale
+    w = 1.0 / np.sqrt(np.where(near, np.inf, d2))
+    sx = w.sum(axis=1)[:, None] * zx - w @ zy
+    sy = w.T @ zx - w.sum(axis=0)[:, None] * zy
+    sumsq = float(near.size - np.count_nonzero(near))
+    for i in np.flatnonzero(near.any(axis=1)):
+        j = np.flatnonzero(near[i])
+        h = mx[i] - my[j]
+        top = np.max(np.abs(h), axis=1)
+        keep = top > 0.0
+        j, h, top = j[keep], h[keep], top[keep]
+        h /= top[:, None]
+        h /= np.sqrt(np.einsum("ij,ij->i", h, h))[:, None]
+        sx[i] += h.sum(axis=0)
+        sy[j] += h
+        sumsq += j.size
+    return sx.sum(axis=0), sx, sy, sumsq
+
+
+def centred_factor_out_of_place(g, sx, sy):
+    """`covariance._centred_factor` as of 0.32.0: both halves centred into new arrays."""
+    n1, n2 = sx.shape[0], sy.shape[0]
+    return np.vstack([sx - g / n1, sy - g / n2]) / np.sqrt((n1 + n2) * n1 * n2)
+
+
+def apply_taper_out_of_place(est, k):
+    """`covariance._apply_taper` as of 0.32.0: the product in a new array, est kept."""
+    p = est.shape[0]
+    half = [taper_weight(0, d, k) for d in range(p)]
+    weights = np.array(half[:0:-1] + half)
+    return est * np.lib.stride_tricks.sliding_window_view(weights, p)[::-1]
+
+
+def estimate_out_of_place(x, y, kernel, estimator, k):
+    """The estimate of `covariance._estimate` from the three references above."""
+    c = centred_factor_out_of_place(*pair_aggregates_out_of_place(x, y, kernel)[:3])
+    if estimator == TAPER:
+        return apply_taper_out_of_place(c.T @ c, k)
+    return c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T

@@ -506,6 +506,32 @@ class TestRunTest:
         with pytest.raises(ValueError):
             run_test(np.zeros((3, 2)), np.zeros((3, 2)), "identity", "shrinkage")
 
+    @pytest.mark.parametrize("kernel", ["identity", "sign"])
+    def test_pair_pass_gets_y_as_given(self, pair_passes, kernel):
+        # no shifted copy y + 0 for the one test, which would also turn -0.0 into 0.0
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal((6, 3)), rng.standard_normal((7, 3))
+        run_test(x, y, kernel, config=NullDrawConfig(draws=100))
+        [(_, passed, _)] = pair_passes
+        assert passed is y
+
+    def test_working_memory_of_a_test_at_large_p(self):
+        # n1 = 40, n2 = 50, p = 1000: the centred rows are 0.69 MiB, written over
+        # by sx and sy, and the two matrix products of the sign pass as much
+        # again; the normals take one 1 MiB block after the pass has ended.
+        # Through full-size temporaries the test peaked at 2.62 MiB
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((40, 1000))
+        y = rng.standard_normal((50, 1000))
+        run_test(x, y, "sign")  # made untraced: a first call may set up numpy's caches
+        tracemalloc.start()
+        try:
+            run_test(x, y, "sign")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 2**20
+
 
 POWER_GRID = (0.0, 1.0, 2.0, 3.0, 4.0)  # the grid of configs/power_p100.json
 

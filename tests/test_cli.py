@@ -173,6 +173,13 @@ class TestRunRealdataBlocks:
         with pytest.raises(ValueError, match=f"^width must be an integer, got {width!r}$"):
             run_realdata_blocks(x, y, width, config=NullDrawConfig(draws=200, seed=5))
 
+    def test_numpy_width_gives_python_int_columns(self, sample_pair):
+        # a numpy integer is taken as the Python int it equals, which JSON writes
+        x, y, _, _ = sample_pair
+        reports = run_realdata_blocks(x, y, np.int64(3), config=NullDrawConfig(draws=200, seed=5))
+        assert [(type(b.start), type(b.stop)) for b in reports] == [(int, int)] * 2
+        assert json.loads(json.dumps([[b.start, b.stop] for b in reports])) == [[0, 3], [3, 6]]
+
     def test_constant_block_names_its_columns(self, pair_passes):
         # block 1 is constant in each sample; it used to reject without a word
         rng = np.random.default_rng(41)

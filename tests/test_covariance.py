@@ -153,7 +153,7 @@ class TestTaper:
         y = rng.standard_normal((50, 2))
         k = _taper_bandwidth(0.25, 90, 2)  # k = 2, so d = 1 sits at the inner boundary
         plain = estimate_plain(x, y, SIGN)
-        assert np.array_equal(_apply_taper(plain, k), plain)
+        assert np.array_equal(_apply_taper(plain.copy(), k), plain)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 37, 100, 300, 1000])
     @pytest.mark.parametrize("k", [0.3, 1, 2.5, 6.05, "p", "p + 3"])
@@ -163,7 +163,7 @@ class TestTaper:
         x = rng.standard_normal((40, p))
         y = rng.standard_normal((50, p))
         plain = estimate_plain(x, y, IDENTITY)
-        tapered = _apply_taper(plain, k)
+        tapered = _apply_taper(plain.copy(), k)  # it writes over its argument
         # diagonal d holds the entries (i, i + d), all weighed by taper_weight(i, i + d, k);
         # the signs of the zeros beyond the bandwidth must match too
         for d in range(1 - p, p):
@@ -184,7 +184,7 @@ class TestTaper:
         x = rng.standard_normal((8, 6))
         y = rng.standard_normal((9, 6))
         plain = estimate_plain(x, y, IDENTITY)
-        assert np.array_equal(_apply_taper(plain, 2.0 * (6 - 1)), plain)
+        assert np.array_equal(_apply_taper(plain.copy(), 2.0 * (6 - 1)), plain)
 
 
 class TestEigenvaluesSym:

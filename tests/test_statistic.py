@@ -14,9 +14,10 @@ from twosample import (
     compute_statistic,
     pair_aggregates,
 )
+from twosample.covariance import ESTIMATORS, _estimate, _taper_bandwidth
 from twosample.statistic import _pass, _recentred_statistic
 
-from oracle import compute_statistic_oracle, unit
+from oracle import compute_statistic_oracle, estimate_out_of_place, pair_aggregates_out_of_place, unit
 
 # four-point instance used across modules; every kernel value is an exact float
 X4 = np.array([[0.0], [2.0]])
@@ -249,6 +250,79 @@ def _assert_matches_row_loop(got, x, y, kernel):
         err = np.max(np.abs(np.subtract(a, b)))
         assert np.isfinite(a).all()
         assert err <= 1e-12 * np.max(np.abs(b)), name
+
+
+IN_PLACE_CASES = ("plain", "near", "ties", "zeros", "tiny", "huge")
+
+
+def _in_place_sample(case, n1, n2, p):
+    rng = np.random.default_rng([n1, n2, p, IN_PLACE_CASES.index(case)])
+    x = rng.standard_normal((n1, p))
+    y = rng.standard_normal((n2, p)) + 0.3
+    if case == "near":
+        # y_k at distance 1e-(k+2) from x_k, down to 1e-14
+        for k in range(min(n1, n2, 13)):
+            u = rng.standard_normal(p)
+            y[k] = x[k] + 10.0 ** -(k + 2) * u / np.linalg.norm(u)
+    elif case == "ties":
+        y[0] = y[-1] = x[-1]
+    elif case == "zeros":
+        # signed zeros throughout, the centre row and a column of mixed signs included
+        x[rng.random(x.shape) < 0.3] = -0.0
+        y[rng.random(y.shape) < 0.3] = 0.0
+        y[rng.random(y.shape) < 0.15] = -0.0
+        x[:, 0], y[::2, 0], y[1::2, 0] = -0.0, 0.0, -0.0
+    elif case == "tiny":
+        # just above the smallest normal float; the identity kernel raises
+        x, y = x * 1e-305, y * 1e-305
+    elif case == "huge":
+        # differences stay below the largest float; the identity sums overflow
+        x, y = x * 1e300, y * 1e300
+    return x, y
+
+
+def _outcome(f, *args):
+    """The shapes and bytes of f's arrays, or the message of its ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = f(*args)
+        except ValueError as err:
+            return str(err)
+    return [(np.shape(a), np.asarray(a).tobytes()) for a in out]
+
+
+class TestInPlacePass:
+    """The in-place pair pass and estimates against the out-of-place ones of `oracle`, bit for bit."""
+
+    @pytest.mark.parametrize("kernel", [IDENTITY, SIGN])
+    @pytest.mark.parametrize("case", IN_PLACE_CASES)
+    @pytest.mark.parametrize("n1, n2", [(2, 2), (40, 50), (200, 300)])
+    @pytest.mark.parametrize("p", [1, 5, 300, 1000])
+    def test_equals_the_out_of_place_pass(self, p, n1, n2, case, kernel):
+        x, y = _in_place_sample(case, n1, n2, p)
+        got = _outcome(pair_aggregates, x, y, kernel)
+        assert got == _outcome(pair_aggregates_out_of_place, x, y, kernel)
+        k = _taper_bandwidth(0.25, n1 + n2, p)
+        for estimator in ESTIMATORS:
+            est = _outcome(lambda: _estimate(x, y, kernel, estimator, k)[2:])
+            if isinstance(est, str):  # T over- or underflows: the identity kernel raises
+                assert kernel == IDENTITY and case in ("tiny", "huge"), est
+                continue
+            assert est == _outcome(lambda: [estimate_out_of_place(x, y, kernel, estimator, k)])
+
+    def test_peak_memory_of_the_pass(self):
+        # n1 = n2 = 1000 at p = 50: the 2000^2 Gram matrix is 30.5 MiB and each
+        # n1 x n2 array 7.6 MiB; through temporaries the pass peaked at 63 MiB
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((1000, 50))
+        y = rng.standard_normal((1000, 50))
+        tracemalloc.start()
+        try:
+            pair_aggregates(x, y, SIGN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
 
 _THREAD_PROBE = """
