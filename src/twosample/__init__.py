@@ -9,12 +9,11 @@ from .calibration import (
     run_test,
     simulate_null_draws,
 )
-from .covariance import ESTIMATORS, eigenvalues_sym, estimate_plain, taper_weight
+from .covariance import ESTIMATORS, eigenvalues_sym, taper_weight
 from .datagen import (
     COV_FORMS,
     generate_scenario,
     parse_family,
-    scenario_sigma,
     shift_vector,
 )
 from .experiments import (
@@ -45,7 +44,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.33.0"
+__version__ = "0.34.0"
 
 __all__ = [
     "BaselineReport",
@@ -69,7 +68,6 @@ __all__ = [
     "derive_seed",
     "eigenvalues_sym",
     "empirical_quantile",
-    "estimate_plain",
     "generate_scenario",
     "hotelling_t2",
     "load_configs",
@@ -80,7 +78,6 @@ __all__ = [
     "run_power_curves",
     "run_realdata_blocks",
     "run_test",
-    "scenario_sigma",
     "shift_vector",
     "simulate_null_draws",
     "substream",

@@ -10,21 +10,11 @@ ESTIMATORS = (PLAIN, TAPER)
 _BETA = 0.25  # the default taper exponent beta of `_taper_bandwidth`'s callers
 
 
-def estimate_plain(x, y, kernel):
-    """Pooled outer-product estimator of the kernel covariance.
-
-    (1/(n n1 n2)) [sum_i sx_i sx_i^T + sum_j sy_j sy_j^T] - dh dh^T with
-    dh the pair mean, taken as C^T C for the centred factor C of
-    `_centred_factor` and emitted exactly symmetric. It is positive
-    semidefinite with rank at most n1+n2-2; the computed eigenvalues beyond
-    that rank are rounding noise of either sign.
-    """
-    c = _centred_factor(*_pass(x, y, kernel)[:3])
-    return c.T @ c
-
-
 def _centred_factor(g, sx, sy):
-    """The (n1+n2) x p factor C with C^T C the plain estimate.
+    """The (n1+n2) x p factor C with C^T C the plain estimate: the pooled
+    outer-product estimator (1/(n n1 n2)) [sum_i sx_i sx_i^T + sum_j sy_j sy_j^T]
+    - dh dh^T of the kernel covariance, dh the pair mean. It is positive
+    semidefinite with rank at most n1+n2-2.
 
     With s = n n1 n2, C = [sx - g/n1; sy - g/n2] / sqrt(s): the rows of sx
     and of sy each sum to g, so centring them subtracts the -dh dh^T term

@@ -4,30 +4,11 @@ import math
 
 import numpy as np
 
-from .statistic import _check_choice, _check_int, _is_real
-
-GAUSSIAN = "gaussian"
-STUDENT_T = "t"
+from .statistic import _check_int, _is_real
 
 # correlation levels used by the named simulation designs
 _FORM_RHO = {"equicorr": 0.5, "identity": 0.0, "ar": 0.75}
 COV_FORMS = tuple(_FORM_RHO)
-
-
-def scenario_sigma(cov_form, p):
-    """Covariance matrix for a named scenario form at its fixed correlation."""
-    _check_choice("covariance form", cov_form, COV_FORMS)
-    _check_int("p", p, 1)
-    rho = _FORM_RHO[cov_form]
-    if cov_form == "equicorr":
-        sigma = np.full((p, p), rho)
-        np.fill_diagonal(sigma, 1.0)
-        return sigma
-    if cov_form == "identity":
-        return np.eye(p)
-    # ar: rho^|i-j|
-    d = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    return rho**d
 
 
 def shift_vector(p, delta):
@@ -45,7 +26,9 @@ _AR_BLOCK = 64
 
 
 def _correlator(cov_form, p):
-    """The map z -> z Lᵀ on rows of z, L the Cholesky factor of scenario_sigma(cov_form, p).
+    """The map z -> z Lᵀ on rows of z, L the Cholesky factor of the form's p x p
+    correlation matrix: rho = `_FORM_RHO[cov_form]` off the diagonal for
+    equicorr, the identity, and rho^|i-j| for ar.
 
     Each form's L has a closed form, applied in O(n p) without a p x p
     matrix or BLAS, so its bits do not depend on the BLAS thread count. The
@@ -122,20 +105,21 @@ def _sample(loc, correlate, nu, n, rng):
 
 
 def parse_family(family):
-    """Map a scenario family name to (family, nu): gaussian, cauchy, or t<k>.
+    """The degrees of freedom nu of a scenario family: None for gaussian, 1 for
+    cauchy, k for t<k>.
 
     The name is a str, and k is written in ASCII digits.
     """
     # == on a numpy array compares elementwise, so refuse a non-str first
     if isinstance(family, str):
-        if family == GAUSSIAN:
-            return GAUSSIAN, None
+        if family == "gaussian":
+            return None
         if family == "cauchy":
-            return STUDENT_T, 1
-        nu = family[1:] if family.startswith(STUDENT_T) else ""
+            return 1
+        nu = family[1:] if family.startswith("t") else ""
         # str.isdigit also takes "²", which int() refuses, and non-ASCII digits
         if nu.isascii() and nu.isdigit() and int(nu) >= 1:
-            return STUDENT_T, int(nu)
+            return int(nu)
     raise ValueError(f"unknown family {family!r}; expected gaussian, cauchy, or t<k>")
 
 
@@ -152,7 +136,7 @@ def generate_scenario(config, rng):
     """
     if len(config.deltas) != 1:
         raise ValueError("generate_scenario needs a single-delta config; split the grid first")
-    _, nu = parse_family(config.family)
+    nu = parse_family(config.family)
     correlate = _correlator(config.cov_form, config.p)
     x = _sample(np.zeros(config.p), correlate, nu, config.n1, rng)
     y = _sample(shift_vector(config.p, config.deltas[0]), correlate, nu, config.n2, rng)

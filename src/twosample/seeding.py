@@ -7,6 +7,8 @@ exact avalanche function matters and must not change.
 
 import numpy as np
 
+from .statistic import _check_int
+
 _MASK = (1 << 64) - 1
 
 
@@ -22,12 +24,13 @@ def derive_seed(master, *indices):
     """Mix a master seed and integer indices into one 64-bit substream seed.
 
     seed = splitmix64(master); then for each index in order,
-    seed = splitmix64(seed XOR splitmix64(index)). All values are reduced
-    modulo 2^64 first, so negative indices are accepted.
+    seed = splitmix64(seed XOR splitmix64(index)). Each value is an
+    integer (numpy's too, not a bool), reduced modulo 2^64 first, so
+    negative values are accepted.
     """
-    s = _splitmix64(int(master) & _MASK)
+    s = _splitmix64(_check_int("master", master) & _MASK)
     for ix in indices:
-        s = _splitmix64(s ^ _splitmix64(int(ix) & _MASK))
+        s = _splitmix64(s ^ _splitmix64(_check_int("index", ix) & _MASK))
     return s
 
 

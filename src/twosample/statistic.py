@@ -98,7 +98,8 @@ def pair_aggregates(x, y, kernel):
     (n1 + n2)^2 Gram matrix and one n1 x n2 array, then two n1 x n2 arrays
     and a boolean mask, then the weights, the mask and the two products,
     another (n1 + n2) x p; plus O(n2 p) for the near pairs, summed one row
-    of x at a time (`_sign_sums`).
+    of x at a time (`_sign_sums`). Huge data whose sums overflow raise
+    `_finite`'s error, as the statistic does.
     """
     mx, my = _check_pair(x, y)
     _check_choice("kernel", kernel, KERNELS)
@@ -106,18 +107,23 @@ def pair_aggregates(x, y, kernel):
     # mean would round them. The x row nearest the mean of x keeps a far-out
     # x[0] from making many pairs near; it is found from differences to x[0],
     # so integer translates of the data choose the same row and equal bits.
-    dev = mx - mx[0]
-    dev -= dev.mean(axis=0)
-    centre = mx[np.argmin(np.einsum("ij,ij->i", dev, dev))]
-    del dev
-    z = np.vstack([mx, my])
-    z -= centre
-    e = int(np.frexp(max(z.max(), -z.min()))[1])  # exact power-of-two scale of max |z|
-    np.ldexp(z, -e, out=z)
-    if kernel == IDENTITY:
-        n1 = mx.shape[0]
-        return _identity_sums(z[:n1], z[n1:], e)
-    return _sign_sums(mx, my, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = mx - mx[0]
+        dev -= dev.mean(axis=0)
+        centre = mx[np.argmin(np.einsum("ij,ij->i", dev, dev))]
+        del dev
+        z = np.vstack([mx, my])
+        z -= centre
+        e = int(np.frexp(max(z.max(), -z.min()))[1])  # exact power-of-two scale of max |z|
+        np.ldexp(z, -e, out=z)
+        if kernel == IDENTITY:
+            n1 = mx.shape[0]
+            sums = _identity_sums(z[:n1], z[n1:], e)
+        else:
+            sums = _sign_sums(mx, my, z)
+    for part in sums:
+        _finite(part, kernel)
+    return sums
 
 
 def _identity_sums(zx, zy, e):
@@ -208,8 +214,9 @@ def _sign_sums(mx, my, z):
 
 
 def _finite(stat, kernel):
-    """stat, or a ValueError naming x, y and the kernel whose pair sums overflowed."""
-    if not np.isfinite(stat):
+    """stat, or a ValueError naming x, y and the kernel whose pair sums overflowed
+    if any entry of stat is not finite."""
+    if not np.isfinite(stat).all():
         raise ValueError(
             f"x and y are too large in magnitude for the {kernel} kernel: "
             "its pair sums overflow; rescale the data"
@@ -222,15 +229,15 @@ def _pass(x, y, kernel):
     (||g||^2 - sum_i ||sx_i||^2 - sum_j ||sy_j||^2 + sum_ij ||h_ij||^2) / (n n1 n2).
 
     x or y of fewer than `_MIN_ROWS` rows raise, as do huge data that
-    overflow T (`_finite`). A finite T bounds C, C^T C and C C^T
-    (`covariance._centred_factor`), as its terms do.
+    overflow the pair sums or T (`_finite`). A finite T bounds C, C^T C
+    and C C^T (`covariance._centred_factor`), as its terms do.
     """
+    # a module global, so a wrapper set on statistic.pair_aggregates sees the pass
+    g, sx, sy, sumsq = pair_aggregates(x, y, kernel)
+    n1, n2 = sx.shape[0], sy.shape[0]
+    if min(n1, n2) < _MIN_ROWS:
+        raise ValueError(f"x and y need at least two rows each: x has {n1}, y has {n2}")
     with np.errstate(over="ignore", invalid="ignore"):
-        # a module global, so a wrapper set on statistic.pair_aggregates sees the pass
-        g, sx, sy, sumsq = pair_aggregates(x, y, kernel)
-        n1, n2 = sx.shape[0], sy.shape[0]
-        if min(n1, n2) < _MIN_ROWS:
-            raise ValueError(f"x and y need at least two rows each: x has {n1}, y has {n2}")
         total = (
             float(g @ g)
             - float(np.einsum("ij,ij->", sx, sx))

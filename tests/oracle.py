@@ -1,12 +1,14 @@
 """Slow, literal references for the tests: the quadruple-sum statistic,
-the null draws from one matrix of normals, the scenario data drawn
-through full-size temporaries, and the pair pass, centred factor and
-taper that build each result through temporaries.
+the null draws from one matrix of normals, the dense covariance of each
+scenario form, the scenario data drawn through full-size temporaries, the
+p x p plain estimate, and the pair pass, centred factor and taper that
+build each result through temporaries.
 
 Not part of the package; the fast pair pass in `twosample.statistic`, the
-blocked draws of `twosample.calibration`, the in-place sampler of
-`twosample.datagen` and the in-place pair pass and estimates of
-`twosample.statistic` and `twosample.covariance` are checked against these.
+blocked draws of `twosample.calibration`, the closed-form factors and
+in-place sampler of `twosample.datagen` and the in-place pair pass and
+estimates of `twosample.statistic` and `twosample.covariance` are checked
+against these. They take no input checks of their own.
 """
 
 import math
@@ -14,8 +16,16 @@ import math
 import numpy as np
 
 from twosample.datagen import _AR_BLOCK, _FORM_RHO, parse_family, shift_vector
-from twosample.covariance import TAPER, taper_weight
-from twosample.statistic import _NEAR, IDENTITY, KERNELS, _check_choice, _check_pair
+from twosample.covariance import TAPER, _centred_factor, taper_weight
+from twosample.statistic import (
+    _NEAR,
+    IDENTITY,
+    KERNELS,
+    _check_choice,
+    _check_pair,
+    _finite,
+    _pass,
+)
 
 
 def unit(d):
@@ -69,6 +79,26 @@ def null_draws_one_matrix(spectrum, config, rng):
     return z @ lam if lam.ndim == 1 else np.array([z @ col for col in lam.T]).T
 
 
+def scenario_sigma(cov_form, p):
+    """The dense p x p covariance of a named scenario form at its fixed correlation."""
+    rho = _FORM_RHO[cov_form]
+    if cov_form == "equicorr":
+        sigma = np.full((p, p), rho)
+        np.fill_diagonal(sigma, 1.0)
+        return sigma
+    if cov_form == "identity":
+        return np.eye(p)
+    # ar: rho^|i-j|
+    d = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    return rho**d
+
+
+def estimate_plain(x, y, kernel):
+    """The p x p plain estimate C^T C, C the centred factor of one pair pass."""
+    c = _centred_factor(*_pass(x, y, kernel)[:3])
+    return c.T @ c
+
+
 def correlator_out_of_place(cov_form, p):
     """`datagen._correlator` as of 0.31.0: each map writes z Lᵀ into a new array."""
     rho = _FORM_RHO[cov_form]
@@ -116,7 +146,7 @@ def sample_out_of_place(loc, correlate, nu, n, rng):
 
 def scenario_out_of_place(config, rng):
     """`generate_scenario` through the out-of-place maps above."""
-    _, nu = parse_family(config.family)
+    nu = parse_family(config.family)
     correlate = correlator_out_of_place(config.cov_form, config.p)
     x = sample_out_of_place(np.zeros(config.p), correlate, nu, config.n1, rng)
     y = sample_out_of_place(shift_vector(config.p, config.deltas[0]), correlate, nu, config.n2, rng)
@@ -124,9 +154,21 @@ def scenario_out_of_place(config, rng):
 
 
 def pair_aggregates_out_of_place(x, y, kernel):
-    """`statistic.pair_aggregates` as of 0.32.0: each array through new temporaries."""
+    """`statistic.pair_aggregates` as of 0.32.0: each array through new temporaries.
+
+    As the package's pass does since 0.34.0, it raises `_finite`'s error
+    when an output overflows.
+    """
     mx, my = _check_pair(x, y)
     _check_choice("kernel", kernel, KERNELS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _sums_out_of_place(mx, my, kernel)
+    for part in sums:
+        _finite(part, kernel)
+    return sums
+
+
+def _sums_out_of_place(mx, my, kernel):
     dev = mx - mx[0]
     dev -= dev.mean(axis=0)
     centre = mx[np.argmin(np.einsum("ij,ij->i", dev, dev))]

@@ -13,9 +13,9 @@ from twosample import (
     compute_statistic,
     eigenvalues_sym,
     empirical_quantile,
-    estimate_plain,
     experiments,
     generate_scenario,
+    pair_aggregates,
     run_power_curve,
     run_test,
     shift_vector,
@@ -24,7 +24,7 @@ from twosample import (
 )
 from twosample.covariance import _apply_taper, _taper_bandwidth
 
-from oracle import null_draws_one_matrix
+from oracle import estimate_plain, null_draws_one_matrix
 
 
 class TestNullDrawConfig:
@@ -418,7 +418,7 @@ class TestRunTest:
             with pytest.raises(ValueError, match="x and y .* identity kernel"):
                 compute_statistic(x, y, "identity")
             with pytest.raises(ValueError, match="x and y .* identity kernel"):
-                estimate_plain(x, y, "identity")
+                pair_aggregates(x, y, "identity")
             # the sign kernel is bounded, so the same data are fine there
             assert run_test(x, y, "sign", "plain", NullDrawConfig(draws=100)).trace > 0.0
             # but x_i - y_j itself overflows at +-1.7e308, and the error names the sign kernel
@@ -435,7 +435,7 @@ class TestRunTest:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 4))
         y = rng.standard_normal((25, 4)) + 0.8
-        for entry in (run_test, compute_statistic, estimate_plain):
+        for entry in (run_test, compute_statistic):
             with pytest.raises(ValueError, match="x and y .* small .* identity kernel"):
                 entry(x * 1e-165, y * 1e-165, "identity")
         # the sign kernel is scale-free
@@ -491,7 +491,7 @@ class TestRunTest:
                 outcomes.add("scaled")
         assert outcomes == {"raised", "scaled"}
 
-    @pytest.mark.parametrize("entry", [run_test, compute_statistic, estimate_plain])
+    @pytest.mark.parametrize("entry", [run_test, compute_statistic])
     def test_one_row_sample_names_the_input(self, entry):
         # every function that computes T applies the one rule of its pair pass
         with pytest.raises(ValueError) as err:

@@ -5,11 +5,12 @@ from twosample import (
     IDENTITY,
     SIGN,
     eigenvalues_sym,
-    estimate_plain,
     pair_aggregates,
     taper_weight,
 )
 from twosample.covariance import _apply_taper, _centred_factor, _taper_bandwidth
+
+from oracle import estimate_plain
 
 X4 = np.array([[0.0], [2.0]])
 Y4 = np.array([[1.0], [3.0]])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from twosample import derive_seed, substream
 
@@ -21,6 +22,29 @@ def test_distinct_across_masters():
     assert derive_seed(1, 0) != derive_seed(2, 0)
     assert derive_seed(1, 0) != derive_seed(1, 1)
     assert derive_seed(1, 0, 1) != derive_seed(1, 1, 0)
+
+
+def test_numpy_and_negative_integers_are_integers():
+    assert derive_seed(np.int64(12345), np.uint8(7), 1) == derive_seed(12345, 7, 1)
+    assert derive_seed(-17, -1) == derive_seed(-17 % 2**64, 2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, 1.0, "3", True, np.bool_(False), None, np.float64(2.0)],
+    ids=["1.5", "1.0", "str", "True", "numpy-bool", "None", "numpy-float"],
+)
+def test_non_integers_are_refused_by_name(value):
+    # int() would take 1.5 as 1, "3" as 3 and True as 1, and reuse their streams
+    for call, name in (
+        (lambda: derive_seed(value), "master"),
+        (lambda: derive_seed(1, 0, value), "index"),
+        (lambda: substream(value, 0), "master"),
+        (lambda: substream(1, value), "index"),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
 
 
 def test_substream_reproduces_generator():

@@ -108,9 +108,6 @@ def _scenario(**overrides):
             "unknown estimator 'ridge'; expected one of ('plain', 'taper', 'hotelling')",
             id="estimator-scenario",
         ),
-        pytest.param(
-            lambda x, y: twosample.scenario_sigma("wishart", 3), _FORM_MESSAGE, id="form-sigma"
-        ),
         pytest.param(lambda x, y: _scenario(cov_form="wishart"), _FORM_MESSAGE, id="form-scenario"),
         # a choice is a str: an array holding one would pass an `in` test
         pytest.param(
@@ -134,10 +131,10 @@ def _scenario(**overrides):
             id="estimator-test-array",
         ),
         pytest.param(
-            lambda x, y: twosample.scenario_sigma(np.array(["ar"]), 3),
+            lambda x, y: _scenario(cov_form=np.array(["ar"])),
             f"unknown covariance form {np.array(['ar'])!r}; "
             "expected one of ('equicorr', 'identity', 'ar')",
-            id="form-sigma-array",
+            id="form-scenario-array",
         ),
     ],
 )
@@ -242,6 +239,32 @@ class TestPairAggregatesAccuracy:
             tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
         _assert_matches_row_loop(got, xs, ys, SIGN)
+
+
+def _overflowing_sample(kernel):
+    if kernel == IDENTITY:
+        # the differences are finite, their sum of squares is not
+        rng = np.random.default_rng(0)
+        return rng.standard_normal((40, 5)) * 1e300, rng.standard_normal((50, 5)) * 1e300
+    # x_i - y_j itself overflows: the unit vectors are NaN, their count is finite
+    x = np.array([[1.7e308, 0.0], [-1.7e308, 1.0], [0.0, 2.0]])
+    y = np.array([[-1.7e308, 0.0], [1.7e308, 1.0], [0.0, 3.0]])
+    return x, y
+
+
+@pytest.mark.parametrize("kernel", [IDENTITY, SIGN])
+def test_overflowing_pair_sums_name_the_input(kernel):
+    # the public pass raises the statistic's error, with no numpy warning
+    # (a warning fails the test)
+    x, y = _overflowing_sample(kernel)
+    message = (
+        f"x and y are too large in magnitude for the {kernel} kernel: "
+        "its pair sums overflow; rescale the data"
+    )
+    for entry in (pair_aggregates, compute_statistic):
+        with pytest.raises(ValueError) as err:
+            entry(x, y, kernel)
+        assert str(err.value) == message
 
 
 def _assert_matches_row_loop(got, x, y, kernel):
