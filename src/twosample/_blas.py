@@ -39,9 +39,9 @@ def _openblas_threads():
 def _one_blas_thread():
     """Run the block with OpenBLAS at one thread and restore its count after.
 
-    All simulation work and every block of null draws run in it: at
-    p >= 300 OpenBLAS's last bits depend on the thread count, and each
-    worker forked in it runs one thread.
+    All simulation work, each `run_test` and the sign kernel's pair pass
+    run in it: at some sizes OpenBLAS's last bits depend on the thread
+    count, and each worker forked in it runs one thread.
     At one thread already, or without a setter, it sets nothing: a set in
     a forked worker restarts OpenBLAS's pool, whose idle threads spin.
     """

@@ -66,9 +66,9 @@ _BLOCK_DOUBLES = 2**17  # 1 MiB of normals per block
 
 
 def _block_rows(k):
-    """Rows of one block of k normals: a multiple of 8, at least 8, and at
-    most _BLOCK_DOUBLES doubles in all once k <= _BLOCK_DOUBLES / 8."""
-    return max(8, _BLOCK_DOUBLES // k // 8 * 8)
+    """Rows of one block of k normals: at least 2, and at most _BLOCK_DOUBLES
+    doubles in all once k <= _BLOCK_DOUBLES / 2."""
+    return max(2, _BLOCK_DOUBLES // k)
 
 
 def simulate_null_draws(spectrum, config, rng):
@@ -81,15 +81,14 @@ def simulate_null_draws(spectrum, config, rng):
 
     The normals are drawn in row blocks of B = min(`_block_rows(k)`, M) draws
     that reuse one buffer of B + 1 rows, so working memory is O(B k + M S),
-    not O(M k). The bits equal those of one M x k matrix times each column
-    at one OpenBLAS thread. The generator fills consecutive blocks in the
-    order it fills one array, and OpenBLAS's matrix-vector product rounds a
-    row by its place in a group of 4 rows counted from the top, so every
-    block but the last is a multiple of 8 rows. numpy takes a one-row
-    product by a dot, which rounds otherwise, so a lone last row joins the
-    block before it, which then has B + 1 rows: 9 when B = 8. The blocks
-    run at one OpenBLAS thread (`_one_blas_thread`), so the draws do not
-    depend on the caller's BLAS thread count.
+    not O(M k). Each block's draws for all S spectra come from one einsum,
+    which makes no BLAS call and reduces each row on its own, so the bits
+    equal those of one M x k matrix of normals and depend on neither the
+    block height nor the BLAS thread count. Two rules keep that so, since
+    einsum rounds otherwise in both cases: the spectra are read as
+    contiguous rows, and no block has one row unless M = 1 (above 8192
+    weights einsum takes a one-row product through another loop). A lone
+    last row joins the block before it, which then has B + 1 rows.
     """
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim not in (1, 2) or lam.size == 0:
@@ -97,21 +96,18 @@ def simulate_null_draws(spectrum, config, rng):
     if not np.isfinite(lam).all():
         raise ValueError("spectrum contains non-finite entries")
     m, k = config.draws, lam.shape[0]
-    cols = lam.T if lam.ndim == 2 else lam[None, :]
+    cols = np.ascontiguousarray(lam.T if lam.ndim == 2 else lam[None, :])
     out = np.empty((cols.shape[0], m))
     b = min(_block_rows(k), m)
     buf = np.empty((b + 1, k))
     # no block starts at the last row, so a lone last row joins the one before
-    with _one_blas_thread():
-        for start in range(0, max(m - 1, 1), b):
-            n = b if m - start > b + 1 else m - start
-            z = buf[:n]
-            rng.standard_normal(out=z)
-            z *= z
-            z -= 1.0
-            # column by column: one matrix product would round unlike the 1-d call
-            for row, col in zip(out, cols):
-                row[start : start + n] = z @ col
+    for start in range(0, max(m - 1, 1), b):
+        n = b if m - start > b + 1 else m - start
+        z = buf[:n]
+        rng.standard_normal(out=z)
+        z *= z
+        z -= 1.0
+        np.einsum("ij,sj->si", z, cols, out=out[:, start : start + n])
     return out.T if lam.ndim == 2 else out[0]
 
 
@@ -162,24 +158,27 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     a shift of y recentres h and leaves the estimate as it is: one pass and
     one calibration serve every shift, and T comes from `_recentred_statistic`,
     equal to a separate test's up to rounding and exactly at s = 0.
+    Everything runs at one OpenBLAS thread (`_one_blas_thread`), so the
+    reports do not depend on the caller's BLAS thread count.
     """
-    _check_choice("estimator", estimator, ESTIMATORS)
-    mx, my0 = _check_pair(x, y0)
-    k = _taper_bandwidth(beta, mx.shape[0] + my0.shape[0], mx.shape[1])
-    _check_varies(mx, my0)  # a shift keeps a constant y constant
-    _check_choice("kernel", kernel, KERNELS)  # before the branch, which compares by ==
-    if kernel == IDENTITY:
-        g, stat, est = _estimate(mx, my0, kernel, estimator, k)
-        shifts = [np.zeros(mx.shape[1])] if shifts is None else shifts
-        stats = [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts]
-        laws = [(eigenvalues_sym(est), stats)]
-    else:
-        # a shift keeps the row counts, and pair_aggregates checks that y is finite;
-        # each spectrum is taken before the next estimate is formed
-        ys = [my0] if shifts is None else (my0 + s for s in shifts)
-        passes = (_estimate(mx, y, kernel, estimator, k) for y in ys)
-        laws = [(eigenvalues_sym(est), [stat]) for _, stat, est in passes]
-    return _calibrate(laws, config)
+    with _one_blas_thread():
+        _check_choice("estimator", estimator, ESTIMATORS)
+        mx, my0 = _check_pair(x, y0)
+        k = _taper_bandwidth(beta, mx.shape[0] + my0.shape[0], mx.shape[1])
+        _check_varies(mx, my0)  # a shift keeps a constant y constant
+        _check_choice("kernel", kernel, KERNELS)  # before the branch, which compares by ==
+        if kernel == IDENTITY:
+            g, stat, est = _estimate(mx, my0, kernel, estimator, k)
+            shifts = [np.zeros(mx.shape[1])] if shifts is None else shifts
+            stats = [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts]
+            laws = [(eigenvalues_sym(est), stats)]
+        else:
+            # a shift keeps the row counts, and pair_aggregates checks that y is finite;
+            # each spectrum is taken before the next estimate is formed
+            ys = [my0] if shifts is None else (my0 + s for s in shifts)
+            passes = (_estimate(mx, y, kernel, estimator, k) for y in ys)
+            laws = [(eigenvalues_sym(est), [stat]) for _, stat, est in passes]
+        return _calibrate(laws, config)
 
 
 def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=_BETA):

@@ -4,6 +4,8 @@ import numbers
 
 import numpy as np
 
+from ._blas import _one_blas_thread
+
 IDENTITY = "identity"
 SIGN = "sign"
 KERNELS = (IDENTITY, SIGN)
@@ -99,7 +101,9 @@ def pair_aggregates(x, y, kernel):
     and a boolean mask, then the weights, the mask and the two products,
     another (n1 + n2) x p; plus O(n2 p) for the near pairs, summed one row
     of x at a time (`_sign_sums`). Huge data whose sums overflow raise
-    `_finite`'s error, as the statistic does.
+    `_finite`'s error, as the statistic does. The sign kernel's matrix
+    products run at one OpenBLAS thread (`_one_blas_thread`), so the sums
+    do not depend on the caller's BLAS thread count.
     """
     mx, my = _check_pair(x, y)
     _check_choice("kernel", kernel, KERNELS)
@@ -120,7 +124,8 @@ def pair_aggregates(x, y, kernel):
             n1 = mx.shape[0]
             sums = _identity_sums(z[:n1], z[n1:], e)
         else:
-            sums = _sign_sums(mx, my, z)
+            with _one_blas_thread():
+                sums = _sign_sums(mx, my, z)
     for part in sums:
         _finite(part, kernel)
     return sums
@@ -165,11 +170,9 @@ def _sign_sums(mx, my, z):
     and sx and sy are written over them."""
     n1 = mx.shape[0]
     zx, zy = z[:n1], z[n1:]
-    # all norms and cross products from one symmetric product, whose bits at
-    # 40 + 50 rows on SkylakeX, unlike those of zx @ zy.T, do not depend on
-    # the BLAS thread count. Not in general: w.T @ zx splits over threads
-    # under the Haswell kernel at p = 1000, and at 200 + 300 rows, p = 300
-    # on SkylakeX, so do all three products here (ROADMAP item 2)
+    # all norms and cross products from one symmetric product. OpenBLAS
+    # splits this product, w @ zy and w.T @ zx over threads at some sizes,
+    # which moves their last bits, so `pair_aggregates` runs them at one thread
     gram = z @ z.T
     nsq = np.diag(gram).copy()
     # d2 = scale + (-2 gram) has the bits of scale - 2 gram; the Gram matrix

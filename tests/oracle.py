@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from twosample._blas import _one_blas_thread
 from twosample.datagen import _AR_BLOCK, _FORM_RHO, parse_family, shift_vector
 from twosample.covariance import TAPER, _centred_factor, taper_weight
 from twosample.statistic import (
@@ -69,14 +70,16 @@ def compute_statistic_oracle(x, y, kernel):
 def null_draws_one_matrix(spectrum, config, rng):
     """`simulate_null_draws` from one config.draws x k matrix of normals.
 
-    Its memory is O(M k). Each spectrum column is its own matrix-vector
-    product, as in the package.
+    Its memory is O(M k). All spectra reduce it in one einsum over their
+    contiguous rows, as in the package.
     """
     lam = np.asarray(spectrum, dtype=float)
     z = rng.standard_normal((config.draws, lam.shape[0]))
     z *= z
     z -= 1.0
-    return z @ lam if lam.ndim == 1 else np.array([z @ col for col in lam.T]).T
+    cols = np.ascontiguousarray(lam.T if lam.ndim == 2 else lam[None, :])
+    out = np.einsum("ij,sj->si", z, cols)
+    return out.T if lam.ndim == 2 else out[0]
 
 
 def scenario_sigma(cov_form, p):
@@ -157,11 +160,12 @@ def pair_aggregates_out_of_place(x, y, kernel):
     """`statistic.pair_aggregates` as of 0.32.0: each array through new temporaries.
 
     As the package's pass does since 0.34.0, it raises `_finite`'s error
-    when an output overflows.
+    when an output overflows, and it runs its products at one OpenBLAS
+    thread, as the package's pass does since 0.35.0.
     """
     mx, my = _check_pair(x, y)
     _check_choice("kernel", kernel, KERNELS)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
         sums = _sums_out_of_place(mx, my, kernel)
     for part in sums:
         _finite(part, kernel)

@@ -9,6 +9,7 @@ import pytest
 from twosample import (
     NullDrawConfig,
     ScenarioConfig,
+    _blas,
     calibration,
     compute_statistic,
     eigenvalues_sym,
@@ -125,7 +126,7 @@ class TestSimulateNullDraws:
         config = NullDrawConfig(draws=7, seed=21)
         got = simulate_null_draws(lam, config, np.random.default_rng(21))
         z = np.random.default_rng(21).standard_normal((7, 3))
-        want = (z * z - 1.0) @ lam
+        want = np.einsum("ij,j->i", z * z - 1.0, lam)
         assert np.array_equal(got, want)
 
     def test_empty_spectrum_raises(self):
@@ -158,12 +159,10 @@ class TestSimulateNullDraws:
 
     @pytest.mark.parametrize("columns", [None, 1, 5])
     @pytest.mark.parametrize("k", [1, 5, 90, 1000, 20000])
-    def test_blocks_equal_one_matrix(self, blas_threads, k, columns):
-        # every draw count around the block height B; k = 20000 has the floor of 8 rows.
-        # B + 1 and 2 B + 1 end in a lone row, which joins the block before it.
-        # One BLAS thread, as OpenBLAS at two splits the one matrix's product in halves
-        setter, _ = blas_threads
-        setter(1)
+    def test_blocks_equal_one_matrix(self, k, columns):
+        # every draw count around the block height B. B + 1 and 2 B + 1 end in a
+        # lone row, which joins the block before it: above 8192 weights, as at
+        # k = 20000, einsum would round a one-row block otherwise
         b = calibration._block_rows(k)
         shape = (k,) if columns is None else (k, columns)
         spectrum = np.random.default_rng(k).standard_normal(shape)
@@ -175,6 +174,44 @@ class TestSimulateNullDraws:
             want = null_draws_one_matrix(spectrum, config, np.random.default_rng(m))
             assert got.shape == want.shape
             assert np.array_equal(got, want), f"draws={m}"
+
+    @pytest.mark.parametrize("columns", [None, 5])
+    @pytest.mark.parametrize("k", [1, 5, 90, 1000, 20000])
+    def test_draws_do_not_depend_on_the_block_height(self, monkeypatch, k, columns):
+        # from blocks of 2 rows (at 1 and 97 doubles) up to the default height,
+        # which takes all M draws in one block at small k
+        shape = (k,) if columns is None else (k, columns)
+        spectrum = np.random.default_rng(k).standard_normal(shape)
+        config = NullDrawConfig(draws=23, seed=3)
+        runs = []
+        for doubles in (1, 97, 2**10, 2**17):
+            monkeypatch.setattr(calibration, "_BLOCK_DOUBLES", doubles)
+            runs.append(simulate_null_draws(spectrum, config, np.random.default_rng(3)))
+        for run in runs[1:]:
+            assert np.array_equal(run, runs[0])
+
+    @pytest.mark.parametrize("k", [1, 5, 90, 1000, 20000])
+    def test_each_draw_is_accurate(self, k):
+        # against the exactly rounded sum of the products lam_j (z_j^2 - 1); a
+        # recursive sum's error bound would be (k - 1) eps sum |lam_j (z_j^2 - 1)|
+        lam = np.random.default_rng(k).standard_normal(k)
+        m = 40
+        got = simulate_null_draws(lam, NullDrawConfig(draws=m), np.random.default_rng(8))
+        z = np.random.default_rng(8).standard_normal((m, k))
+        z *= z
+        z -= 1.0
+        eps = np.finfo(float).eps
+        for draw, row in zip(got, z):
+            terms = lam * row
+            assert abs(draw - math.fsum(terms)) <= 4 * eps * math.fsum(np.abs(terms))
+
+    def test_draws_make_no_blas_thread_call(self, monkeypatch):
+        # an OpenBLAS at two threads, whose setter records each call
+        sets = []
+        monkeypatch.setattr(_blas, "_openblas_threads", lambda: (sets.append, lambda: 2))
+        spectrum = np.random.default_rng(0).standard_normal((90, 5))
+        simulate_null_draws(spectrum, NullDrawConfig(draws=500), np.random.default_rng(0))
+        assert sets == []
 
     @pytest.mark.parametrize("k", [5, 90, 1000])
     def test_draws_do_not_depend_on_the_blas_thread_count(self, blas_threads, k):
