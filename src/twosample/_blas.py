@@ -39,11 +39,12 @@ def _openblas_threads():
 def _one_blas_thread():
     """Run the block with OpenBLAS at one thread and restore its count after.
 
-    All simulation work, each `run_test` and the sign kernel's pair pass
-    run in it: at some sizes OpenBLAS's last bits depend on the thread
-    count, and each worker forked in it runs one thread.
-    At one thread already, or without a setter, it sets nothing: a set in
-    a forked worker restarts OpenBLAS's pool, whose idle threads spin.
+    At some sizes OpenBLAS's last bits depend on the thread count, so each
+    public call whose matrix products or decompositions could split over
+    threads runs them in it, and its result does not depend on the
+    caller's count. Nested in another, or at one thread already, or
+    without a setter, it sets nothing: a set in a forked worker restarts
+    OpenBLAS's pool, whose idle threads spin.
     """
     calls = _openblas_threads()
     before = None if calls is None else calls[1]()

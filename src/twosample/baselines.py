@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import _one_blas_thread
 from .statistic import _check_pair, _varies
 
 
@@ -42,13 +43,16 @@ def hotelling_t2(x, y):
 
     Requires p <= n1 + n2 - 2. The quadratic form is evaluated through a
     Cholesky solve of the pooled covariance, never an explicit inverse.
+    The products, the factor and the solve run at one OpenBLAS thread
+    (`_one_blas_thread`): at p >= 300 their last bits depend on the thread
+    count.
     """
     mx, my = _check_pair(x, y)
     n1, p = mx.shape
     n2 = my.shape[0]
     _check_hotelling_dims(p, n1, n2)
     n = n1 + n2
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
         mean_x, mean_y = mx.mean(axis=0), my.mean(axis=0)
         xc, yc = mx - mean_x, my - mean_y
         pooled = (xc.T @ xc + yc.T @ yc) / (n - 2)

@@ -112,10 +112,17 @@ def simulate_null_draws(spectrum, config, rng):
 
 
 def empirical_quantile(values, level):
-    """Inf-form sample quantile: the ceil(level * M)-th order statistic."""
+    """Inf-form sample quantile: the ceil(level * M)-th order statistic.
+
+    level is a number (numpy's too, taken as the Python number it equals)
+    strictly between 0 and 1.
+    """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a nonempty 1-d sequence")
+    if not _is_real(level):
+        raise ValueError(f"level must be a number, got {level!r}")
+    level = _number(level)
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     # snap the level to the nearest simple rational so a binary float like

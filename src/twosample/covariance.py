@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from .statistic import _is_real, _pass
+from ._blas import _one_blas_thread
+from .statistic import _is_real, _number, _pass
 
 PLAIN = "plain"
 TAPER = "taper"
@@ -42,10 +43,20 @@ def _taper_bandwidth(beta, n, p):
 
 
 def taper_weight(i, j, k):
-    """Weight for entry (i, j): 1 if |i-j| <= k/2, linear ramp below k, else 0."""
+    """Weight for entry (i, j): 1 if |i-j| <= k/2, linear ramp below k, else 0.
+
+    k is a positive number (numpy's too, taken as the Python number it equals).
+    """
+    if not _is_real(k):
+        raise ValueError(f"bandwidth k must be a number, got {k!r}")
+    k = _number(k)
     if not k > 0:
         raise ValueError("bandwidth k must be positive")
-    d = abs(i - j)
+    return _offset_weight(abs(i - j), k)
+
+
+def _offset_weight(d, k):
+    """`taper_weight` at offset d = |i-j| >= 0, for a bandwidth k > 0 already checked."""
     if d <= k / 2.0:
         return 1.0
     if d < k:
@@ -57,12 +68,13 @@ def _apply_taper(est, k):
     """Multiply a p x p estimate elementwise by the `taper_weight`s at bandwidth k,
     in place, and return it.
 
-    Entries at |i-j| >= k become 0. est must be exactly symmetric, as the
-    C^T C of `_centred_factor` is; the weights are too, so the product
-    needs no re-symmetrizing.
+    Entries at |i-j| >= k become 0. k > 0 is a float, as `_taper_bandwidth`
+    gives it. est must be exactly symmetric, as the C^T C of
+    `_centred_factor` is; the weights are too, so the product needs no
+    re-symmetrizing.
     """
     p = est.shape[0]
-    half = [taper_weight(0, d, k) for d in range(p)]
+    half = [_offset_weight(d, k) for d in range(p)]
     weights = np.array(half[:0:-1] + half)  # one per offset j-i, from 1-p to p-1
     # row i of the reversed windows is weights[p-1-i : 2p-1-i], the offsets j-i of that row
     est *= np.lib.stride_tricks.sliding_window_view(weights, p)[::-1]
@@ -88,11 +100,14 @@ def eigenvalues_sym(m):
 
     `eigvalsh` reads only the lower triangle, so m must be exactly symmetric,
     as C^T C and C C^T from syrk are. Negative eigenvalues are kept verbatim:
-    the null reference draws over them.
+    the null reference draws over them. It runs at one OpenBLAS thread
+    (`_one_blas_thread`): at p >= 300 the last bits of `eigvalsh` depend on
+    the thread count.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("m must be a square 2-d array")
     if not np.isfinite(a).all():
         raise ValueError("m contains non-finite entries")
-    return np.linalg.eigvalsh(a)[::-1].copy()
+    with _one_blas_thread():
+        return np.linalg.eigvalsh(a)[::-1].copy()

@@ -252,11 +252,12 @@ def run_power_curves(configs, threads=1):
     """Yield each config's ResultRows, one list per config, in order.
 
     One row per grid delta; a one-point grid is a size experiment.
-    The whole run, its yields included, holds OpenBLAS at one thread
-    (`_one_blas_thread`, process-wide: caller BLAS work between yields too),
-    so no row depends on the caller's BLAS count, unless two runs overlap.
-    It spans the yields since a restore between configs would leave the
-    caller's OpenBLAS pool threads spinning beside the workers.
+    Each replication's tests run their BLAS work at one OpenBLAS thread
+    (`_one_blas_thread`), so no row depends on the caller's BLAS count,
+    also when two runs overlap. The whole run, its yields included, holds
+    OpenBLAS at one thread as well (process-wide: caller BLAS work between
+    yields too), so that the caller's OpenBLAS pool threads do not spin
+    beside the workers, as a restore between configs would leave them.
     The run uses W = min(threads, the largest R) processes: the caller and
     W - 1 workers, forked once per run (a worker beyond the largest R
     would have nothing to run). Of each config, process w runs its share

@@ -2,7 +2,8 @@
 the null draws from one matrix of normals, the dense covariance of each
 scenario form, the scenario data drawn through full-size temporaries, the
 p x p plain estimate, and the pair pass, centred factor and taper that
-build each result through temporaries.
+build each result through temporaries. Also the one CSV writer of the
+command-line tests.
 
 Not part of the package; the fast pair pass in `twosample.statistic`, the
 blocked draws of `twosample.calibration`, the closed-form factors and
@@ -243,3 +244,11 @@ def estimate_out_of_place(x, y, kernel, estimator, k):
     if estimator == TAPER:
         return apply_taper_out_of_place(c.T @ c, k)
     return c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T
+
+
+def write_matrix(path, matrix):
+    """Write matrix to path as the CSV that `load_matrix_csv` reads: one row a
+    line, each value as the repr of its float, so it reads back exactly."""
+    with open(path, "w") as fh:
+        for row in matrix:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -24,7 +24,7 @@ from twosample import (
     simulate_null_draws,
 )
 
-from oracle import compute_statistic_oracle
+from oracle import compute_statistic_oracle, write_matrix
 
 SEED = 20250819
 
@@ -60,12 +60,6 @@ def _size_row(config):
     # criterion 5 compares these against its serial curves' delta=0 rows
     [row] = run_power_curve(config, threads=2)
     return row
-
-
-def _write_matrix(path, matrix):
-    with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def test_criterion_1_oracle_equivalence():
@@ -290,8 +284,8 @@ def test_criterion_9_cli_determinism(tmp_path):
     rng = np.random.default_rng(derive_seed(SEED, 9))
     x_path = tmp_path / "x.csv"
     y_path = tmp_path / "y.csv"
-    _write_matrix(x_path, rng.standard_normal((20, 6)))
-    _write_matrix(y_path, rng.standard_normal((22, 6)))
+    write_matrix(x_path, rng.standard_normal((20, 6)))
+    write_matrix(y_path, rng.standard_normal((22, 6)))
 
     checks = []
     for sub, extra in (("test", ()), ("blocks", ("--width", "3"))):

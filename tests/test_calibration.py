@@ -285,6 +285,16 @@ class TestEmpiricalQuantile:
         with pytest.raises(ValueError):
             empirical_quantile([1.0], 1.0)
 
+    def test_numpy_levels_are_the_numbers_they_equal(self):
+        values = np.arange(1.0, 101.0)
+        assert empirical_quantile(values, np.float32(0.75)) == 75.0
+        assert empirical_quantile(values, np.float64(0.95)) == 95.0
+
+    @pytest.mark.parametrize("level", ["0.5", None, True, np.bool_(True), [0.5]])
+    def test_a_level_that_is_not_a_number_raises(self, level):
+        with pytest.raises(ValueError, match=r"^level must be a number, got "):
+            empirical_quantile([1.0, 2.0], level)
+
 
 class TestRunTest:
     @pytest.mark.parametrize("estimator", ["plain", "taper"])

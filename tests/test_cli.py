@@ -21,6 +21,8 @@ from twosample import (
 )
 from twosample.cli import main
 
+from oracle import write_matrix
+
 
 def _second_scenario_fails(config, r):
     if config.scenario_id == "second":
@@ -35,12 +37,6 @@ def _worker_exits(config, r, caller=os.getpid(), replicate=experiments._replicat
     return replicate(config, r)
 
 
-def _write_matrix(path, matrix):
-    with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 @pytest.fixture
 def sample_pair(tmp_path):
     rng = np.random.default_rng(20250819)
@@ -48,8 +44,8 @@ def sample_pair(tmp_path):
     y = rng.standard_normal((14, 7))
     x_path = tmp_path / "x.csv"
     y_path = tmp_path / "y.csv"
-    _write_matrix(x_path, x)
-    _write_matrix(y_path, y)
+    write_matrix(x_path, x)
+    write_matrix(y_path, y)
     return x, y, str(x_path), str(y_path)
 
 
@@ -57,7 +53,7 @@ class TestLoadMatrixCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
         matrix = np.array([[1.5, -2.0], [0.25, 3.0], [7.0, 0.125]])
-        _write_matrix(path, matrix)
+        write_matrix(path, matrix)
         assert np.array_equal(load_matrix_csv(path), matrix)
 
     def test_header_row_is_skipped(self, tmp_path):
@@ -281,8 +277,8 @@ class TestCliTest:
     def test_overflowing_identity_kernel_exits_1(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
-        _write_matrix(x_path, rng.standard_normal((6, 3)) * 1e160)
-        _write_matrix(y_path, rng.standard_normal((7, 3)))
+        write_matrix(x_path, rng.standard_normal((6, 3)) * 1e160)
+        write_matrix(y_path, rng.standard_normal((7, 3)))
         args = ["test", "--x", str(x_path), "--y", str(y_path), "--seed", "1"]
         code = main(args + ["--kernel", "identity", "--draws", "100"])
         assert code == 1

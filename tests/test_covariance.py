@@ -148,6 +148,17 @@ class TestTaper:
         assert taper_weight(0, 4, 4.0) == 0.0  # outer boundary d = k
         assert taper_weight(9, 2, 4.0) == 0.0
 
+    def test_numpy_bandwidths_are_the_numbers_they_equal(self):
+        # a float32 k would otherwise ramp in float32: 1 - 2/3 read 0.33333334
+        for k in (np.float32(3.0), np.int64(3), 3):
+            weight = taper_weight(0, 2, k)
+            assert type(weight) is float and weight == 1.0 - 2 / 3.0
+
+    @pytest.mark.parametrize("k", [True, np.bool_(True), "4", None])
+    def test_a_bandwidth_that_is_not_a_number_raises(self, k):
+        with pytest.raises(ValueError, match=r"^bandwidth k must be a number, got "):
+            taper_weight(0, 1, k)
+
     def test_small_p_taper_equals_plain(self):
         rng = np.random.default_rng(19)
         x = rng.standard_normal((40, 2))

@@ -12,6 +12,8 @@ from twosample import (
     IDENTITY,
     SIGN,
     compute_statistic,
+    eigenvalues_sym,
+    hotelling_t2,
     pair_aggregates,
 )
 from twosample.covariance import ESTIMATORS, _estimate, _taper_bandwidth
@@ -379,6 +381,36 @@ def test_results_do_not_depend_on_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0].count("TestReport") == 4
+    assert outputs[0] == outputs[1]
+
+
+def _eigenvalues(p):
+    c = np.random.default_rng(p).standard_normal((90, p))
+    m = c.T @ c
+    return lambda: eigenvalues_sym(m).tobytes()
+
+
+def _hotelling(p, n1, n2):
+    rng = np.random.default_rng([1, p])
+    x, y = rng.standard_normal((n1, p)), rng.standard_normal((n2, p))
+    return lambda: repr(hotelling_t2(x, y))
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [(_eigenvalues, (300,)), (_hotelling, (300, 200, 250)), (_hotelling, (400, 250, 300))],
+    ids=["eigenvalues_sym-p300", "hotelling_t2-p300", "hotelling_t2-p400"],
+)
+def test_direct_calls_do_not_depend_on_blas_thread_count(blas_threads, make, args):
+    # at these sizes OpenBLAS splits eigvalsh and the pooled covariance's products
+    # over two threads, and the last bits then differ from one thread's
+    call = make(*args)
+    setter, getter = blas_threads
+    outputs = []
+    for threads in (1, 2):
+        setter(threads)
+        outputs.append(call())
+        assert getter() == threads  # the caller's count is restored
     assert outputs[0] == outputs[1]
 
 
