@@ -44,7 +44,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.36.0"
+__version__ = "0.37.0"
 
 __all__ = [
     "BaselineReport",

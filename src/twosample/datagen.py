@@ -25,51 +25,51 @@ def shift_vector(p, delta):
 _AR_BLOCK = 64
 
 
-def _correlator(cov_form, p):
-    """The map z -> z Lᵀ on rows of z, L the Cholesky factor of the form's p x p
-    correlation matrix: rho = `_FORM_RHO[cov_form]` off the diagonal for
-    equicorr, the identity, and rho^|i-j| for ar.
+def _correlate(z, cov_form):
+    """Overwrite the rows of z with z Lᵀ and return z, L the Cholesky factor
+    of the form's p x p correlation matrix (p = z.shape[1]): rho =
+    `_FORM_RHO[cov_form]` off the diagonal for equicorr, the identity, and
+    rho^|i-j| for ar.
 
-    Each form's L has a closed form, applied in O(n p) without a p x p
-    matrix or BLAS, so its bits do not depend on the BLAS thread count. The
-    map overwrites z with z Lᵀ and returns it; its working memory beyond z
-    is at most one block of _AR_BLOCK + 1 columns.
+    Each form's L has a closed form, applied row by row in O(n p) without a
+    p x p matrix or BLAS, so its bits do not depend on the BLAS thread count
+    or on how many rows z stacks. The working memory beyond z is O(p) plus
+    at most one block of _AR_BLOCK + 1 columns.
     """
     rho = _FORM_RHO[cov_form]
-    if cov_form == "identity":
-        return lambda z: z
+    p = z.shape[1]
     if cov_form == "equicorr":
         # after j columns the Schur complement is a I + r_j 1 1ᵀ, with
-        # 1/r_j = 1/rho + j/a; so L_jj = sqrt(a + r_j), and r_j / L_jj below it
+        # 1/r_j = 1/rho + j/a; so L_jj = sqrt(a + r_j), and r_j / L_jj below
+        # it. They are built in place, as z is already held; the last entry
+        # of below feeds only a sum that no column takes
         a = 1.0 - rho
-        r = rho * a / (a + rho * np.arange(p))
-        diag = np.sqrt(a + r)
-        below = r / diag  # the last entry feeds only a sum that no column takes
-
-        def equicorr(z):
-            # x_j = diag_j z_j + S_{j-1}, S_j = sum_{i<=j} below_i z_i summed in
-            # column order. Column 0 of s carries S up to the block's first
-            # column; it starts at -0.0, which adds to any float exactly
-            s = np.full((z.shape[0], _AR_BLOCK + 1), -0.0)
-            for k in range(0, p, _AR_BLOCK):
-                block = z[:, k : k + _AR_BLOCK]
-                b = block.shape[1]
-                np.multiply(block, below[k : k + b], out=s[:, 1 : b + 1])
-                np.add.accumulate(s[:, : b + 1], axis=1, out=s[:, : b + 1])
-                block *= diag[k : k + b]
-                block += s[:, :b]
-                s[:, 0] = s[:, b]
-            return z
-
-        return equicorr
-    # ar: x_0 = z_0 and x_i = rho x_{i-1} + s z_i, s = sqrt(1 - rho^2). After
-    # column k, x_{k+t} = rho^t (x_k + s sum_{u<=t} rho^-u z_{k+u}): one
-    # cumulative sum per block of columns, each term back at unit scale
-    t = np.arange(1, _AR_BLOCK + 1)
-    up = math.sqrt(1.0 - rho * rho) * rho**-t
-    down = rho**t
-
-    def ar(z):
+        r = np.arange(p, dtype=float)
+        r *= rho
+        r += a
+        np.divide(rho * a, r, out=r)
+        diag = r + a
+        np.sqrt(diag, out=diag)
+        below = np.divide(r, diag, out=r)
+        # x_j = diag_j z_j + S_{j-1}, S_j = sum_{i<=j} below_i z_i summed in
+        # column order. Column 0 of s carries S up to the block's first
+        # column; it starts at -0.0, which adds to any float exactly
+        s = np.full((z.shape[0], _AR_BLOCK + 1), -0.0)
+        for k in range(0, p, _AR_BLOCK):
+            block = z[:, k : k + _AR_BLOCK]
+            b = block.shape[1]
+            np.multiply(block, below[k : k + b], out=s[:, 1 : b + 1])
+            np.add.accumulate(s[:, : b + 1], axis=1, out=s[:, : b + 1])
+            block *= diag[k : k + b]
+            block += s[:, :b]
+            s[:, 0] = s[:, b]
+    elif cov_form == "ar":
+        # x_0 = z_0 and x_i = rho x_{i-1} + s z_i, s = sqrt(1 - rho^2). After
+        # column k, x_{k+t} = rho^t (x_k + s sum_{u<=t} rho^-u z_{k+u}): one
+        # cumulative sum per block of columns, each term back at unit scale
+        t = np.arange(1, _AR_BLOCK + 1)
+        up = math.sqrt(1.0 - rho * rho) * rho**-t
+        down = rho**t
         # block by block in place: column k - 1 already holds x_{k-1}
         for k in range(1, p, _AR_BLOCK):
             block = z[:, k : k + _AR_BLOCK]
@@ -78,30 +78,7 @@ def _correlator(cov_form, p):
             np.add.accumulate(block, axis=1, out=block)
             block += z[:, k - 1 : k]
             block *= down[:b]
-        return z
-
-    return ar
-
-
-def _sample(loc, correlate, nu, n, rng):
-    """Draw n rows at location loc with noise correlate(z); t(nu) unless nu is None.
-
-    `correlate` overwrites standard normal rows z with z Lᵀ (`_correlator`),
-    so the rows have scatter L Lᵀ. A Gaussian sample is the array its normals
-    were drawn into, with loc added in place; a t sample is one division of
-    the correlated normals into a fresh array. Draw order is fixed: the p
-    normals of row r come before anything of row r+1, and for the t family
-    the nu chi-square normals of row r follow its p Gaussian normals.
-    """
-    p = loc.size
-    if nu is None:
-        x = correlate(rng.standard_normal((n, p)))
-    else:
-        draw = rng.standard_normal((n, p + nu))
-        w = np.einsum("ij,ij->i", draw[:, p:], draw[:, p:])  # chi-square(nu) per row
-        x = correlate(draw[:, :p]) / np.sqrt(w / nu)[:, None]
-    x += loc
-    return x
+    return z
 
 
 def parse_family(family):
@@ -128,16 +105,23 @@ def generate_scenario(config, rng):
 
     x is sampled at the origin and y at shift_vector(p, delta), sharing the
     family and the covariance form's closed-form Cholesky factor
-    (`_correlator`), built once for both. x is drawn before y from the same
-    generator. Each sample is built in place in the array its normals were
-    drawn into (a fresh array for the t family), so the working memory is
-    the output plus one block of columns. No step uses BLAS, so the data do
-    not depend on its thread count.
+    (`_correlate`). Both are row blocks of one draw of n1 + n2 rows, x's
+    first: the p normals of row r come before anything of row r+1, and for
+    the t family the nu chi-square normals of row r follow its p Gaussian
+    normals. A Gaussian draw is correlated and shifted in the array its
+    normals were drawn into; a t draw is correlated in place and divided
+    once into a fresh array, so it holds its whole draw beside the output.
+    No step uses BLAS, so the data do not depend on its thread count.
     """
     if len(config.deltas) != 1:
         raise ValueError("generate_scenario needs a single-delta config; split the grid first")
     nu = parse_family(config.family)
-    correlate = _correlator(config.cov_form, config.p)
-    x = _sample(np.zeros(config.p), correlate, nu, config.n1, rng)
-    y = _sample(shift_vector(config.p, config.deltas[0]), correlate, nu, config.n2, rng)
-    return x, y
+    n1, p = config.n1, config.p
+    if nu is None:
+        z = _correlate(rng.standard_normal((n1 + config.n2, p)), config.cov_form)
+    else:
+        draw = rng.standard_normal((n1 + config.n2, p + nu))
+        w = np.einsum("ij,ij->i", draw[:, p:], draw[:, p:])  # chi-square(nu) per row
+        z = _correlate(draw[:, :p], config.cov_form) / np.sqrt(w / nu)[:, None]
+    z[n1:] += shift_vector(p, config.deltas[0])
+    return z[:n1], z[n1:]

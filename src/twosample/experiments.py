@@ -58,6 +58,8 @@ class ScenarioConfig:
         parse_family(self.family)
         # the form, each delta and the kernel follow the rules of the code that uses them
         _check_choice("covariance form", self.cov_form, COV_FORMS)
+        # checked before == compares it, which on a numpy array is elementwise
+        _check_choice("estimator", self.estimator, ESTIMATOR_CHOICES)
         rows = 1 if self.estimator == HOTELLING else _MIN_ROWS  # hotelling: see its p rule below
         # a numpy number is kept as the Python number it equals, which a manifest can write
         for name, low in (("p", 1), ("n1", rows), ("n2", rows), ("replications", 1)):
@@ -72,7 +74,6 @@ class ScenarioConfig:
             shift_vector(1, d)
         object.__setattr__(self, "deltas", grid)
         _check_choice("kernel", self.kernel, KERNELS)
-        _check_choice("estimator", self.estimator, ESTIMATOR_CHOICES)
         if self.estimator == HOTELLING:
             _check_hotelling_dims(self.p, self.n1, self.n2, f"scenario {self.scenario_id!r}: ")
         # beta, draws and alpha follow the rules of the tests that use them, and are kept alike

@@ -255,9 +255,12 @@ def compute_statistic(x, y, kernel):
     """Two-sample statistic T over all pairs with distinct x-rows and y-rows.
 
     Evaluated from the sums of one pair pass (`_pass`), which never
-    materializes the n1*n2 kernel vectors at once.
+    materializes the n1*n2 kernel vectors at once. It runs at one OpenBLAS
+    thread (`_one_blas_thread`), so T does not depend on the caller's BLAS
+    thread count.
     """
-    return _pass(x, y, kernel)[3]
+    with _one_blas_thread():
+        return _pass(x, y, kernel)[3]
 
 
 def _recentred_statistic(stat, g, n1, n2, delta):

@@ -3,7 +3,8 @@ the null draws from one matrix of normals, the dense covariance of each
 scenario form, the scenario data drawn through full-size temporaries, the
 p x p plain estimate, and the pair pass, centred factor and taper that
 build each result through temporaries. Also the one CSV writer of the
-command-line tests.
+command-line tests, and the replications that inject a fault into the
+simulation harness.
 
 Not part of the package; the fast pair pass in `twosample.statistic`, the
 blocked draws of `twosample.calibration`, the closed-form factors and
@@ -13,9 +14,11 @@ against these. They take no input checks of their own.
 """
 
 import math
+import os
 
 import numpy as np
 
+from twosample import experiments
 from twosample._blas import _one_blas_thread
 from twosample.datagen import _AR_BLOCK, _FORM_RHO, parse_family, shift_vector
 from twosample.covariance import TAPER, _centred_factor, taper_weight
@@ -252,3 +255,33 @@ def write_matrix(path, matrix):
     with open(path, "w") as fh:
         for row in matrix:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def second_scenario_fails(config, r):
+    """A replication that raises ValueError in the scenario named "second"."""
+    if config.scenario_id == "second":
+        raise ValueError(f"replication {r} of {config.scenario_id} failed")
+    return [False] * len(config.deltas)
+
+
+def worker_exits(caller, replicate=experiments._replicate):
+    """A replication that ends any process but `caller` with exit code 3."""
+
+    def spy(config, r):
+        if os.getpid() != caller:
+            os._exit(3)
+        return replicate(config, r)
+
+    return spy
+
+
+def worker_raises(caller, replicate=experiments._replicate):
+    """A replication that raises ValueError, naming its process id, in any
+    process but `caller`."""
+
+    def spy(config, r):
+        if os.getpid() != caller:
+            raise ValueError(f"replication {r} failed in process {os.getpid()}")
+        return replicate(config, r)
+
+    return spy

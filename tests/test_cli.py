@@ -21,20 +21,7 @@ from twosample import (
 )
 from twosample.cli import main
 
-from oracle import write_matrix
-
-
-def _second_scenario_fails(config, r):
-    if config.scenario_id == "second":
-        raise ValueError(f"replication {r} of {config.scenario_id} failed")
-    return [False] * len(config.deltas)
-
-
-def _worker_exits(config, r, caller=os.getpid(), replicate=experiments._replicate):
-    """A replication that ends any process but the test's with exit code 3."""
-    if os.getpid() != caller:
-        os._exit(3)
-    return replicate(config, r)
+from oracle import second_scenario_fails, worker_exits, write_matrix
 
 
 @pytest.fixture
@@ -549,7 +536,7 @@ class TestCliSimulate:
         )
 
     def test_dead_worker_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(experiments, "_replicate", _worker_exits)
+        monkeypatch.setattr(experiments, "_replicate", worker_exits(os.getpid()))
         # the worker has no replication of "first", and dies on its first of "second"
         scenarios = [self._scenario("first", replications=1), self._scenario("second")]
         code, out_dir = self._simulate(tmp_path, scenarios, threads=2)
@@ -563,7 +550,7 @@ class TestCliSimulate:
     def test_failing_scenario_keeps_the_earlier_files(
         self, tmp_path, monkeypatch, capsys, blas_at_two_threads
     ):
-        monkeypatch.setattr(experiments, "_replicate", _second_scenario_fails)
+        monkeypatch.setattr(experiments, "_replicate", second_scenario_fails)
         scenarios = [self._scenario("first"), self._scenario("second")]
         code, out_dir = self._simulate(tmp_path, scenarios, threads=2)
         assert blas_at_two_threads() == 2

@@ -12,7 +12,6 @@ from twosample import (
     shift_vector,
 )
 from twosample._blas import _one_blas_thread
-from twosample.datagen import _correlator, _sample
 
 from oracle import scenario_out_of_place, scenario_sigma
 
@@ -68,15 +67,16 @@ class TestShiftVector:
 
 class TestSample:
     def test_same_seed_same_sample(self):
-        identity = _correlator("identity", 3)
-        a = _sample(np.zeros(3), identity, None, 8, np.random.default_rng(42))
-        b = _sample(np.zeros(3), identity, None, 8, np.random.default_rng(42))
-        assert np.array_equal(a, b)
+        config = _scenario(p=3, n1=8, n2=8)
+        a = generate_scenario(config, np.random.default_rng(42))
+        b = generate_scenario(config, np.random.default_rng(42))
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_gaussian_mean_concentrates(self):
-        loc = np.array([0.5, -1.0])
-        sample = _sample(loc, _correlator("ar", 2), None, 100_000, np.random.default_rng(7))
-        assert np.abs(sample.mean(axis=0) - loc).max() < 0.02
+        config = _scenario(cov_form="ar", p=2, n1=100_000, n2=100_000, deltas=(1.0,))
+        x, y = generate_scenario(config, np.random.default_rng(7))
+        assert np.abs(x.mean(axis=0)).max() < 0.02
+        assert np.abs(y.mean(axis=0) - shift_vector(2, 1.0)).max() < 0.02
 
 
 class TestParseFamily:

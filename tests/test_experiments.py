@@ -30,6 +30,8 @@ from twosample import (
 )
 from twosample import _blas, calibration
 
+from oracle import second_scenario_fails, worker_exits, worker_raises
+
 
 def _config(**overrides):
     base = dict(
@@ -65,12 +67,6 @@ def _failing_replication(config, r):
     raise RuntimeError(f"replication {r} failed")
 
 
-def _second_scenario_fails(config, r):
-    if config.scenario_id == "second":
-        raise RuntimeError(f"replication {r} of {config.scenario_id} failed")
-    return [False] * len(config.deltas)
-
-
 def _pid_logging(path, replicate=experiments._replicate):
     """A replication that appends its process id to `path`, then runs `replicate`."""
 
@@ -87,17 +83,6 @@ def _pids(path):
     seen = set(path.read_text().split()) if path.exists() else set()
     caller = str(os.getpid())
     return [caller] * (caller in seen) + sorted(seen - {caller})
-
-
-def _worker_exits(caller, replicate=experiments._replicate):
-    """A replication that ends any process but `caller` with exit code 3."""
-
-    def spy(config, r):
-        if os.getpid() != caller:
-            os._exit(3)
-        return replicate(config, r)
-
-    return spy
 
 
 def _logged_replication(config, r):
@@ -132,6 +117,19 @@ class TestScenarioConfig:
             _config(alpha=1.5)
         with pytest.raises(ValueError):
             _config(replications=0)
+
+    @pytest.mark.parametrize(
+        "estimator",
+        # the config compares the estimator by ==, which on an array is elementwise
+        [np.array(["plain", "taper"]), np.array(["hotelling"]), 7],
+        ids=["two-array", "one-array", "int"],
+    )
+    def test_only_a_plain_name_is_an_estimator(self, estimator):
+        with pytest.raises(ValueError) as err:
+            _config(estimator=estimator)
+        assert str(err.value) == (
+            f"unknown estimator {estimator!r}; expected one of ('plain', 'taper', 'hotelling')"
+        )
 
     @pytest.mark.parametrize("scenario_id", [["a"], {"k": 1}, 7, ""])
     def test_scenario_id_must_be_a_nonempty_string(self, scenario_id):
@@ -395,12 +393,12 @@ class TestSharedWorkers:
     def test_failure_in_a_later_config_keeps_the_earlier_curve(
         self, monkeypatch, blas_at_two_threads
     ):
-        monkeypatch.setattr(experiments, "_replicate", _second_scenario_fails)
+        monkeypatch.setattr(experiments, "_replicate", second_scenario_fails)
         configs = [_config(scenario_id="first", replications=4), _config(scenario_id="second")]
         curves = run_power_curves(configs, threads=2)
         [first] = next(curves)
         assert first.scenario_id == "first" and first.reject_frac == 0.0
-        with pytest.raises(RuntimeError, match="of second failed"):
+        with pytest.raises(ValueError, match="of second failed"):
             next(curves)
         assert blas_at_two_threads() == 2
         assert multiprocessing.active_children() == []
@@ -408,7 +406,7 @@ class TestSharedWorkers:
     def test_a_dead_worker_is_named_after_the_earlier_curve(
         self, monkeypatch, blas_at_two_threads
     ):
-        monkeypatch.setattr(experiments, "_replicate", _worker_exits(os.getpid()))
+        monkeypatch.setattr(experiments, "_replicate", worker_exits(os.getpid()))
         configs = [_config(scenario_id="first", replications=1), _config(scenario_id="second")]
         curves = run_power_curves(configs, threads=2)
         # the worker has nothing of "first" to run, and dies on its share of "second"
@@ -418,6 +416,15 @@ class TestSharedWorkers:
             next(curves)
         assert blas_at_two_threads() == 2
         assert multiprocessing.active_children() == []
+
+    def test_a_workers_exception_is_raised_in_the_caller(self, monkeypatch, blas_at_two_threads):
+        # the caller's own replications pass, so only the worker's message raises
+        monkeypatch.setattr(experiments, "_replicate", worker_raises(os.getpid()))
+        with pytest.raises(ValueError, match=r"^replication 1 failed in process \d+$") as err:
+            run_power_curve(_config(replications=2), threads=2)
+        assert int(str(err.value).rsplit(" ", 1)[1]) != os.getpid()
+        assert multiprocessing.active_children() == []
+        assert blas_at_two_threads() == 2
 
     def test_early_close_cancels_the_queued_replications(
         self, monkeypatch, tmp_path, blas_at_two_threads

@@ -396,14 +396,31 @@ def _hotelling(p, n1, n2):
     return lambda: repr(hotelling_t2(x, y))
 
 
+def _statistic(p, n1, n2):
+    rng = np.random.default_rng(p)
+    x, y = rng.standard_normal((n1, p)), rng.standard_normal((n2, p))
+    return lambda: repr(compute_statistic(x, y, IDENTITY))
+
+
 @pytest.mark.parametrize(
     "make, args",
-    [(_eigenvalues, (300,)), (_hotelling, (300, 200, 250)), (_hotelling, (400, 250, 300))],
-    ids=["eigenvalues_sym-p300", "hotelling_t2-p300", "hotelling_t2-p400"],
+    [
+        (_eigenvalues, (300,)),
+        (_hotelling, (300, 200, 250)),
+        (_hotelling, (400, 250, 300)),
+        (_statistic, (100_000, 4, 5)),
+    ],
+    ids=[
+        "eigenvalues_sym-p300",
+        "hotelling_t2-p300",
+        "hotelling_t2-p400",
+        "compute_statistic-p100000",
+    ],
 )
 def test_direct_calls_do_not_depend_on_blas_thread_count(blas_threads, make, args):
-    # at these sizes OpenBLAS splits eigvalsh and the pooled covariance's products
-    # over two threads, and the last bits then differ from one thread's
+    # at these sizes OpenBLAS splits eigvalsh, the pooled covariance's products
+    # and the statistic's g @ g over two threads, and the last bits then
+    # differ from one thread's
     call = make(*args)
     setter, getter = blas_threads
     outputs = []
