@@ -8,8 +8,8 @@ import numpy as np
 
 from ._blas import _one_blas_thread
 from .covariance import _BETA, ESTIMATORS, PLAIN, _estimate, _taper_bandwidth, eigenvalues_sym
-from .statistic import IDENTITY, _check_choice, _check_int, _check_pair, _check_varies, _is_real
-from .statistic import KERNELS, _number, _recentred_statistic
+from .statistic import IDENTITY, _check_choice, _check_int, _check_pair, _check_real, _check_varies
+from .statistic import KERNELS, _recentred_statistic
 
 DEFAULT_SEED = 12345
 _NEGATIVE_RTOL = 1e-10  # tau of TestReport.negative_eigenvalues
@@ -26,9 +26,7 @@ class NullDrawConfig:
     def __post_init__(self):
         # kept as Python numbers; alpha before its range checks, so they run in float64
         object.__setattr__(self, "draws", _check_int("draws", self.draws, 1))
-        if not _is_real(self.alpha):
-            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", _number(self.alpha))
+        object.__setattr__(self, "alpha", _check_real("alpha", self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be strictly between 0 and 1, got {self.alpha}")
         if not 1.0 - self.alpha < 1.0:  # the level of `empirical_quantile` must stay below 1
@@ -120,9 +118,7 @@ def empirical_quantile(values, level):
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a nonempty 1-d sequence")
-    if not _is_real(level):
-        raise ValueError(f"level must be a number, got {level!r}")
-    level = _number(level)
+    level = _check_real("level", level)
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     # snap the level to the nearest simple rational so a binary float like

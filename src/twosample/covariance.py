@@ -3,7 +3,7 @@
 import numpy as np
 
 from ._blas import _one_blas_thread
-from .statistic import _is_real, _number, _pass
+from .statistic import _check_real, _pass
 
 PLAIN = "plain"
 TAPER = "taper"
@@ -35,9 +35,7 @@ def _centred_factor(g, sx, sy):
 
 def _taper_bandwidth(beta, n, p):
     """Taper bandwidth k = min(n^(1/(2 beta + 2)), p) for a finite number beta > 0, kept real."""
-    if not _is_real(beta):
-        raise ValueError(f"beta must be a number, got {beta!r}")
-    if not 0 < beta < np.inf:  # NaN fails both comparisons
+    if not 0 < _check_real("beta", beta) < np.inf:  # NaN fails both comparisons
         raise ValueError(f"beta must be {'positive' if beta <= 0 else 'finite'}, got {beta}")
     return min(float(n) ** (1.0 / (2.0 * float(beta) + 2.0)), float(p))
 
@@ -47,21 +45,18 @@ def taper_weight(i, j, k):
 
     k is a positive number (numpy's too, taken as the Python number it equals).
     """
-    if not _is_real(k):
-        raise ValueError(f"bandwidth k must be a number, got {k!r}")
-    k = _number(k)
+    k = _check_real("bandwidth k", k)
     if not k > 0:
         raise ValueError("bandwidth k must be positive")
-    return _offset_weight(abs(i - j), k)
+    # an offset past k weighs 0, as k does; min keeps an int offset too large
+    # for a float out of the division
+    return float(_offset_weight(min(abs(i - j), k), k))
 
 
 def _offset_weight(d, k):
-    """`taper_weight` at offset d = |i-j| >= 0, for a bandwidth k > 0 already checked."""
-    if d <= k / 2.0:
-        return 1.0
-    if d < k:
-        return 1.0 - d / k
-    return 0.0
+    """`taper_weight` at offsets d = |i-j| >= 0 (a number or an array), for a
+    bandwidth k > 0 already checked."""
+    return np.where(d <= k / 2.0, 1.0, np.maximum(1.0 - d / k, 0.0))
 
 
 def _apply_taper(est, k):
@@ -74,8 +69,8 @@ def _apply_taper(est, k):
     re-symmetrizing.
     """
     p = est.shape[0]
-    half = [_offset_weight(d, k) for d in range(p)]
-    weights = np.array(half[:0:-1] + half)  # one per offset j-i, from 1-p to p-1
+    half = _offset_weight(np.arange(p), k)
+    weights = np.concatenate([half[:0:-1], half])  # one per offset j-i, from 1-p to p-1
     # row i of the reversed windows is weights[p-1-i : 2p-1-i], the offsets j-i of that row
     est *= np.lib.stride_tricks.sliding_window_view(weights, p)[::-1]
     return est

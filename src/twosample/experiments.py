@@ -18,7 +18,7 @@ from .calibration import DEFAULT_SEED, NullDrawConfig
 from .covariance import _BETA, ESTIMATORS, PLAIN, _taper_bandwidth
 from .datagen import COV_FORMS, generate_scenario, parse_family, shift_vector
 from .seeding import derive_seed, substream
-from .statistic import _MIN_ROWS, KERNELS, SIGN, _check_choice, _check_int, _is_real, _number
+from .statistic import _MIN_ROWS, KERNELS, SIGN, _check_choice, _check_int, _check_real, _is_real
 
 HOTELLING = "hotelling"
 ESTIMATOR_CHOICES = ESTIMATORS + (HOTELLING,)
@@ -52,8 +52,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.scenario_id, str) or not self.scenario_id:
             raise ValueError(f"scenario_id must be a nonempty string, got {self.scenario_id!r}")
-        # it names the scenario's output files
-        if self.scenario_id in (".", "..") or "/" in self.scenario_id or "\\" in self.scenario_id:
+        # it names the scenario's output files, and a path with a NUL cannot be opened
+        if self.scenario_id in (".", "..") or any(c in self.scenario_id for c in "/\\\x00"):
             raise ValueError(f"scenario_id {self.scenario_id!r} is not a plain file name")
         parse_family(self.family)
         # the form, each delta and the kernel follow the rules of the code that uses them
@@ -80,7 +80,7 @@ class ScenarioConfig:
         _taper_bandwidth(self.beta, self.n1 + self.n2, self.p)
         NullDrawConfig(self.draws, self.alpha)
         for name in ("draws", "alpha", "beta"):
-            object.__setattr__(self, name, _number(getattr(self, name)))
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
 
 
 def config_to_dict(config):
@@ -110,7 +110,7 @@ def load_configs(path, on_default_seed=None):
     the scenario_id of each scenario that names no seed and so runs with
     DEFAULT_SEED.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:  # JSON's encoding
         payload = json.load(fh)
     items = payload if isinstance(payload, list) else [payload]
     if not items:
@@ -303,12 +303,12 @@ def _replacing(path, newline=None):
     replaced and is written in place.
     """
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", newline=newline) as fh:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
             yield fh
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

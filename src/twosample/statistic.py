@@ -33,8 +33,11 @@ def _check_int(name, value, low=None):
     return value
 
 
-def _number(value):
-    """A real number as the Python int or float it equals, as JSON and repr write it."""
+def _check_real(name, value):
+    """value as the Python int or float it equals, as JSON and repr write it; reject a
+    non-number (a bool included, see `_is_real`), naming it."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 

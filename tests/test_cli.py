@@ -3,7 +3,10 @@ import inspect
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,6 +445,12 @@ class TestCliSimulate:
         err = self._run_invalid(tmp_path, capsys, [self._scenario(scenario_id)]).err
         assert "not a plain file name" in err
 
+    def test_scenario_id_with_a_nul_rejected_before_any_output(self, tmp_path, capsys):
+        # unchecked, open() would refuse the path only once it got there, after ok.csv
+        scenarios = [self._scenario("ok"), self._scenario("a\x00b")]
+        err = self._run_invalid(tmp_path, capsys, scenarios).err
+        assert err == "error: scenario_id 'a\\x00b' is not a plain file name\n"
+
     @pytest.mark.parametrize("scenario_id", [["a"], {"k": 1}, 7])
     def test_non_string_scenario_id_rejected(self, tmp_path, capsys, scenario_id):
         scenarios = [self._scenario("fine"), self._scenario(scenario_id)]
@@ -650,6 +659,35 @@ def test_numeric_flag_reports_the_library_message(tmp_path, capsys, argv, messag
         main([argv[0], *files, *argv[1:]])
     assert err.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--config", "{config}", "--out", "{out}", "--threads", "2"],
+        ["test", "--x", "{x}", "--y", "{y}", "--json", "{out}.json"],
+        ["blocks", "--x", "{x}", "--y", "{y}", "--width", "3", "--json", "{out}.json"],
+    ],
+)
+def test_every_file_is_opened_as_utf8(tmp_path, sample_pair, command):
+    # EncodingWarning flags each open() that falls back to the locale's encoding. The
+    # flags take effect from the interpreter's start, so the command runs in a new one
+    _, _, x_path, y_path = sample_pair
+    config = tmp_path / "config.json"
+    scenario = dict(scenario_id="tiny", family="gaussian", cov_form="identity", p=3, n1=10)
+    config.write_text(json.dumps({**scenario, "n2": 12, "draws": 50, "replications": 2}))
+    paths = dict(config=config, out=tmp_path / "out", x=x_path, y=y_path)
+    argv = [arg.format(**paths) for arg in command]
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "twosample", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("command", [["test"], ["blocks", "--width", "3"]])

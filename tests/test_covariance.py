@@ -154,6 +154,22 @@ class TestTaper:
             weight = taper_weight(0, 2, k)
             assert type(weight) is float and weight == 1.0 - 2 / 3.0
 
+    @pytest.mark.parametrize(
+        "i, j, d",
+        [
+            (np.int64(0), np.int64(2), 2),
+            (np.uint8(5), np.uint8(3), 2),
+            (2**70, 2**70 + 1, 1),
+            (2**70 + 2, 2**70, 2),
+            (0, 2**70, 3),
+            (0, np.int64(2**62), 3),
+            (2**2000, 0, 3),  # an offset beyond the float range
+        ],
+    )
+    def test_integer_offsets_weigh_as_small_ones(self, i, j, d):
+        weight = taper_weight(i, j, 3.0)
+        assert type(weight) is float and weight == taper_weight(0, d, 3.0)
+
     @pytest.mark.parametrize("k", [True, np.bool_(True), "4", None])
     def test_a_bandwidth_that_is_not_a_number_raises(self, k):
         with pytest.raises(ValueError, match=r"^bandwidth k must be a number, got "):

@@ -473,8 +473,8 @@ class TestBlasThreads:
     def test_serial_bits_do_not_depend_on_the_callers_count(
         self, monkeypatch, blas_threads, cov_form, estimator
     ):
-        # at p=300 OpenBLAS rounds the factor, the drawn data and the taper
-        # spectrum differently at 1 and 2 threads; the CSV rows are too
+        # at p=300 OpenBLAS rounds the pair pass, CᵀC and the taper spectrum's
+        # eigvalsh differently at 1 and 2 threads; the CSV rows are too
         # coarse to show that, so compare the bits of T and the null draws
         shift_tests, null_draws = calibration._shift_tests, calibration.simulate_null_draws
         seen = []
