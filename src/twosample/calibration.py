@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._blas import _one_blas_thread
-from .covariance import _BETA, ESTIMATORS, PLAIN, _estimate, _taper_bandwidth, eigenvalues_sym
+from .covariance import _BETA, ESTIMATORS, PLAIN, _estimate, _matrix, _taper_bandwidth
+from .covariance import eigenvalues_sym
 from .statistic import IDENTITY, _check_choice, _check_int, _check_pair, _check_real, _check_varies
 from .statistic import KERNELS, _recentred_statistic
 
@@ -171,16 +172,16 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
         _check_varies(mx, my0)  # a shift keeps a constant y constant
         _check_choice("kernel", kernel, KERNELS)  # before the branch, which compares by ==
         if kernel == IDENTITY:
-            g, stat, est = _estimate(mx, my0, kernel, estimator, k)
+            g, stat, c = _estimate(mx, my0, kernel)
             shifts = [np.zeros(mx.shape[1])] if shifts is None else shifts
             stats = [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts]
-            laws = [(eigenvalues_sym(est), stats)]
+            factors = [(c, stats)]
         else:
             # a shift keeps the row counts, and pair_aggregates checks that y is finite;
-            # each spectrum is taken before the next estimate is formed
+            # each spectrum is taken before the next pair pass is made
             ys = [my0] if shifts is None else (my0 + s for s in shifts)
-            passes = (_estimate(mx, y, kernel, estimator, k) for y in ys)
-            laws = [(eigenvalues_sym(est), [stat]) for _, stat, est in passes]
+            factors = ((c, [stat]) for _, stat, c in (_estimate(mx, y, kernel) for y in ys))
+        laws = [(eigenvalues_sym(_matrix(c, estimator, k)), stats) for c, stats in factors]
         return _calibrate(laws, config)
 
 
@@ -188,8 +189,8 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=_BETA):
     """Full test: statistic, spectrum estimate, null draws, cutoff, decision.
 
     The one-shift case of the replication path (`_shift_tests`). The
-    statistic and the estimate come from one pair pass, the estimate from
-    one centred factor C with C^T C the plain estimate (`_estimate`). The
+    statistic and the centred factor C, with C^T C the plain estimate, come
+    from one pair pass (`_estimate`), and the estimate from C (`_matrix`). The
     plain spectrum is that of the min(p, n1+n2)-square C^T C or C C^T, so
     the null draws use that many weights; the tapered C^T C is not low
     rank and keeps its p x p spectrum.

@@ -55,7 +55,15 @@ def _add_test_flags(parser):
 
 
 def _read_inputs(args):
-    """The two samples of `test` and `blocks`, and their NullDrawConfig."""
+    """The two samples of `test` and `blocks`, and their NullDrawConfig.
+
+    A --json target that is a directory, or lies in none, is refused first:
+    before the run rather than after it, by its own name, not its temp file's.
+    """
+    if args.json_path:
+        folder = os.path.dirname(args.json_path) or "."
+        if os.path.isdir(args.json_path) or not os.path.isdir(folder):
+            raise ValueError(f"--json {args.json_path}: not a file in an existing directory")
     x = load_matrix_csv(args.x)
     y = load_matrix_csv(args.y)
     seed = args.seed

@@ -1,5 +1,7 @@
 """Plain and tapered covariance estimators for the pair kernel, plus spectra."""
 
+import numbers
+
 import numpy as np
 
 from ._blas import _one_blas_thread
@@ -9,28 +11,6 @@ PLAIN = "plain"
 TAPER = "taper"
 ESTIMATORS = (PLAIN, TAPER)
 _BETA = 0.25  # the default taper exponent beta of `_taper_bandwidth`'s callers
-
-
-def _centred_factor(g, sx, sy):
-    """The (n1+n2) x p factor C with C^T C the plain estimate: the pooled
-    outer-product estimator (1/(n n1 n2)) [sum_i sx_i sx_i^T + sum_j sy_j sy_j^T]
-    - dh dh^T of the kernel covariance, dh the pair mean. It is positive
-    semidefinite with rank at most n1+n2-2.
-
-    With s = n n1 n2, C = [sx - g/n1; sy - g/n2] / sqrt(s): the rows of sx
-    and of sy each sum to g, so centring them subtracts the -dh dh^T term
-    of the outer-product form. Centring first keeps the digits that form
-    loses to cancellation when the mean is large against the spread.
-    C^T C goes through syrk, so it is exactly symmetric; C C^T shares its
-    nonzero eigenvalues. sx and sy are stacked once, into C, then centred
-    and scaled in place.
-    """
-    n1, n2 = sx.shape[0], sy.shape[0]
-    c = np.vstack([sx, sy])
-    c[:n1] -= g / n1
-    c[n1:] -= g / n2
-    c /= np.sqrt((n1 + n2) * n1 * n2)
-    return c
 
 
 def _taper_bandwidth(beta, n, p):
@@ -43,14 +23,26 @@ def _taper_bandwidth(beta, n, p):
 def taper_weight(i, j, k):
     """Weight for entry (i, j): 1 if |i-j| <= k/2, linear ramp below k, else 0.
 
-    k is a positive number (numpy's too, taken as the Python number it equals).
+    k is a positive number and i and j finite numbers (numpy's too, each
+    taken as the Python number it equals, so a uint8 offset cannot wrap).
     """
     k = _check_real("bandwidth k", k)
     if not k > 0:
         raise ValueError("bandwidth k must be positive")
     # an offset past k weighs 0, as k does; min keeps an int offset too large
     # for a float out of the division
-    return float(_offset_weight(min(abs(i - j), k), k))
+    return float(_offset_weight(min(abs(_check_index("i", i) - _check_index("j", j)), k), k))
+
+
+def _check_index(name, value):
+    """A `taper_weight` index as the Python number it equals; an int stays
+    exact at any size, past the float range too."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    value = _check_real(f"index {name}", value)
+    if not -np.inf < value < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"index {name} must be finite, got {value}")
+    return value
 
 
 def _offset_weight(d, k):
@@ -64,9 +56,8 @@ def _apply_taper(est, k):
     in place, and return it.
 
     Entries at |i-j| >= k become 0. k > 0 is a float, as `_taper_bandwidth`
-    gives it. est must be exactly symmetric, as the C^T C of
-    `_centred_factor` is; the weights are too, so the product needs no
-    re-symmetrizing.
+    gives it. est must be exactly symmetric, as the C^T C of `_matrix` is;
+    the weights are too, so the product needs no re-symmetrizing.
     """
     p = est.shape[0]
     half = _offset_weight(np.arange(p), k)
@@ -76,18 +67,37 @@ def _apply_taper(est, k):
     return est
 
 
-def _estimate(mx, my, kernel, estimator, k):
-    """One pair pass (`_pass`): the grand sum g, the statistic and the estimate,
-    from one centred factor C (`_centred_factor`): plain as the smaller of
-    C^T C and C C^T, tapered as the p x p C^T C at bandwidth k."""
+def _estimate(mx, my, kernel):
+    """One pair pass (`_pass`): the grand sum g, the statistic T and the
+    (n1+n2) x p centred factor C with C^T C the plain estimate: the pooled
+    outer-product estimator (1/(n n1 n2)) [sum_i sx_i sx_i^T + sum_j sy_j sy_j^T]
+    - dh dh^T of the kernel covariance, dh the pair mean. It is positive
+    semidefinite with rank at most n1+n2-2.
+
+    With s = n n1 n2, C = [sx - g/n1; sy - g/n2] / sqrt(s): the rows of sx
+    and of sy each sum to g, so centring them subtracts the -dh dh^T term
+    of the outer-product form. Centring first keeps the digits that form
+    loses to cancellation when the mean is large against the spread.
+    sx and sy are stacked once, into C, then centred and scaled in place.
+    """
     g, sx, sy, stat = _pass(mx, my, kernel)
-    c = _centred_factor(g, sx, sy)
+    n1, n2 = sx.shape[0], sy.shape[0]
+    c = np.vstack([sx, sy])
     del sx, sy
+    c[:n1] -= g / n1
+    c[n1:] -= g / n2
+    c /= np.sqrt((n1 + n2) * n1 * n2)
+    return g, stat, c
+
+
+def _matrix(c, estimator, k):
+    """The matrix whose spectrum the estimator's null law draws over, from the
+    centred factor C of `_estimate`: plain as the smaller of C^T C and C C^T,
+    which share their nonzero eigenvalues, tapered as the p x p C^T C at
+    bandwidth k. Both products go through syrk, so they are exactly symmetric."""
     if estimator == TAPER:
-        est = _apply_taper(c.T @ c, k)
-    else:
-        est = c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T
-    return g, stat, est
+        return _apply_taper(c.T @ c, k)
+    return c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T
 
 
 def eigenvalues_sym(m):

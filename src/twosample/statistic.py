@@ -235,8 +235,8 @@ def _pass(x, y, kernel):
     (||g||^2 - sum_i ||sx_i||^2 - sum_j ||sy_j||^2 + sum_ij ||h_ij||^2) / (n n1 n2).
 
     x or y of fewer than `_MIN_ROWS` rows raise, as do huge data that
-    overflow the pair sums or T (`_finite`). A finite T bounds C, C^T C
-    and C C^T (`covariance._centred_factor`), as its terms do.
+    overflow the pair sums or T (`_finite`). A finite T bounds the centred
+    factor C of `covariance._estimate`, C^T C and C C^T, as its terms do.
     """
     # a module global, so a wrapper set on statistic.pair_aggregates sees the pass
     g, sx, sy, sumsq = pair_aggregates(x, y, kernel)

@@ -12,6 +12,7 @@ from twosample import (
     _blas,
     calibration,
     compute_statistic,
+    covariance,
     eigenvalues_sym,
     empirical_quantile,
     experiments,
@@ -566,18 +567,27 @@ class TestRunTest:
         # n1 = 40, n2 = 50, p = 1000: the centred rows are 0.69 MiB, written over
         # by sx and sy, and the two matrix products of the sign pass as much
         # again; the normals take one 1 MiB block after the pass has ended.
-        # Through full-size temporaries the test peaked at 2.62 MiB
+        # Through full-size temporaries the sign, plain test peaked at 2.62 MiB.
+        # The other bounds are the peaks measured before the factor C was kept
+        # alive through its spectrum (8.594, 8.748 and 1.453 MiB, rounded up to
+        # 0.01 MiB) plus one C, 90 x 1000 doubles or 0.69 MiB
         rng = np.random.default_rng(8)
         x = rng.standard_normal((40, 1000))
         y = rng.standard_normal((50, 1000))
-        run_test(x, y, "sign")  # made untraced: a first call may set up numpy's caches
-        tracemalloc.start()
-        try:
-            run_test(x, y, "sign")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.75 * 2**20
+        for kernel, estimator, bound in [
+            ("sign", "plain", 1.75),
+            ("sign", "taper", 8.60 + 0.69),
+            ("identity", "taper", 8.75 + 0.69),
+            ("identity", "plain", 1.46 + 0.69),
+        ]:
+            run_test(x, y, kernel, estimator)  # untraced: a first call may set up numpy's caches
+            tracemalloc.start()
+            try:
+                run_test(x, y, kernel, estimator)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2**20, (kernel, estimator, peak)
 
 
 POWER_GRID = (0.0, 1.0, 2.0, 3.0, 4.0)  # the grid of configs/power_p100.json
@@ -678,6 +688,36 @@ class TestShiftTests:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="x and y .* identity kernel"):
                 calibration._shift_tests(x, y0, shifts, "identity", "plain", config, 0.25)
+
+
+def test_every_layer_site_is_entered(monkeypatch):
+    # each layer's site is a module global looked up at call time, so a wrapper
+    # set on it, as a tracer sets one, sees every call; a refactor that binds a
+    # layer early, or stops calling it, leaves its spy at 0
+    sites = [
+        (statistic, "pair_aggregates"),
+        (calibration, "eigenvalues_sym"),
+        (calibration, "_matrix"),
+        (calibration, "simulate_null_draws"),
+        (calibration, "empirical_quantile"),
+        (covariance, "_apply_taper"),
+        (experiments, "generate_scenario"),
+    ]
+    calls = dict.fromkeys((f"{module.__name__}.{name}" for module, name in sites), 0)
+    for module, name in sites:
+
+        def counting(*args, _site=f"{module.__name__}.{name}", _original=getattr(module, name)):
+            calls[_site] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((9, 6)), rng.standard_normal((11, 6))
+    config = NullDrawConfig(draws=100, seed=3)
+    run_test(x, y, "sign", "plain", config)
+    run_test(x, y, "identity", "taper", config)
+    experiments._replicate(_scenario("gaussian", 5, 5, draws=100), 0)
+    assert [site for site, count in calls.items() if count == 0] == []
 
 
 def test_null_size_gaussian_identity_p5():

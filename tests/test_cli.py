@@ -304,6 +304,22 @@ class TestCliTest:
         code = main(["test", "--x", str(tmp_path / "nope.csv"), "--y", str(good), "--seed", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", [["test"], ["blocks", "--width", "3"]])
+    @pytest.mark.parametrize("target", ["missing/r.json", "r.json"])
+    def test_unwritable_json_target_exits_1_before_the_run(
+        self, sample_pair, tmp_path, capsys, pair_passes, command, target
+    ):
+        # a missing folder, or a folder where the file would go: each used to
+        # fail only after the run, naming the temp file beside the target
+        (tmp_path / "r.json").mkdir()
+        _, _, x_path, y_path = sample_pair
+        code = main([*command, "--x", x_path, "--y", y_path, "--json", str(tmp_path / target)])
+        assert code == 1
+        assert pair_passes == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "r.json" in err and ".tmp" not in err
+
 
 class TestCliBlocks:
     def test_json_structure(self, sample_pair, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from twosample import (
     pair_aggregates,
     taper_weight,
 )
-from twosample.covariance import _apply_taper, _centred_factor, _taper_bandwidth
+from twosample.covariance import PLAIN, _apply_taper, _estimate, _matrix, _taper_bandwidth
 
 from oracle import estimate_plain
 
@@ -64,9 +66,7 @@ class TestEstimatePlain:
         x = rng.standard_normal((6, 20))
         y = rng.standard_normal((8, 20))
         for kernel in (IDENTITY, SIGN):
-            g, sx, sy, _ = pair_aggregates(x, y, kernel)
-            c = _centred_factor(g, sx, sy)
-            gram = c @ c.T
+            gram = _matrix(_estimate(x, y, kernel)[2], PLAIN, 2.5)
             assert gram.shape == (14, 14)
             assert np.array_equal(gram, gram.T)
 
@@ -98,17 +98,15 @@ class TestPlainGram:
         rng = np.random.default_rng(p)
         x = rng.standard_normal((40, p))
         y = rng.standard_t(3, size=(50, p)) + 0.2
-        g, sx, sy, _ = pair_aggregates(x, y, kernel)
-        c = _centred_factor(g, sx, sy)
+        c = _estimate(x, y, kernel)[2]
         assert c.shape == (90, p)
-        lam = eigenvalues_sym(c.T @ c if p <= 90 else c @ c.T)
+        lam = eigenvalues_sym(_matrix(c, PLAIN, 1.0))
         full = eigenvalues_sym(estimate_plain(x, y, kernel))
         assert lam.size == min(p, 90)
         assert np.max(np.abs(lam - full[: lam.size])) <= 1e-12 * full[0]
 
     def test_four_point_value(self):
-        g, sx, sy, _ = pair_aggregates(X4, Y4, IDENTITY)
-        c = _centred_factor(g, sx, sy)
+        c = _estimate(X4, Y4, IDENTITY)[2]
         assert np.array_equal(c.T @ c, [[1.0]])
 
     def test_far_shift_of_y_keeps_the_identity_estimate(self):
@@ -159,6 +157,8 @@ class TestTaper:
         [
             (np.int64(0), np.int64(2), 2),
             (np.uint8(5), np.uint8(3), 2),
+            (np.uint8(0), np.uint8(2), 2),  # 0 - 2 in an unsigned type would wrap
+            (np.uint64(0), np.uint64(2), 2),
             (2**70, 2**70 + 1, 1),
             (2**70 + 2, 2**70, 2),
             (0, 2**70, 3),
@@ -169,6 +169,22 @@ class TestTaper:
     def test_integer_offsets_weigh_as_small_ones(self, i, j, d):
         weight = taper_weight(i, j, 3.0)
         assert type(weight) is float and weight == taper_weight(0, d, 3.0)
+
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            (True, "must be a number, got True"),
+            (np.bool_(False), "must be a number, got "),
+            ("1", "must be a number, got '1'"),
+            (float("nan"), "must be finite, got nan"),
+            (np.float64("-inf"), "must be finite, got -inf"),
+        ],
+    )
+    def test_an_index_that_is_not_a_finite_number_raises(self, index, message):
+        with pytest.raises(ValueError, match=f"^index i {re.escape(message)}"):
+            taper_weight(index, 0, 3.0)
+        with pytest.raises(ValueError, match=f"^index j {re.escape(message)}"):
+            taper_weight(0, index, 3.0)
 
     @pytest.mark.parametrize("k", [True, np.bool_(True), "4", None])
     def test_a_bandwidth_that_is_not_a_number_raises(self, k):

@@ -16,10 +16,16 @@ from twosample import (
     hotelling_t2,
     pair_aggregates,
 )
-from twosample.covariance import ESTIMATORS, _estimate, _taper_bandwidth
+from twosample.covariance import ESTIMATORS, _estimate, _matrix, _taper_bandwidth
 from twosample.statistic import _pass, _recentred_statistic
 
-from oracle import compute_statistic_oracle, estimate_out_of_place, pair_aggregates_out_of_place, unit
+from oracle import (
+    centred_factor_out_of_place,
+    compute_statistic_oracle,
+    estimate_out_of_place,
+    pair_aggregates_out_of_place,
+    unit,
+)
 
 # four-point instance used across modules; every kernel value is an exact float
 X4 = np.array([[0.0], [2.0]])
@@ -317,7 +323,7 @@ def _outcome(f, *args):
 
 
 class TestInPlacePass:
-    """The in-place pair pass and estimates against the out-of-place ones of `oracle`, bit for bit."""
+    """The in-place pair pass, C and estimates against the out-of-place ones of `oracle`, bit for bit."""
 
     @pytest.mark.parametrize("kernel", [IDENTITY, SIGN])
     @pytest.mark.parametrize("case", IN_PLACE_CASES)
@@ -327,12 +333,17 @@ class TestInPlacePass:
         x, y = _in_place_sample(case, n1, n2, p)
         got = _outcome(pair_aggregates, x, y, kernel)
         assert got == _outcome(pair_aggregates_out_of_place, x, y, kernel)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                c = _estimate(x, y, kernel)[2]
+            except ValueError as err:  # T over- or underflows: the identity kernel raises
+                assert kernel == IDENTITY and case in ("tiny", "huge"), err
+                return
+        want = centred_factor_out_of_place(*pair_aggregates_out_of_place(x, y, kernel)[:3])
+        assert _outcome(lambda: [c]) == _outcome(lambda: [want])
         k = _taper_bandwidth(0.25, n1 + n2, p)
         for estimator in ESTIMATORS:
-            est = _outcome(lambda: _estimate(x, y, kernel, estimator, k)[2:])
-            if isinstance(est, str):  # T over- or underflows: the identity kernel raises
-                assert kernel == IDENTITY and case in ("tiny", "huge"), est
-                continue
+            est = _outcome(lambda: [_matrix(c, estimator, k)])
             assert est == _outcome(lambda: [estimate_out_of_place(x, y, kernel, estimator, k)])
 
     def test_peak_memory_of_the_pass(self):
