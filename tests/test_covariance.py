@@ -157,13 +157,13 @@ class TestTaper:
         [
             (np.int64(0), np.int64(2), 2),
             (np.uint8(5), np.uint8(3), 2),
-            (np.uint8(0), np.uint8(2), 2),  # 0 - 2 in an unsigned type would wrap
-            (np.uint64(0), np.uint64(2), 2),
             (2**70, 2**70 + 1, 1),
             (2**70 + 2, 2**70, 2),
             (0, 2**70, 3),
             (0, np.int64(2**62), 3),
             (2**2000, 0, 3),  # an offset beyond the float range
+            (np.uint8(0), np.uint8(2), 2),  # 0 - 2 in an unsigned type would wrap
+            (np.uint64(0), np.uint64(2), 2),
         ],
     )
     def test_integer_offsets_weigh_as_small_ones(self, i, j, d):
