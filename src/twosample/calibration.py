@@ -10,7 +10,7 @@ from ._blas import _one_blas_thread
 from .covariance import _BETA, ESTIMATORS, PLAIN, _estimate, _matrix, _taper_bandwidth
 from .covariance import eigenvalues_sym
 from .statistic import IDENTITY, _check_choice, _check_int, _check_pair, _check_real, _check_varies
-from .statistic import KERNELS, _recentred_statistic
+from .statistic import KERNELS, _as_real, _recentred_statistic
 
 DEFAULT_SEED = 12345
 _NEGATIVE_RTOL = 1e-10  # tau of TestReport.negative_eigenvalues
@@ -89,7 +89,7 @@ def simulate_null_draws(spectrum, config, rng):
     weights einsum takes a one-row product through another loop). A lone
     last row joins the block before it, which then has B + 1 rows.
     """
-    lam = np.asarray(spectrum, dtype=float)
+    lam = _as_real(spectrum, "spectrum")
     if lam.ndim not in (1, 2) or lam.size == 0:
         raise ValueError("spectrum must be a nonempty 1-d sequence or a k x S matrix of columns")
     if not np.isfinite(lam).all():
@@ -116,7 +116,7 @@ def empirical_quantile(values, level):
     level is a number (numpy's too, taken as the Python number it equals)
     strictly between 0 and 1.
     """
-    v = np.asarray(values, dtype=float)
+    v = _as_real(values, "values")
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a nonempty 1-d sequence")
     level = _check_real("level", level)

@@ -193,6 +193,9 @@ def main(argv=None):
     except (ValueError, OSError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:  # numpy's names the size it could not allocate
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

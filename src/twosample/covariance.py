@@ -5,7 +5,7 @@ import numbers
 import numpy as np
 
 from ._blas import _one_blas_thread
-from .statistic import _check_real, _pass
+from .statistic import _as_sample, _check_real, _pass
 
 PLAIN = "plain"
 TAPER = "taper"
@@ -101,18 +101,16 @@ def _matrix(c, estimator, k):
 
 
 def eigenvalues_sym(m):
-    """All eigenvalues of a symmetric matrix, sorted descending.
+    """All eigenvalues of a symmetric matrix m, sorted descending.
 
+    m is taken in as a sample is (`_as_sample`), and must be square.
     `eigvalsh` reads only the lower triangle, so m must be exactly symmetric,
     as C^T C and C C^T from syrk are. Negative eigenvalues are kept verbatim:
     the null reference draws over them. It runs at one OpenBLAS thread
-    (`_one_blas_thread`): at p >= 300 the last bits of `eigvalsh` depend on
-    the thread count.
+    (`_one_blas_thread`): at p >= 300 its last bits depend on the thread count.
     """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _as_sample(m, "m")
+    if a.shape[0] != a.shape[1]:
         raise ValueError("m must be a square 2-d array")
-    if not np.isfinite(a).all():
-        raise ValueError("m contains non-finite entries")
     with _one_blas_thread():
         return np.linalg.eigvalsh(a)[::-1].copy()

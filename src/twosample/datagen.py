@@ -108,20 +108,19 @@ def generate_scenario(config, rng):
     (`_correlate`). Both are row blocks of one draw of n1 + n2 rows, x's
     first: the p normals of row r come before anything of row r+1, and for
     the t family the nu chi-square normals of row r follow its p Gaussian
-    normals. A Gaussian draw is correlated and shifted in the array its
-    normals were drawn into; a t draw is correlated in place and divided
-    once into a fresh array, so it holds its whole draw beside the output.
+    normals. Every family is correlated, scaled and shifted in place in the
+    array its normals were drawn into: x and y are views of it, which for
+    the t family skip its nu chi-square columns and are not C-contiguous.
     No step uses BLAS, so the data do not depend on its thread count.
     """
     if len(config.deltas) != 1:
         raise ValueError("generate_scenario needs a single-delta config; split the grid first")
     nu = parse_family(config.family)
     n1, p = config.n1, config.p
-    if nu is None:
-        z = _correlate(rng.standard_normal((n1 + config.n2, p)), config.cov_form)
-    else:
-        draw = rng.standard_normal((n1 + config.n2, p + nu))
+    draw = rng.standard_normal((n1 + config.n2, p + (nu or 0)))
+    z = _correlate(draw[:, :p], config.cov_form)
+    if nu is not None:
         w = np.einsum("ij,ij->i", draw[:, p:], draw[:, p:])  # chi-square(nu) per row
-        z = _correlate(draw[:, :p], config.cov_form) / np.sqrt(w / nu)[:, None]
+        z /= np.sqrt(w / nu)[:, None]
     z[n1:] += shift_vector(p, config.deltas[0])
     return z[:n1], z[n1:]

@@ -41,8 +41,18 @@ def _check_real(name, value):
     return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
+def _as_real(a, name):
+    """a as a float array. Only bool, int, float and object arrays of real
+    numbers are taken; complex or text data, which a cast would silently
+    truncate or parse, raise naming a."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "biufO":
+        raise ValueError(f"{name} must hold real numbers, got {arr.dtype} data")
+    return arr.astype(float, copy=False)
+
+
 def _as_sample(a, name):
-    m = np.asarray(a, dtype=float)
+    m = _as_real(a, name)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must be a 2-d array with at least one row and one column")
     if not np.isfinite(m).all():

@@ -265,6 +265,13 @@ def second_scenario_fails(config, r):
     return [False] * len(config.deltas)
 
 
+def second_scenario_runs_out_of_memory(config, r):
+    """A replication that raises a MemoryError with no text in the scenario named "second"."""
+    if config.scenario_id == "second":
+        raise MemoryError
+    return [False] * len(config.deltas)
+
+
 def worker_exits(caller, replicate=experiments._replicate):
     """A replication that ends any process but `caller` with exit code 3."""
 

@@ -24,7 +24,12 @@ from twosample import (
 )
 from twosample.cli import main
 
-from oracle import second_scenario_fails, worker_exits, write_matrix
+from oracle import (
+    second_scenario_fails,
+    second_scenario_runs_out_of_memory,
+    worker_exits,
+    write_matrix,
+)
 
 
 @pytest.fixture
@@ -320,6 +325,27 @@ class TestCliTest:
         assert out == ""
         assert "r.json" in err and ".tmp" not in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("Unable to allocate 72.8 TiB for an array", "Unable to allocate 72.8 TiB for an array"),
+            ("", "out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_is_a_one_line_error(
+        self, sample_pair, monkeypatch, capsys, text, line
+    ):
+        # no allocation is made: the test itself raises what numpy would
+        def run_test(*args, **kwargs):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(cli, "run_test", run_test)
+        _, _, x_path, y_path = sample_pair
+        code = main(["test", "--x", x_path, "--y", y_path, "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
 
 class TestCliBlocks:
     def test_json_structure(self, sample_pair, tmp_path):
@@ -581,6 +607,16 @@ class TestCliSimulate:
         assert blas_at_two_threads() == 2
         assert code == 1
         assert "replication" in capsys.readouterr().err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["first.csv", "first.json"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_out_of_memory_keeps_the_earlier_files(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setattr(experiments, "_replicate", second_scenario_runs_out_of_memory)
+        scenarios = [self._scenario("first"), self._scenario("second")]
+        code, out_dir = self._simulate(tmp_path, scenarios, threads=threads)
+        assert code == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
         assert sorted(p.name for p in out_dir.iterdir()) == ["first.csv", "first.json"]
         assert multiprocessing.active_children() == []
 

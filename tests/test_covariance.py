@@ -145,6 +145,7 @@ class TestTaper:
         assert taper_weight(0, 3, 4.0) == 0.25
         assert taper_weight(0, 4, 4.0) == 0.0  # outer boundary d = k
         assert taper_weight(9, 2, 4.0) == 0.0
+        assert taper_weight(0.0, 2.5, 4.0) == 0.375
 
     def test_numpy_bandwidths_are_the_numbers_they_equal(self):
         # a float32 k would otherwise ramp in float32: 1 - 2/3 read 0.33333334
@@ -164,6 +165,8 @@ class TestTaper:
             (2**2000, 0, 3),  # an offset beyond the float range
             (np.uint8(0), np.uint8(2), 2),  # 0 - 2 in an unsigned type would wrap
             (np.uint64(0), np.uint64(2), 2),
+            (0.5, 2.5, 2),  # a finite float index is taken as it is
+            (np.float32(4.5), np.float32(1.5), 3),
         ],
     )
     def test_integer_offsets_weigh_as_small_ones(self, i, j, d):

@@ -240,17 +240,21 @@ class TestClosedFormFactor:
 
     @pytest.mark.parametrize("cov_form", COV_FORMS)
     def test_sample_is_built_in_the_buffer_of_its_normals(self, cov_form):
-        # beyond x and y (2.2 MB) the draw holds O(p) vectors and one block of
-        # _AR_BLOCK + 1 columns; a full-size temporary would add 0.96 MB
-        config = _scenario(cov_form=cov_form, p=3000, n1=40, n2=50, deltas=(0.5,))
-        rng = np.random.default_rng(3)  # made untraced: its first call may import numpy.random
-        tracemalloc.start()
-        try:
-            x, y = generate_scenario(config, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - (x.nbytes + y.nbytes) < 256 * 2**10
+        # beyond x and y (2.2 MB) the draw holds O(p) vectors, one block of
+        # _AR_BLOCK + 1 columns and a t family's nu chi-square columns; a
+        # full-size temporary would add 0.96 MB, a second sample 2.2 MB
+        for family in ("gaussian", "t5", "cauchy"):
+            config = _scenario(
+                family=family, cov_form=cov_form, p=3000, n1=40, n2=50, deltas=(0.5,)
+            )
+            rng = np.random.default_rng(3)  # made untraced: its first call may import numpy.random
+            tracemalloc.start()
+            try:
+                x, y = generate_scenario(config, rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - (x.nbytes + y.nbytes) < 256 * 2**10, family
 
 
 class TestInPlaceSampler:

@@ -155,6 +155,54 @@ def test_unknown_choice_names_it_and_the_choices(call, message):
     assert str(err.value) == message
 
 
+# each call takes one bad array a, in the place its name says
+_INTAKES = [
+    pytest.param(lambda a, b: twosample.run_test(a, b, SIGN), "x", id="run_test"),
+    pytest.param(lambda a, b: compute_statistic(b, a, IDENTITY), "y", id="compute_statistic"),
+    pytest.param(lambda a, b: pair_aggregates(a, b, SIGN), "x", id="pair_aggregates"),
+    pytest.param(lambda a, b: hotelling_t2(b, a), "y", id="hotelling_t2"),
+    pytest.param(lambda a, b: twosample.run_realdata_blocks(a, b, 1), "x", id="blocks"),
+    pytest.param(lambda a, b: eigenvalues_sym(a[:3]), "m", id="eigenvalues_sym"),
+    pytest.param(
+        lambda a, b: twosample.simulate_null_draws(
+            a[0], twosample.NullDrawConfig(draws=5), np.random.default_rng(0)
+        ),
+        "spectrum",
+        id="simulate_null_draws",
+    ),
+    pytest.param(lambda a, b: twosample.empirical_quantile(a[0], 0.5), "values", id="quantile"),
+]
+# each would be cast: complex to its real part, text parsed as numbers
+_UNREAL = [
+    pytest.param(lambda a: a + 0.5j, "complex128", id="complex"),
+    pytest.param(lambda a: a.astype(str), "<U32", id="str"),
+    pytest.param(lambda a: a.astype(bytes), "|S32", id="bytes"),
+    pytest.param(lambda a: [[*row[:-1], str(row[-1])] for row in a.tolist()], "<U32", id="mixed"),
+]
+
+
+@pytest.mark.parametrize("convert, dtype", _UNREAL)
+@pytest.mark.parametrize("call, name", _INTAKES)
+def test_data_that_are_not_real_numbers_raise_naming_the_input(call, name, convert, dtype):
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((6, 3)), rng.standard_normal((7, 3))
+    call(a, b)  # the real data are taken
+    with pytest.raises(ValueError) as err:
+        call(convert(a), b)
+    assert str(err.value) == f"{name} must hold real numbers, got {dtype} data"
+
+
+@pytest.mark.parametrize("call, name", _INTAKES)
+def test_bool_int_and_object_arrays_of_real_numbers_are_taken(call, name):
+    rng = np.random.default_rng(9)
+    a, b = rng.integers(-3, 4, (6, 3)), rng.standard_normal((7, 3))
+    want = repr(call(a.astype(float), b))
+    for same in (a, a.astype(object), a.tolist()):
+        assert repr(call(same, b)) == want
+    signs = a > 0
+    assert repr(call(signs, b)) == repr(call(signs.astype(float), b))
+
+
 def _sign_rows(h):
     """Normalize the rows of h to unit length; exactly-zero rows stay zero."""
     nsq = np.einsum("ij,ij->i", h, h)
