@@ -44,7 +44,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.40.0"
+__version__ = "0.41.0"
 
 __all__ = [
     "BaselineReport",

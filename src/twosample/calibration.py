@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 
 from ._blas import _one_blas_thread
-from .covariance import _BETA, ESTIMATORS, PLAIN, _estimate, _matrix, _taper_bandwidth
+from .covariance import _BETA, ESTIMATORS, PLAIN, _matrix, _taper_bandwidth
 from .covariance import eigenvalues_sym
 from .statistic import IDENTITY, _check_choice, _check_int, _check_pair, _check_real, _check_varies
-from .statistic import KERNELS, _as_real, _recentred_statistic
+from .statistic import KERNELS, _as_real, _pass, _recentred_statistic
 
 DEFAULT_SEED = 12345
 _NEGATIVE_RTOL = 1e-10  # tau of TestReport.negative_eigenvalues
@@ -172,7 +172,7 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
         _check_varies(mx, my0)  # a shift keeps a constant y constant
         _check_choice("kernel", kernel, KERNELS)  # before the branch, which compares by ==
         if kernel == IDENTITY:
-            g, stat, c = _estimate(mx, my0, kernel)
+            g, stat, c = _pass(mx, my0, kernel)
             shifts = [np.zeros(mx.shape[1])] if shifts is None else shifts
             stats = [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts]
             factors = [(c, stats)]
@@ -180,7 +180,7 @@ def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
             # a shift keeps the row counts, and pair_aggregates checks that y is finite;
             # each spectrum is taken before the next pair pass is made
             ys = [my0] if shifts is None else (my0 + s for s in shifts)
-            factors = ((c, [stat]) for _, stat, c in (_estimate(mx, y, kernel) for y in ys))
+            factors = ((c, [stat]) for _, stat, c in (_pass(mx, y, kernel) for y in ys))
         laws = [(eigenvalues_sym(_matrix(c, estimator, k)), stats) for c, stats in factors]
         return _calibrate(laws, config)
 
@@ -190,10 +190,10 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=_BETA):
 
     The one-shift case of the replication path (`_shift_tests`). The
     statistic and the centred factor C, with C^T C the plain estimate, come
-    from one pair pass (`_estimate`), and the estimate from C (`_matrix`). The
-    plain spectrum is that of the min(p, n1+n2)-square C^T C or C C^T, so
-    the null draws use that many weights; the tapered C^T C is not low
-    rank and keeps its p x p spectrum.
+    from one pair pass (`statistic._pass`), and the estimate from C
+    (`_matrix`). The plain spectrum is that of the min(p, n1+n2)-square
+    C^T C or C C^T, so the null draws use that many weights; the tapered
+    C^T C is not low rank and keeps its p x p spectrum.
     """
     config = NullDrawConfig() if config is None else config
     [report] = _shift_tests(x, y, None, kernel, estimator, config, beta)

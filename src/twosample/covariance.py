@@ -5,7 +5,7 @@ import numbers
 import numpy as np
 
 from ._blas import _one_blas_thread
-from .statistic import _as_sample, _check_real, _pass
+from .statistic import _as_sample, _check_real
 
 PLAIN = "plain"
 TAPER = "taper"
@@ -67,32 +67,9 @@ def _apply_taper(est, k):
     return est
 
 
-def _estimate(mx, my, kernel):
-    """One pair pass (`_pass`): the grand sum g, the statistic T and the
-    (n1+n2) x p centred factor C with C^T C the plain estimate: the pooled
-    outer-product estimator (1/(n n1 n2)) [sum_i sx_i sx_i^T + sum_j sy_j sy_j^T]
-    - dh dh^T of the kernel covariance, dh the pair mean. It is positive
-    semidefinite with rank at most n1+n2-2.
-
-    With s = n n1 n2, C = [sx - g/n1; sy - g/n2] / sqrt(s): the rows of sx
-    and of sy each sum to g, so centring them subtracts the -dh dh^T term
-    of the outer-product form. Centring first keeps the digits that form
-    loses to cancellation when the mean is large against the spread.
-    sx and sy are stacked once, into C, then centred and scaled in place.
-    """
-    g, sx, sy, stat = _pass(mx, my, kernel)
-    n1, n2 = sx.shape[0], sy.shape[0]
-    c = np.vstack([sx, sy])
-    del sx, sy
-    c[:n1] -= g / n1
-    c[n1:] -= g / n2
-    c /= np.sqrt((n1 + n2) * n1 * n2)
-    return g, stat, c
-
-
 def _matrix(c, estimator, k):
     """The matrix whose spectrum the estimator's null law draws over, from the
-    centred factor C of `_estimate`: plain as the smaller of C^T C and C C^T,
+    centred factor C of `statistic._pass`: plain as the smaller of C^T C and C C^T,
     which share their nonzero eigenvalues, tapered as the p x p C^T C at
     bandwidth k. Both products go through syrk, so they are exactly symmetric."""
     if estimator == TAPER:

@@ -42,11 +42,15 @@ def _check_real(name, value):
 
 
 def _as_real(a, name):
-    """a as a float array. Only bool, int, float and object arrays of real
-    numbers are taken; complex or text data, which a cast would silently
-    truncate or parse, raise naming a."""
+    """a as a float array. Only bool, int and float arrays, and object arrays
+    whose every element is a bool or a real number (`_is_real`), are taken;
+    complex, text or None data, which a cast would silently truncate, parse
+    or turn into NaN, raise naming a."""
     arr = np.asarray(a)
-    if arr.dtype.kind not in "biufO":
+    if arr.dtype.kind not in "biufO" or (
+        arr.dtype.kind == "O"
+        and not all(isinstance(v, (bool, np.bool_)) or _is_real(v) for v in arr.flat)
+    ):
         raise ValueError(f"{name} must hold real numbers, got {arr.dtype} data")
     return arr.astype(float, copy=False)
 
@@ -241,18 +245,29 @@ def _finite(stat, kernel):
 
 
 def _pass(x, y, kernel):
-    """One pair pass, (g, sx, sy, T), with T in the four-term norm form
+    """One pair pass: the grand sum g, the statistic T and the (n1+n2) x p
+    centred factor C, with T in the four-term norm form
     (||g||^2 - sum_i ||sx_i||^2 - sum_j ||sy_j||^2 + sum_ij ||h_ij||^2) / (n n1 n2).
 
+    C^T C is the plain estimate: the pooled outer-product estimator
+    (1/(n n1 n2)) [sum_i sx_i sx_i^T + sum_j sy_j sy_j^T] - dh dh^T of the
+    kernel covariance, dh the pair mean. It is positive semidefinite with
+    rank at most n1+n2-2. With s = n n1 n2, C = [sx - g/n1; sy - g/n2] / sqrt(s):
+    the rows of sx and of sy each sum to g, so centring them subtracts the
+    -dh dh^T term of the outer-product form. Centring first keeps the digits
+    that form loses to cancellation when the mean is large against the
+    spread. sx and sy are stacked once, into C, then centred and scaled in place.
+
     x or y of fewer than `_MIN_ROWS` rows raise, as do huge data that
-    overflow the pair sums or T (`_finite`). A finite T bounds the centred
-    factor C of `covariance._estimate`, C^T C and C C^T, as its terms do.
+    overflow the pair sums or T (`_finite`). A finite T bounds C, C^T C and
+    C C^T, as its terms do.
     """
     # a module global, so a wrapper set on statistic.pair_aggregates sees the pass
     g, sx, sy, sumsq = pair_aggregates(x, y, kernel)
     n1, n2 = sx.shape[0], sy.shape[0]
     if min(n1, n2) < _MIN_ROWS:
         raise ValueError(f"x and y need at least two rows each: x has {n1}, y has {n2}")
+    s = (n1 + n2) * n1 * n2
     with np.errstate(over="ignore", invalid="ignore"):
         total = (
             float(g @ g)
@@ -260,20 +275,26 @@ def _pass(x, y, kernel):
             - float(np.einsum("ij,ij->", sy, sy))
             + sumsq
         )
-        stat = total / ((n1 + n2) * n1 * n2)
-    return g, sx, sy, _finite(stat, kernel)
+        stat = _finite(total / s, kernel)
+    c = np.vstack([sx, sy])
+    del sx, sy
+    c[:n1] -= g / n1
+    c[n1:] -= g / n2
+    c /= np.sqrt(s)
+    return g, stat, c
 
 
 def compute_statistic(x, y, kernel):
     """Two-sample statistic T over all pairs with distinct x-rows and y-rows.
 
     Evaluated from the sums of one pair pass (`_pass`), which never
-    materializes the n1*n2 kernel vectors at once. It runs at one OpenBLAS
+    materializes the n1*n2 kernel vectors at once; the pass's centred
+    factor C, one (n1+n2) x p array, is dropped. It runs at one OpenBLAS
     thread (`_one_blas_thread`), so T does not depend on the caller's BLAS
     thread count.
     """
     with _one_blas_thread():
-        return _pass(x, y, kernel)[3]
+        return _pass(x, y, kernel)[1]
 
 
 def _recentred_statistic(stat, g, n1, n2, delta):

@@ -1,7 +1,7 @@
 """Slow, literal references for the tests: the quadruple-sum statistic,
 the null draws from one matrix of normals, the dense covariance of each
 scenario form, the scenario data drawn through full-size temporaries, the
-p x p plain estimate C^T C of the centred factor C of `covariance._estimate`,
+p x p plain estimate C^T C of the centred factor C of `statistic._pass`,
 and the pair pass, C and taper that build each estimate of
 `covariance._matrix` through temporaries. Also the one CSV writer of the
 command-line tests, and the replications that inject a fault into the
@@ -9,9 +9,9 @@ simulation harness.
 
 Not part of the package; the fast pair pass in `twosample.statistic`, the
 blocked draws of `twosample.calibration`, the closed-form factors and
-in-place sampler of `twosample.datagen` and the in-place pair pass, C
-and estimates of `twosample.statistic` and `twosample.covariance` are checked
-against these. They take no input checks of their own.
+in-place sampler of `twosample.datagen`, the in-place pair pass and C of
+`twosample.statistic` and the estimates of `twosample.covariance` are
+checked against these. They take no input checks of their own.
 """
 
 import math
@@ -22,7 +22,7 @@ import numpy as np
 from twosample import experiments
 from twosample._blas import _one_blas_thread
 from twosample.datagen import _AR_BLOCK, _FORM_RHO, parse_family, shift_vector
-from twosample.covariance import TAPER, _estimate, taper_weight
+from twosample.covariance import TAPER, taper_weight
 from twosample.statistic import (
     _NEAR,
     IDENTITY,
@@ -30,6 +30,7 @@ from twosample.statistic import (
     _check_choice,
     _check_pair,
     _finite,
+    _pass,
 )
 
 
@@ -102,7 +103,7 @@ def scenario_sigma(cov_form, p):
 
 def estimate_plain(x, y, kernel):
     """The p x p plain estimate C^T C, C the centred factor of one pair pass."""
-    c = _estimate(x, y, kernel)[2]
+    c = _pass(x, y, kernel)[2]
     return c.T @ c
 
 
@@ -228,8 +229,8 @@ def _sums_out_of_place(mx, my, kernel):
 
 
 def centred_factor_out_of_place(g, sx, sy):
-    """The centred factor C of `covariance._estimate` as of 0.32.0: both halves
-    centred into new arrays."""
+    """The centred factor C of `statistic._pass`, built as in 0.32.0: both
+    halves centred into new arrays."""
     n1, n2 = sx.shape[0], sy.shape[0]
     return np.vstack([sx - g / n1, sy - g / n2]) / np.sqrt((n1 + n2) * n1 * n2)
 

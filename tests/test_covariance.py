@@ -10,7 +10,8 @@ from twosample import (
     pair_aggregates,
     taper_weight,
 )
-from twosample.covariance import PLAIN, _apply_taper, _estimate, _matrix, _taper_bandwidth
+from twosample.covariance import PLAIN, _apply_taper, _matrix, _taper_bandwidth
+from twosample.statistic import _pass
 
 from oracle import estimate_plain
 
@@ -66,7 +67,7 @@ class TestEstimatePlain:
         x = rng.standard_normal((6, 20))
         y = rng.standard_normal((8, 20))
         for kernel in (IDENTITY, SIGN):
-            gram = _matrix(_estimate(x, y, kernel)[2], PLAIN, 2.5)
+            gram = _matrix(_pass(x, y, kernel)[2], PLAIN, 2.5)
             assert gram.shape == (14, 14)
             assert np.array_equal(gram, gram.T)
 
@@ -98,7 +99,7 @@ class TestPlainGram:
         rng = np.random.default_rng(p)
         x = rng.standard_normal((40, p))
         y = rng.standard_t(3, size=(50, p)) + 0.2
-        c = _estimate(x, y, kernel)[2]
+        c = _pass(x, y, kernel)[2]
         assert c.shape == (90, p)
         lam = eigenvalues_sym(_matrix(c, PLAIN, 1.0))
         full = eigenvalues_sym(estimate_plain(x, y, kernel))
@@ -106,7 +107,7 @@ class TestPlainGram:
         assert np.max(np.abs(lam - full[: lam.size])) <= 1e-12 * full[0]
 
     def test_four_point_value(self):
-        c = _estimate(X4, Y4, IDENTITY)[2]
+        c = _pass(X4, Y4, IDENTITY)[2]
         assert np.array_equal(c.T @ c, [[1.0]])
 
     def test_far_shift_of_y_keeps_the_identity_estimate(self):

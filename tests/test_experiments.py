@@ -468,6 +468,22 @@ class TestBlasThreads:
         assert counts.tolist() == [2]
         assert blas_at_two_threads() == 2
 
+    def test_a_worker_sends_the_exception_of_a_replication_and_closes(self, monkeypatch):
+        # run worker 0 of 2 here: its first replication raises, which it sends
+        # in place of counts before it closes its end of the pipe
+        def failing(config, r):
+            raise RuntimeError(f"replication {r} failed")
+
+        monkeypatch.setattr(experiments, "_replicate", failing)
+        recv, send = multiprocessing.Pipe(duplex=False)
+        with recv:
+            experiments._work([_config(replications=4)], 0, 2, send)
+            err = recv.recv()
+            assert isinstance(err, RuntimeError) and str(err) == "replication 0 failed"
+            with pytest.raises(EOFError):
+                recv.recv()
+        assert send.closed
+
     @pytest.mark.parametrize("estimator", ["plain", "taper"])
     @pytest.mark.parametrize("cov_form", ["equicorr", "ar"])
     def test_serial_bits_do_not_depend_on_the_callers_count(

@@ -16,7 +16,7 @@ from twosample import (
     hotelling_t2,
     pair_aggregates,
 )
-from twosample.covariance import ESTIMATORS, _estimate, _matrix, _taper_bandwidth
+from twosample.covariance import ESTIMATORS, _matrix, _taper_bandwidth
 from twosample.statistic import _pass, _recentred_statistic
 
 from oracle import (
@@ -172,12 +172,25 @@ _INTAKES = [
     ),
     pytest.param(lambda a, b: twosample.empirical_quantile(a[0], 0.5), "values", id="quantile"),
 ]
-# each would be cast: complex to its real part, text parsed as numbers
+
+
+def _object_holding(a, value):
+    """a as an object array with value in place of its first entry."""
+    out = a.astype(object)
+    out[0, 0] = value
+    return out
+
+
+# each would be cast: complex to its real part, text parsed as numbers, and
+# in an object array a complex number fails with a TypeError and None is NaN
 _UNREAL = [
     pytest.param(lambda a: a + 0.5j, "complex128", id="complex"),
     pytest.param(lambda a: a.astype(str), "<U32", id="str"),
     pytest.param(lambda a: a.astype(bytes), "|S32", id="bytes"),
     pytest.param(lambda a: [[*row[:-1], str(row[-1])] for row in a.tolist()], "<U32", id="mixed"),
+    pytest.param(lambda a: a.astype(str).astype(object), "object", id="object-text"),
+    pytest.param(lambda a: _object_holding(a, 1 + 1j), "object", id="object-complex"),
+    pytest.param(lambda a: _object_holding(a, None), "object", id="object-none"),
 ]
 
 
@@ -200,7 +213,8 @@ def test_bool_int_and_object_arrays_of_real_numbers_are_taken(call, name):
     for same in (a, a.astype(object), a.tolist()):
         assert repr(call(same, b)) == want
     signs = a > 0
-    assert repr(call(signs, b)) == repr(call(signs.astype(float), b))
+    for same in (signs, signs.astype(object)):
+        assert repr(call(same, b)) == repr(call(signs.astype(float), b))
 
 
 def _sign_rows(h):
@@ -383,7 +397,7 @@ class TestInPlacePass:
         assert got == _outcome(pair_aggregates_out_of_place, x, y, kernel)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                c = _estimate(x, y, kernel)[2]
+                c = _pass(x, y, kernel)[2]
             except ValueError as err:  # T over- or underflows: the identity kernel raises
                 assert kernel == IDENTITY and case in ("tiny", "huge"), err
                 return
@@ -589,8 +603,8 @@ def _centered_enumeration(x, y, kernel, delta):
 
 def _recentred(x, y, kernel, delta):
     """T(delta) in closed form from one pair pass, as the replication path takes it."""
-    g, sx, sy, stat = _pass(x, y, kernel)
-    return _recentred_statistic(stat, g, sx.shape[0], sy.shape[0], np.asarray(delta, dtype=float))
+    g, stat, _ = _pass(x, y, kernel)
+    return _recentred_statistic(stat, g, len(x), len(y), np.asarray(delta, dtype=float))
 
 
 class TestRecentredStatistic:
