@@ -57,12 +57,12 @@ def _add_test_flags(parser):
 def _read_inputs(args):
     """The two samples of `test` and `blocks`, and their NullDrawConfig.
 
-    A --json target that is a directory, or lies in none, is refused first:
-    before the run rather than after it, by its own name, not its temp file's.
+    A --json target that is empty, a directory, or lies in none, is refused
+    first: before the run rather than after it, by its own name, not its temp file's.
     """
-    if args.json_path:
+    if args.json_path is not None:
         folder = os.path.dirname(args.json_path) or "."
-        if os.path.isdir(args.json_path) or not os.path.isdir(folder):
+        if not args.json_path or os.path.isdir(args.json_path) or not os.path.isdir(folder):
             raise ValueError(f"--json {args.json_path}: not a file in an existing directory")
     x = load_matrix_csv(args.x)
     y = load_matrix_csv(args.y)
@@ -91,7 +91,7 @@ def _cmd_test(args):
     print(f"cutoff     {report.cutoff:.10g} (alpha={config.alpha})")
     print(f"p_value    {report.p_value:.10g}")
     print(f"reject     {report.reject}")
-    if args.json_path:
+    if args.json_path is not None:
         _write_json(
             args.json_path,
             {
@@ -139,7 +139,7 @@ def _cmd_blocks(args):
         )
     print(f"blocks     {len(reports)}")
     print(f"mean p     {summary.mean_p_value:.10g}")
-    if args.json_path:
+    if args.json_path is not None:
         _write_json(
             args.json_path,
             {

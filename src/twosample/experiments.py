@@ -22,6 +22,7 @@ from .statistic import _MIN_ROWS, KERNELS, SIGN, _check_choice, _check_int, _che
 
 HOTELLING = "hotelling"
 ESTIMATOR_CHOICES = ESTIMATORS + (HOTELLING,)
+_NAME_MAX = 255  # bytes in a file name on ext4, XFS and APFS
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,11 @@ class ScenarioConfig:
         # it names the scenario's output files, and a path with a NUL cannot be opened
         if self.scenario_id in (".", "..") or any(c in self.scenario_id for c in "/\\\x00"):
             raise ValueError(f"scenario_id {self.scenario_id!r} is not a plain file name")
+        if len(self.scenario_id.encode()) + len(".json") > _NAME_MAX:
+            raise ValueError(
+                f"scenario_id {self.scenario_id!r} is too long for a file name: "
+                f"with .json it exceeds {_NAME_MAX} bytes in UTF-8"
+            )
         parse_family(self.family)
         # the form, each delta and the kernel follow the rules of the code that uses them
         _check_choice("covariance form", self.cov_form, COV_FORMS)
@@ -300,19 +306,29 @@ def _replacing(path, newline=None):
     It is written beside `path` and moved over it with os.replace, so a
     failed or interrupted write leaves any earlier file whole. A target
     that is not a regular file, such as a pipe or /dev/stdout, cannot be
-    replaced and is written in place.
+    replaced and is written in place. The temporary file has a random
+    name of fixed length, so a target name at the file-name limit still
+    gets one, and it is created exclusively, with the mode open(path, "w")
+    gives; an OSError from creating or replacing it names path.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", newline=newline, encoding="utf-8") as fh:
             yield fh
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+        fh = open(tmp, "x", newline=newline, encoding="utf-8")
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, os.fspath(path)) from None
+    try:
+        with fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -100,27 +100,27 @@ def _check_choice(what, value, choices):
 def pair_aggregates(x, y, kernel):
     """All sums over the n1*n2 kernel values h(x_i - y_j), with no loop over pairs.
 
-    Returns (g, sx, sy, sumsq): the grand sum of h over all pairs, the
-    per-row-of-x sums (n1 x p), the per-row-of-y sums (n2 x p), and the sum
-    of ||h||^2 over all pairs. The statistic, the pair mean and the plain
-    covariance estimate are all functions of this tuple.
+    Returns (g, s, sumsq): the grand sum of h over all pairs, the
+    (n1 + n2) x p per-row sums s (sx, those of each row of x, over sy, those
+    of each row of y), and the sum of ||h||^2 over all pairs. The statistic,
+    the pair mean and the plain covariance estimate are functions of these.
 
-    Both kernels depend only on x_i - y_j, so the rows are first centred on
-    a row of x and scaled by a power of two. The identity kernel's sums then
-    have a closed form in the column sums X and Y. The sign kernel weights
-    each pair by w_ij = 1/||x_i - y_j||, from squared distances in Gram form,
-    and takes sx = (W 1) o x - W y and sy = W^T x - (W^T 1) o y from two
-    matrix products. Each result is written in place into a buffer already
-    held, with the operations of the out-of-place pass in the same order:
-    sx and sy over the centred rows, the weights over the squared
-    distances. Beside the (n1 + n2) x p rows, working memory is at most the
-    (n1 + n2)^2 Gram matrix and one n1 x n2 array, then two n1 x n2 arrays
-    and a boolean mask, then the weights, the mask and the two products,
-    another (n1 + n2) x p; plus O(n2 p) for the near pairs, summed one row
-    of x at a time (`_sign_sums`). Huge data whose sums overflow raise
-    `_finite`'s error, as the statistic does. The sign kernel's matrix
-    products run at one OpenBLAS thread (`_one_blas_thread`), so the sums
-    do not depend on the caller's BLAS thread count.
+    Both kernels depend only on x_i - y_j, so the rows are first stacked
+    into s, centred on a row of x and scaled by a power of two. The identity
+    kernel's sums then have a closed form in the column sums X and Y. The
+    sign kernel weights each pair by w_ij = 1/||x_i - y_j||, from squared
+    distances in Gram form, and takes sx = (W 1) o x - W y and
+    sy = W^T x - (W^T 1) o y from two matrix products. Each result is
+    written in place into a buffer already held, with the operations of the
+    out-of-place pass in the same order: sx and sy over the centred rows of
+    s, the weights over the squared distances. Beside s, working memory is
+    at most the (n1 + n2)^2 Gram matrix and one n1 x n2 array, then two
+    n1 x n2 arrays and a boolean mask, then the weights, the mask and the
+    two products, another (n1 + n2) x p; plus O(n2 p) for the near pairs,
+    summed one row of x at a time (`_sign_sums`). Huge data whose sums
+    overflow raise `_finite`'s error, as the statistic does. The sign
+    kernel's matrix products run at one OpenBLAS thread, so the sums do not
+    depend on the caller's BLAS thread count.
     """
     mx, my = _check_pair(x, y)
     _check_choice("kernel", kernel, KERNELS)
@@ -133,24 +133,24 @@ def pair_aggregates(x, y, kernel):
         dev -= dev.mean(axis=0)
         centre = mx[np.argmin(np.einsum("ij,ij->i", dev, dev))]
         del dev
-        z = np.vstack([mx, my])
-        z -= centre
-        e = int(np.frexp(max(z.max(), -z.min()))[1])  # exact power-of-two scale of max |z|
-        np.ldexp(z, -e, out=z)
+        s = np.vstack([mx, my])
+        s -= centre
+        e = int(np.frexp(max(s.max(), -s.min()))[1])  # exact power-of-two scale of max |s|
+        np.ldexp(s, -e, out=s)
         if kernel == IDENTITY:
             n1 = mx.shape[0]
-            sums = _identity_sums(z[:n1], z[n1:], e)
+            g, sumsq = _identity_sums(s[:n1], s[n1:], e)
         else:
             with _one_blas_thread():
-                sums = _sign_sums(mx, my, z)
-    for part in sums:
+                g, sumsq = _sign_sums(mx, my, s)
+    for part in (g, s, sumsq):
         _finite(part, kernel)
-    return sums
+    return g, s, sumsq
 
 
 def _identity_sums(zx, zy, e):
-    """g = n2 X - n1 Y, sx_i = n2 x_i - Y, sy_j = X - n1 y_j, for z = 2^-e data;
-    sx and sy are written over zx and zy."""
+    """(g, sumsq) with g = n2 X - n1 Y, for z = 2^-e data; sx_i = n2 x_i - Y
+    and sy_j = X - n1 y_j are written over zx and zy."""
     # the sums of squares are 2^2e times values of order 1; below this 2e,
     # those within 2^-52 of that order would be subnormal and lose digits
     if 2 * e < np.finfo(float).minexp + np.finfo(float).nmant:
@@ -169,12 +169,9 @@ def _identity_sums(zx, zy, e):
     zx -= sum_y
     zy *= n1
     np.subtract(sum_x, zy, out=zy)
-    return (
-        np.ldexp(n2 * sum_x - n1 * sum_y, e),
-        np.ldexp(zx, e, out=zx),
-        np.ldexp(zy, e, out=zy),
-        float(np.ldexp(sumsq, 2 * e)),
-    )
+    np.ldexp(zx, e, out=zx)
+    np.ldexp(zy, e, out=zy)
+    return np.ldexp(n2 * sum_x - n1 * sum_y, e), float(np.ldexp(sumsq, 2 * e))
 
 
 # tau: a sign-kernel pair with d^2 <= tau (|x|^2 + |y|^2), in centred
@@ -183,8 +180,8 @@ _NEAR = 1e-4
 
 
 def _sign_sums(mx, my, z):
-    """Unit-vector sums of the sign kernel; z holds the centred, scaled rows,
-    and sx and sy are written over them."""
+    """(g, sumsq) of the sign kernel; z holds the centred, scaled rows, and
+    its unit-vector sums sx and sy are written over them."""
     n1 = mx.shape[0]
     zx, zy = z[:n1], z[n1:]
     # all norms and cross products from one symmetric product. OpenBLAS
@@ -212,7 +209,6 @@ def _sign_sums(mx, my, z):
     zy *= w.sum(axis=0)[:, None]
     np.subtract(wx, zy, out=zy)
     del wx, wy
-    sx, sy = zx, zy
     # its unit vector is added from the raw rows instead, which centring
     # would round, prescaled so that its squared norm cannot overflow, one
     # row of x at a time, so that at most n2 of them are held at once
@@ -227,10 +223,10 @@ def _sign_sums(mx, my, z):
         j, h, top = j[keep], h[keep], top[keep]
         h /= top[:, None]
         h /= np.sqrt(np.einsum("ij,ij->i", h, h))[:, None]
-        sx[i] += h.sum(axis=0)
-        sy[j] += h  # the j of one row are distinct
+        zx[i] += h.sum(axis=0)
+        zy[j] += h  # the j of one row are distinct
         sumsq += j.size
-    return sx.sum(axis=0), sx, sy, sumsq
+    return zx.sum(axis=0), sumsq
 
 
 def _finite(stat, kernel):
@@ -252,35 +248,34 @@ def _pass(x, y, kernel):
     C^T C is the plain estimate: the pooled outer-product estimator
     (1/(n n1 n2)) [sum_i sx_i sx_i^T + sum_j sy_j sy_j^T] - dh dh^T of the
     kernel covariance, dh the pair mean. It is positive semidefinite with
-    rank at most n1+n2-2. With s = n n1 n2, C = [sx - g/n1; sy - g/n2] / sqrt(s):
+    rank at most n1+n2-2. With m = n n1 n2, C = [sx - g/n1; sy - g/n2] / sqrt(m):
     the rows of sx and of sy each sum to g, so centring them subtracts the
     -dh dh^T term of the outer-product form. Centring first keeps the digits
     that form loses to cancellation when the mean is large against the
-    spread. sx and sy are stacked once, into C, then centred and scaled in place.
+    spread. C is the pass's own array s = [sx; sy], centred and scaled in
+    place, so the pass holds no second (n1+n2) x p array.
 
     x or y of fewer than `_MIN_ROWS` rows raise, as do huge data that
     overflow the pair sums or T (`_finite`). A finite T bounds C, C^T C and
     C C^T, as its terms do.
     """
     # a module global, so a wrapper set on statistic.pair_aggregates sees the pass
-    g, sx, sy, sumsq = pair_aggregates(x, y, kernel)
-    n1, n2 = sx.shape[0], sy.shape[0]
+    g, c, sumsq = pair_aggregates(x, y, kernel)
+    n1, n2 = np.shape(x)[0], np.shape(y)[0]  # both 2-d, as the pass checked
     if min(n1, n2) < _MIN_ROWS:
         raise ValueError(f"x and y need at least two rows each: x has {n1}, y has {n2}")
-    s = (n1 + n2) * n1 * n2
+    m = (n1 + n2) * n1 * n2
     with np.errstate(over="ignore", invalid="ignore"):
         total = (
             float(g @ g)
-            - float(np.einsum("ij,ij->", sx, sx))
-            - float(np.einsum("ij,ij->", sy, sy))
+            - float(np.einsum("ij,ij->", c[:n1], c[:n1]))
+            - float(np.einsum("ij,ij->", c[n1:], c[n1:]))
             + sumsq
         )
-        stat = _finite(total / s, kernel)
-    c = np.vstack([sx, sy])
-    del sx, sy
+        stat = _finite(total / m, kernel)
     c[:n1] -= g / n1
     c[n1:] -= g / n2
-    c /= np.sqrt(s)
+    c /= np.sqrt(m)
     return g, stat, c
 
 
@@ -289,7 +284,7 @@ def compute_statistic(x, y, kernel):
 
     Evaluated from the sums of one pair pass (`_pass`), which never
     materializes the n1*n2 kernel vectors at once; the pass's centred
-    factor C, one (n1+n2) x p array, is dropped. It runs at one OpenBLAS
+    factor C, its one (n1+n2) x p array, is dropped. It runs at one OpenBLAS
     thread (`_one_blas_thread`), so T does not depend on the caller's BLAS
     thread count.
     """
@@ -303,8 +298,15 @@ def _recentred_statistic(stat, g, n1, n2, delta):
     Replacing every kernel value h by h - delta gives
     T(delta) = T + (n1-1)(n2-1)(n1 n2 ||delta||^2 - 2 delta.g) / (n n1 n2).
     At delta = 0 the correction is exactly 0.0, so T comes back unchanged.
-    A delta so far out that T(delta) overflows raises the identity kernel's error.
+    A delta so far out that T(delta) overflows raises, naming its norm: the
+    data are not at fault, as the pass that gave T and g was finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         correction = (n1 - 1) * (n2 - 1) * (n1 * n2 * float(delta @ delta) - 2.0 * float(delta @ g))
-        return _finite(stat + correction / ((n1 + n2) * n1 * n2), IDENTITY)
+        stat = stat + correction / ((n1 + n2) * n1 * n2)
+    if not np.isfinite(stat):
+        raise ValueError(
+            f"a shift of y of norm delta = {float(np.hypot.reduce(delta)):.6g} is too large "
+            "for the identity kernel: T(delta) overflows; use a smaller delta"
+        )
+    return stat

@@ -3,15 +3,18 @@ the null draws from one matrix of normals, the dense covariance of each
 scenario form, the scenario data drawn through full-size temporaries, the
 p x p plain estimate C^T C of the centred factor C of `statistic._pass`,
 and the pair pass, C and taper that build each estimate of
-`covariance._matrix` through temporaries. Also the one CSV writer of the
-command-line tests, and the replications that inject a fault into the
-simulation harness.
+`covariance._matrix` through temporaries. The reference pass returns
+(g, sx, sy, sumsq): the package's (g, s, sumsq) with s split into its x
+rows and its y rows, which the tests compare array by array. Also the
+one CSV writer of the command-line tests, and the replications that
+inject a fault into the simulation harness.
 
 Not part of the package; the fast pair pass in `twosample.statistic`, the
 blocked draws of `twosample.calibration`, the closed-form factors and
-in-place sampler of `twosample.datagen`, the in-place pair pass and C of
-`twosample.statistic` and the estimates of `twosample.covariance` are
-checked against these. They take no input checks of their own.
+in-place sampler of `twosample.datagen`, the in-place pair pass and the C
+it centres in the pass's own array in `twosample.statistic`, and the
+estimates of `twosample.covariance` are checked against these. They take
+no input checks of their own.
 """
 
 import math
@@ -230,7 +233,8 @@ def _sums_out_of_place(mx, my, kernel):
 
 def centred_factor_out_of_place(g, sx, sy):
     """The centred factor C of `statistic._pass`, built as in 0.32.0: both
-    halves centred into new arrays."""
+    halves centred into new arrays and stacked into a third, where the
+    package centres and scales the pass's own stacked array in place."""
     n1, n2 = sx.shape[0], sy.shape[0]
     return np.vstack([sx - g / n1, sy - g / n2]) / np.sqrt((n1 + n2) * n1 * n2)
 

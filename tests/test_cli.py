@@ -325,6 +325,19 @@ class TestCliTest:
         assert out == ""
         assert "r.json" in err and ".tmp" not in err
 
+    @pytest.mark.parametrize("command", [["test"], ["blocks", "--width", "3"]])
+    def test_empty_json_target_exits_1_before_the_run(
+        self, sample_pair, capsys, pair_passes, command
+    ):
+        # an empty name used to count as no --json: the report printed, no file, exit 0
+        _, _, x_path, y_path = sample_pair
+        code = main([*command, "--x", x_path, "--y", y_path, "--seed", "1", "--json", ""])
+        assert code == 1
+        assert pair_passes == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --json : not a file in an existing directory\n"
+
     @pytest.mark.parametrize(
         "text, line",
         [
@@ -492,6 +505,15 @@ class TestCliSimulate:
         scenarios = [self._scenario("ok"), self._scenario("a\x00b")]
         err = self._run_invalid(tmp_path, capsys, scenarios).err
         assert err == "error: scenario_id 'a\\x00b' is not a plain file name\n"
+
+    def test_scenario_id_too_long_for_a_file_rejected_before_any_output(
+        self, tmp_path, capsys
+    ):
+        # unchecked, the long scenario ran its replications after ok.csv was
+        # written, and then could not name its file
+        scenarios = [self._scenario("ok"), self._scenario("s" * 300)]
+        err = self._run_invalid(tmp_path, capsys, scenarios).err
+        assert err.startswith(f"error: scenario_id {'s' * 300!r} is too long for a file name")
 
     @pytest.mark.parametrize("scenario_id", [["a"], {"k": 1}, 7])
     def test_non_string_scenario_id_rejected(self, tmp_path, capsys, scenario_id):

@@ -21,7 +21,8 @@ Y4 = np.array([[1.0], [3.0]])
 
 def _pair_mean(x, y, kernel):
     """The kernel's mean over all n1*n2 pairs: g / (n1 n2)."""
-    g, sx, sy, _ = pair_aggregates(x, y, kernel)
+    g, s, _ = pair_aggregates(x, y, kernel)
+    sx, sy = s[: len(x)], s[len(x) :]
     return g / (sx.shape[0] * sy.shape[0])
 
 
@@ -76,7 +77,8 @@ class TestEstimatePlain:
         x = rng.standard_normal((7, 4))
         y = rng.standard_normal((9, 4))
         for kernel in (IDENTITY, SIGN):
-            g, sx, sy, _ = pair_aggregates(x, y, kernel)
+            g, s, _ = pair_aggregates(x, y, kernel)
+            sx, sy = s[: len(x)], s[len(x) :]
             n1, n2 = sx.shape[0], sy.shape[0]
             n = n1 + n2
             dh = g / (n1 * n2)

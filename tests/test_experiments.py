@@ -191,6 +191,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="is not a plain file name"):
             _config(scenario_id=scenario_id)
 
+    @pytest.mark.parametrize("scenario_id", ["r" * 251, "é" * 126], ids=["ascii", "two-byte"])
+    def test_scenario_id_must_fit_a_file_name(self, scenario_id):
+        # 255 bytes with ".json"; é is two bytes in UTF-8
+        _config(scenario_id=scenario_id[:-1])
+        with pytest.raises(ValueError) as err:
+            _config(scenario_id=scenario_id)
+        assert str(err.value) == (
+            f"scenario_id {scenario_id!r} is too long for a file name: "
+            "with .json it exceeds 255 bytes in UTF-8"
+        )
+
     def test_load_configs_rejects_duplicate_ids(self, tmp_path):
         path = tmp_path / "config.json"
         items = [config_to_dict(_config(scenario_id=name)) for name in ("twice", "once", "twice")]
@@ -312,6 +323,18 @@ class TestRunPowerCurve:
         rows = run_power_curve(_config(deltas=(0.0, 3.0)))
         assert rows[-1].reject_frac >= 0.9
         assert rows[-1].reject_frac >= rows[0].reject_frac - 2.0 * rows[0].mcse
+
+    def test_overflowing_identity_shift_names_the_delta(self):
+        # the data are fine; only T at the far shift overflows, which the
+        # bounded sign kernel does not
+        config = _config(kernel="identity", deltas=(0.0, 1e200), replications=2, draws=50)
+        with pytest.raises(ValueError) as err:
+            run_power_curve(config)
+        assert str(err.value) == (
+            "a shift of y of norm delta = 1e+200 is too large for the identity kernel: "
+            "T(delta) overflows; use a smaller delta"
+        )
+        assert len(run_power_curve(dataclasses.replace(config, kernel="sign"))) == 2
 
     def test_rows_share_the_curve_seconds(self):
         # seconds is the curve's wall time split evenly over its deltas
@@ -630,6 +653,27 @@ class TestOutputFiles:
                 experiments._write_json(path, {"a": 1, "b": object()})
         assert path.read_text() == "old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_a_target_at_the_file_name_limit_is_written(self, tmp_path):
+        # a 255-byte name, the limit of common file systems: the temp file's
+        # name used to add the process id and ".tmp" to it, and could not be made
+        path = tmp_path / ("r" * 251 + ".csv")
+        write_csv([], path)
+        assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+        # with the mode that open() gives a new file
+        (tmp_path / "plain").write_text("")
+        assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "plain"])
+
+    @pytest.mark.parametrize("write", ["csv", "json"])
+    def test_an_unwritable_target_is_named(self, tmp_path, write):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(FileNotFoundError) as err:
+            if write == "csv":
+                write_csv([], path)
+            else:
+                experiments._write_json(path, {"a": 1})
+        assert str(err.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
 
     def test_a_pipe_is_written_in_place(self, tmp_path):
         pipe = tmp_path / "pipe"

@@ -63,8 +63,8 @@ class TestKernelEval:
     def test_sign_survives_tiny_and_huge_magnitudes(self):
         # squared norms of these underflow/overflow without prescaling
         for scale in (1e-200, 1e160):
-            g, sx, sy, sumsq = pair_aggregates([[scale, 0.0]], [[0.0, scale]], SIGN)
-            for out in (g, sx[0], sy[0]):
+            g, s, sumsq = pair_aggregates([[scale, 0.0]], [[0.0, scale]], SIGN)
+            for out in (g, s[0], s[1]):
                 assert np.isfinite(out).all()
                 assert abs(np.linalg.norm(out) - 1.0) < 1e-12
             assert abs(sumsq - 1.0) < 1e-12
@@ -337,9 +337,15 @@ def test_overflowing_pair_sums_name_the_input(kernel):
         assert str(err.value) == message
 
 
+def _split(sums, n1):
+    """(g, sx, sy, sumsq) from the (g, s, sumsq) of `pair_aggregates`, s split at row n1."""
+    g, s, sumsq = sums
+    return g, s[:n1], s[n1:], sumsq
+
+
 def _assert_matches_row_loop(got, x, y, kernel):
     want = _loop_aggregates(x, y, kernel)
-    for name, a, b in zip(("g", "sx", "sy", "sumsq"), got, want):
+    for name, a, b in zip(("g", "sx", "sy", "sumsq"), _split(got, len(x)), want):
         err = np.max(np.abs(np.subtract(a, b)))
         assert np.isfinite(a).all()
         assert err <= 1e-12 * np.max(np.abs(b)), name
@@ -393,7 +399,7 @@ class TestInPlacePass:
     @pytest.mark.parametrize("p", [1, 5, 300, 1000])
     def test_equals_the_out_of_place_pass(self, p, n1, n2, case, kernel):
         x, y = _in_place_sample(case, n1, n2, p)
-        got = _outcome(pair_aggregates, x, y, kernel)
+        got = _outcome(lambda: _split(pair_aggregates(x, y, kernel), n1))
         assert got == _outcome(pair_aggregates_out_of_place, x, y, kernel)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -422,6 +428,20 @@ class TestInPlacePass:
             tracemalloc.stop()
         assert peak < 50 * 2**20
 
+    def test_statistic_holds_one_stacked_array(self):
+        # the identity pass turns its stacked (n1+n2) x p sums into C in place;
+        # stacking them a second time into C peaked at 4.14 MiB, two such arrays
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((40, 3000))
+        y = rng.standard_normal((50, 3000))
+        tracemalloc.start()
+        try:
+            compute_statistic(x, y, IDENTITY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (40 + 50) * 3000 * 8
+
 
 _THREAD_PROBE = """
 import hashlib
@@ -432,8 +452,8 @@ for p in (100, 1000):
     x = rng.standard_normal((40, p))
     y = rng.standard_normal((50, p)) + 0.05
     for kernel in ("identity", "sign"):
-        g, sx, sy, sumsq = pair_aggregates(x, y, kernel)
-        digest = hashlib.sha256(g.tobytes() + sx.tobytes() + sy.tobytes()).hexdigest()
+        g, s, sumsq = pair_aggregates(x, y, kernel)
+        digest = hashlib.sha256(g.tobytes() + s.tobytes()).hexdigest()
         print(p, kernel, digest, repr(sumsq))
         print(repr(run_test(x, y, kernel, config=NullDrawConfig(draws=2000, seed=5))))
 """
@@ -632,3 +652,13 @@ class TestRecentredStatistic:
     def test_single_row_raises(self):
         with pytest.raises(ValueError, match="^x and y need .* x has 1, y has 2$"):
             _recentred(X4[:1], Y4, IDENTITY, [0.5])
+
+    def test_overflowing_shift_names_the_delta(self):
+        # the pass over X4 and Y4 is finite; T(delta) at delta = 1e200 is not
+        message = (
+            "a shift of y of norm delta = 1e+200 is too large for the identity kernel: "
+            "T(delta) overflows; use a smaller delta"
+        )
+        with pytest.raises(ValueError) as err:
+            _recentred(X4, Y4, IDENTITY, [1e200])
+        assert str(err.value) == message
