@@ -44,7 +44,7 @@ from .statistic import (
     pair_aggregates,
 )
 
-__version__ = "0.42.0"
+__version__ = "0.43.0"
 
 __all__ = [
     "BaselineReport",

@@ -156,32 +156,31 @@ def _calibrate(laws, config):
 def _shift_tests(x, y0, shifts, kernel, estimator, config, beta):
     """The TestReport of the test of x against y0 + s, per shift s.
 
-    shifts=None tests y0 alone, as given. All calibrations draw over one set of null
-    normals (`_calibrate`). The sign kernel makes one pair pass, one
-    spectrum and one cutoff per shift. The identity kernel has h = x - y, so
-    a shift of y recentres h and leaves the estimate as it is: one pass and
-    one calibration serve every shift, and T comes from `_recentred_statistic`,
-    equal to a separate test's up to rounding and exactly at s = 0.
-    Everything runs at one OpenBLAS thread (`_one_blas_thread`), so the
-    reports do not depend on the caller's BLAS thread count.
+    shifts=None tests y0 alone, as given. Each pair pass is followed by its
+    spectrum, and no centred factor C outlives it; all calibrations then draw
+    over one set of null normals (`_calibrate`). The sign kernel makes one pass
+    per shift. The identity kernel has h = x - y, so a shift of y recentres h
+    and leaves the estimate as it is: one pass at y0 and one calibration serve
+    every shift, with T from `_recentred_statistic`, equal to a separate test's
+    up to rounding. Everything runs at one OpenBLAS thread (`_one_blas_thread`),
+    so the reports do not depend on the caller's BLAS thread count.
     """
     with _one_blas_thread():
         _check_choice("estimator", estimator, ESTIMATORS)
         mx, my0 = _check_pair(x, y0)
         k = _taper_bandwidth(beta, mx.shape[0] + my0.shape[0], mx.shape[1])
         _check_varies(mx, my0)  # a shift keeps a constant y constant
-        _check_choice("kernel", kernel, KERNELS)  # before the branch, which compares by ==
-        if kernel == IDENTITY:
-            g, stat, c = _pass(mx, my0, kernel)
-            shifts = [np.zeros(mx.shape[1])] if shifts is None else shifts
-            stats = [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts]
-            factors = [(c, stats)]
-        else:
-            # a shift keeps the row counts, and pair_aggregates checks that y is finite;
-            # each spectrum is taken before the next pair pass is made
-            ys = [my0] if shifts is None else (my0 + s for s in shifts)
-            factors = ((c, [stat]) for _, stat, c in (_pass(mx, y, kernel) for y in ys))
-        laws = [(eigenvalues_sym(_matrix(c, estimator, k)), stats) for c, stats in factors]
+        _check_choice("kernel", kernel, KERNELS)  # before the comparison, which is by ==
+        recentre = kernel == IDENTITY and shifts is not None
+        # a shift keeps the row counts, and pair_aggregates checks that y is finite
+        ys = [my0] if shifts is None or recentre else (my0 + s for s in shifts)
+        laws = []
+        for g, stat, c in (_pass(mx, y, kernel) for y in ys):
+            stats = [stat]
+            if recentre:
+                stats = [_recentred_statistic(stat, g, len(mx), len(my0), s) for s in shifts]
+            laws.append((eigenvalues_sym(_matrix(c, estimator, k)), stats))
+            del c
         return _calibrate(laws, config)
 
 
@@ -193,7 +192,8 @@ def run_test(x, y, kernel, estimator=PLAIN, config=None, *, beta=_BETA):
     from one pair pass (`statistic._pass`), and the estimate from C
     (`_matrix`). The plain spectrum is that of the min(p, n1+n2)-square
     C^T C or C C^T, so the null draws use that many weights; the tapered
-    C^T C is not low rank and keeps its p x p spectrum.
+    C^T C is not low rank and keeps its p x p spectrum. C is dropped once
+    its spectrum is taken, so it is not held during the null draws.
     """
     config = NullDrawConfig() if config is None else config
     [report] = _shift_tests(x, y, None, kernel, estimator, config, beta)

@@ -54,16 +54,30 @@ def _add_test_flags(parser):
     parser.add_argument("--json", dest="json_path", default=None, help="write the report as JSON")
 
 
+def _check_not_an_input(target, inputs):
+    """Refuse an output target that is one of the (flag, path) inputs.
+
+    Compared with os.path.samefile, so a link or another spelling of the
+    path counts; a target that does not exist yet is none of them.
+    """
+    for flag, path in inputs:
+        if os.path.exists(target) and os.path.exists(path) and os.path.samefile(target, path):
+            raise ValueError(f"{target} is the {flag} file {path}: an output may not replace it")
+
+
 def _read_inputs(args):
     """The two samples of `test` and `blocks`, and their NullDrawConfig.
 
-    A --json target that is empty, a directory, or lies in none, is refused
-    first: before the run rather than after it, by its own name, not its temp file's.
+    A --json target that is empty, a directory, lies in none, or is the --x
+    or --y file, is refused first: before the run rather than after it, by
+    its own name, not its temp file's. Through a link it is judged as the
+    file the link names, which is the one the report is written to.
     """
     if args.json_path is not None:
-        folder = os.path.dirname(args.json_path) or "."
+        folder = os.path.dirname(os.path.realpath(args.json_path))
         if not args.json_path or os.path.isdir(args.json_path) or not os.path.isdir(folder):
             raise ValueError(f"--json {args.json_path}: not a file in an existing directory")
+        _check_not_an_input(args.json_path, [("--x", args.x), ("--y", args.y)])
     x = load_matrix_csv(args.x)
     y = load_matrix_csv(args.y)
     seed = args.seed
@@ -112,6 +126,10 @@ def _cmd_simulate(args):
             f"{name}: no seed in config; using fixed default {DEFAULT_SEED}"
         ),
     )
+    for config in configs:  # before --out is made, so a refusal writes nothing
+        for ext in (".csv", ".json"):
+            target = os.path.join(args.out, config.scenario_id + ext)
+            _check_not_an_input(target, [("--config", args.config)])
     os.makedirs(args.out, exist_ok=True)
     # closing() terminates the workers if a write fails; with the curves
     # first, zip runs them to their end, so the workers are joined before we return

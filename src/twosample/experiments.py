@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import stat
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
@@ -53,9 +54,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.scenario_id, str) or not self.scenario_id:
             raise ValueError(f"scenario_id must be a nonempty string, got {self.scenario_id!r}")
-        # it names the scenario's output files, and a path with a NUL cannot be opened
-        if self.scenario_id in (".", "..") or any(c in self.scenario_id for c in "/\\\x00"):
-            raise ValueError(f"scenario_id {self.scenario_id!r} is not a plain file name")
+        # it names the scenario's output files, and a path cannot be opened with a NUL
+        # in it, nor encoded in UTF-8 with a lone surrogate
+        sid = self.scenario_id
+        if sid in (".", "..") or any(c in "/\\\x00" or "\ud800" <= c <= "\udfff" for c in sid):
+            raise ValueError(f"scenario_id {sid!r} is not a plain file name")
         if len(self.scenario_id.encode()) + len(".json") > _NAME_MAX:
             raise ValueError(
                 f"scenario_id {self.scenario_id!r} is too long for a file name: "
@@ -303,19 +306,22 @@ def run_power_curve(config, threads=1):
 def _replacing(path, newline=None):
     """A text file that replaces `path` only once the with block completes.
 
-    It is written beside `path` and moved over it with os.replace, so a
-    failed or interrupted write leaves any earlier file whole. A target
+    It is written beside the file `path` names, through any symbolic links,
+    and moved over that file with os.replace, so a failed or interrupted
+    write leaves any earlier file whole and a link stays a link. A target
     that is not a regular file, such as a pipe or /dev/stdout, cannot be
     replaced and is written in place. The temporary file has a random
     name of fixed length, so a target name at the file-name limit still
     gets one, and it is created exclusively, with the mode open(path, "w")
-    gives; an OSError from creating or replacing it names path.
+    gives: a new file's, or the permission bits of the file it replaces.
+    An OSError from creating or replacing it names path.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", newline=newline, encoding="utf-8") as fh:
             yield fh
         return
-    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
+    real = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(real), f".{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, "x", newline=newline, encoding="utf-8")
     except OSError as err:
@@ -326,7 +332,9 @@ def _replacing(path, newline=None):
             fh.flush()
             os.fsync(fh.fileno())
         try:
-            os.replace(tmp, path)
+            if os.path.isfile(real):
+                os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
+            os.replace(tmp, real)
         except OSError as err:
             raise OSError(err.errno, err.strerror, os.fspath(path)) from None
     finally:

@@ -589,6 +589,23 @@ class TestRunTest:
                 tracemalloc.stop()
             assert peak < bound * 2**20, (kernel, estimator, peak)
 
+    def test_no_centred_factor_is_held_through_the_null_draws(self):
+        # identity, plain, n1 = 40, n2 = 50, p = 3000: one (n1+n2) x p array is
+        # 2.06 MiB. Holding C through the null draws adds the 1 MiB block of
+        # normals on top of it (3.19 MiB); dropped after its spectrum, the peak
+        # is the pass's (2.34 MiB), under 1.25 such arrays
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((40, 3000))
+        y = rng.standard_normal((50, 3000))
+        run_test(x, y, "identity")  # untraced: a first call may set up numpy's caches
+        tracemalloc.start()
+        try:
+            run_test(x, y, "identity")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 90 * 3000 * 8, peak
+
 
 POWER_GRID = (0.0, 1.0, 2.0, 3.0, 4.0)  # the grid of configs/power_p100.json
 

@@ -338,6 +338,42 @@ class TestCliTest:
         assert out == ""
         assert err == "error: --json : not a file in an existing directory\n"
 
+    def test_json_link_into_a_missing_folder_exits_1_before_the_run(
+        self, sample_pair, tmp_path, capsys, pair_passes
+    ):
+        # the report goes to the file the link names, so that file's folder is checked
+        _, _, x_path, y_path = sample_pair
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "missing" / "r.json")
+        code = main(["test", "--x", x_path, "--y", y_path, "--seed", "1", "--json", str(link)])
+        assert code == 1
+        assert pair_passes == []
+        assert capsys.readouterr().err == (
+            f"error: --json {link}: not a file in an existing directory\n"
+        )
+        assert link.is_symlink()
+
+    @pytest.mark.parametrize("command", [["test"], ["blocks", "--width", "3"]])
+    def test_json_target_that_is_an_input_exits_1_before_the_run(
+        self, sample_pair, tmp_path, capsys, pair_passes, command
+    ):
+        # the report used to replace the --x file; a link to the --y file counts too
+        _, _, x_path, y_path = sample_pair
+        link = tmp_path / "link.json"
+        link.symlink_to(y_path)
+        before = [Path(x_path).read_bytes(), Path(y_path).read_bytes()]
+        for target, flag, source in [(x_path, "--x", x_path), (str(link), "--y", y_path)]:
+            argv = ["--x", x_path, "--y", y_path, "--seed", "1", "--json", target]
+            assert main([*command, *argv]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                f"error: {target} is the {flag} file {source}: an output may not replace it\n"
+            )
+        assert pair_passes == []
+        assert [Path(x_path).read_bytes(), Path(y_path).read_bytes()] == before
+        assert link.is_symlink()
+
     @pytest.mark.parametrize(
         "text, line",
         [
@@ -514,6 +550,26 @@ class TestCliSimulate:
         scenarios = [self._scenario("ok"), self._scenario("s" * 300)]
         err = self._run_invalid(tmp_path, capsys, scenarios).err
         assert err.startswith(f"error: scenario_id {'s' * 300!r} is too long for a file name")
+
+    def test_scenario_id_with_a_lone_surrogate_rejected_before_any_output(self, tmp_path, capsys):
+        # UTF-8 cannot encode it: the length check used to raise the codec's
+        # error, which named neither the field nor the scenario
+        scenarios = [self._scenario("ok"), self._scenario("a\ud800")]
+        err = self._run_invalid(tmp_path, capsys, scenarios).err
+        assert err == "error: scenario_id 'a\\ud800' is not a plain file name\n"
+
+    def test_output_that_is_the_config_file_rejected_before_any_output(self, tmp_path, capsys):
+        # with --out beside it, the power scenario's manifest used to replace the config
+        config_path = tmp_path / "power.json"
+        text = json.dumps([self._scenario("power"), self._scenario("other")])
+        config_path.write_text(text)
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config_path} is the --config file {config_path}: "
+            "an output may not replace it\n"
+        )
+        assert config_path.read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["power.json"]
 
     @pytest.mark.parametrize("scenario_id", [["a"], {"k": 1}, 7])
     def test_non_string_scenario_id_rejected(self, tmp_path, capsys, scenario_id):

@@ -186,7 +186,7 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="deltas must be finite"):
             _config(deltas=[0.0, delta])
 
-    @pytest.mark.parametrize("scenario_id", ["../escaped", "a/b", "a\\b", ".", ".."])
+    @pytest.mark.parametrize("scenario_id", ["../escaped", "a/b", "a\\b", ".", "..", "a\ud800"])
     def test_scenario_id_must_be_a_plain_file_name(self, scenario_id):
         with pytest.raises(ValueError, match="is not a plain file name"):
             _config(scenario_id=scenario_id)
@@ -664,6 +664,38 @@ class TestOutputFiles:
         (tmp_path / "plain").write_text("")
         assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "plain"])
+
+    @pytest.mark.parametrize("write", ["csv", "json"])
+    def test_a_linked_target_is_written_through_the_link(self, tmp_path, write):
+        # the temp file used to be moved over the link itself, which became a
+        # regular file while the file it named kept its old contents
+        (tmp_path / "real").mkdir()
+        real = tmp_path / "real" / "r.out"
+        real.write_text("old contents\n")
+        link = tmp_path / "link.out"
+        link.symlink_to(real)
+        if write == "csv":
+            write_csv([], link)
+            expected = ",".join(CSV_COLUMNS) + "\n"
+        else:
+            experiments._write_json(link, {"a": 1})
+            expected = '{\n  "a": 1\n}\n'
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == expected
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.out", "r.out", "real"]
+
+    @pytest.mark.parametrize("write", ["csv", "json"])
+    def test_an_existing_target_keeps_its_mode(self, tmp_path, write):
+        # as open(path, "w") keeps it; the replacing file used to come back 0644
+        path = tmp_path / "r.out"
+        path.write_text("old contents\n")
+        os.chmod(path, 0o600)
+        if write == "csv":
+            write_csv([], path)
+        else:
+            experiments._write_json(path, {"a": 1})
+        assert oct(os.stat(path).st_mode & 0o7777) == oct(0o600)
+        assert path.read_text() != "old contents\n"
 
     @pytest.mark.parametrize("write", ["csv", "json"])
     def test_an_unwritable_target_is_named(self, tmp_path, write):
